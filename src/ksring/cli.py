@@ -38,7 +38,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +84,6 @@ class RunConfig:
     I0: float
     jn: int
     v0_method: str
-    linear_tol: float
     reference_tol: float
     out_dir: str | None
     stride: int
@@ -93,7 +92,6 @@ class RunConfig:
     def solver_config(self, jn: int | None = None) -> SolverConfig:
         return SolverConfig(
             newton_iters=jn if jn is not None else self.jn,
-            linear_tol=self.linear_tol,
             reference_tol=self.reference_tol,
         )
 
@@ -113,7 +111,6 @@ class RunConfig:
             "solver": {
                 "jn": self.jn,
                 "v0_method": self.v0_method,
-                "linear_tol": self.linear_tol,
                 "reference_tol": self.reference_tol,
             },
             "output": {"stride": self.stride, "emit": list(self.emit)},
@@ -183,11 +180,6 @@ def load_config(path: str | Path) -> RunConfig:
     v0_method = (
         _get(cp, "solver", "v0_method", str, problems) if cp.has_section("solver") else None
     ) or "analytic"
-    linear_tol = (
-        _get(cp, "solver", "linear_tol", float, problems, default=1e-12)
-        if cp.has_section("solver")
-        else 1e-12
-    )
     reference_tol = (
         _get(cp, "solver", "reference_tol", float, problems, default=1e-13)
         if cp.has_section("solver")
@@ -253,7 +245,6 @@ def load_config(path: str | Path) -> RunConfig:
         I0=I0,
         jn=jn,
         v0_method=v0_method,
-        linear_tol=linear_tol,
         reference_tol=reference_tol,
         out_dir=out_dir,
         stride=stride,
@@ -436,12 +427,6 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3, jn: int | None = None) -> EocRep
     if not adm.passed:
         raise ConfigError(["eoc: finest level fails admissibility"])
 
-    def initial(J: int) -> PeriodicField:
-        grid = GridSpec(J)
-        if cfg.v0_method == "centered":
-            return centered_difference(sample_cosine_sum(grid, cfg.modes))
-        return sample_cosine_sum_dsigma(grid, cfg.modes)
-
     solver_cfg = cfg.solver_config(jn)
 
     def one_run(J: int, method: str, stride: int) -> Trajectory:
@@ -451,7 +436,7 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3, jn: int | None = None) -> EocRep
             tg,
             GridSpec(J),
             solver_cfg,
-            initial(J),
+            replace(cfg, grid=GridSpec(J)).initial_v(),
             law=law,
             method=method,
             store_stride=stride,
@@ -643,14 +628,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--force", action="store_true", help="continue past admissibility failure")
     run_p.add_argument("--jn", type=int, default=None)
-    run_p.add_argument("--seed", type=int, default=None, help="reserved, runs are deterministic")
 
     eoc_p = sub.add_parser("eoc", help="self-convergence ladder")
     eoc_p.add_argument("--config", required=True)
     eoc_p.add_argument("--out", default=None)
     eoc_p.add_argument("--levels", type=int, default=3)
     eoc_p.add_argument("--jn", type=int, default=None)
-    eoc_p.add_argument("--seed", type=int, default=None, help="reserved, runs are deterministic")
 
     map_p = sub.add_parser("stability-map", help="neutral curves and unstable sets")
     map_p.add_argument("--config", required=True)
@@ -663,12 +646,16 @@ def _build_parser() -> argparse.ArgumentParser:
     suite_p = sub.add_parser("wavenumber-suite", help="desk-scale mode selection runs")
     suite_p.add_argument("--out", default=None)
     suite_p.add_argument("--jn", type=int, default=3)
-    suite_p.add_argument("--seed", type=int, default=None, help="reserved, runs are deterministic")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        if e.code == 2:  # argparse usage error: invalid arguments
+            return 1
+        raise
     try:
         if args.command == "wavenumber-suite":
             out = resolve_out_dir(args.out, None)

@@ -42,7 +42,7 @@ class RadiusLaw:
         y = p.v_c * (R - p.R0) / (p.v_c * p.R0 + a)
         return (R - p.R0 - (a / p.v_c) * math.log1p(y)) / p.v_c - t
 
-    def radius_at(self, t: float, guess: float | None = None) -> float:
+    def radius_at(self, t: float) -> float:
         if t < 0:
             raise ValueError(f"t must be >= 0, got {t}")
         p = self.params
@@ -51,7 +51,7 @@ class RadiusLaw:
         lo = p.R0
         hi = p.R0 + self.rate(p.R0) * t + 1.0
         tol = 1e-12 * max(1.0, t)
-        x = guess if (guess is not None and lo < guess < hi) else 0.5 * (lo + hi)
+        x = 0.5 * (lo + hi)
         for _ in range(200):
             f = self._implicit(x, t)
             if abs(f) <= tol:
@@ -81,7 +81,7 @@ class RadiusLaw:
 class FrozenRadiusLaw(RadiusLaw):
     """Radius pinned at R0; a diagnostic device for fixed-radius comparisons."""
 
-    def radius_at(self, t: float, guess: float | None = None) -> float:
+    def radius_at(self, t: float) -> float:
         if t < 0:
             raise ValueError(f"t must be >= 0, got {t}")
         return self.params.R0

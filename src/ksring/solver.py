@@ -116,7 +116,7 @@ class StepCoefficients:
 
 
 class SchemeContext:
-    """Bundles the model, grids, radius law, and per-step coefficient cache."""
+    """Bundles the model, grids, radius law and solver configuration."""
 
     def __init__(
         self,
@@ -131,12 +131,8 @@ class SchemeContext:
         self.grid = grid
         self.law = law if law is not None else RadiusLaw(params)
         self.config = config if config is not None else SolverConfig()
-        self._cache: dict[int, StepCoefficients] = {}
 
     def step_coefficients(self, n: int) -> StepCoefficients:
-        sc = self._cache.get(n)
-        if sc is not None:
-            return sc
         k = self.tgrid.k
         R = self.law.half_step(n, self.tgrid)
         coeffs = LinearOperatorCoefficients.at_radius(self.params, R)
@@ -149,7 +145,7 @@ class SchemeContext:
                 "the time step violates the existence bound",
                 step=n,
             )
-        sc = StepCoefficients(
+        return StepCoefficients(
             R_half=R,
             coeffs=coeffs,
             mu=mu,
@@ -158,10 +154,6 @@ class SchemeContext:
             c_phi=self.params.v_c / (6.0 * self.grid.h * R * R),
             c_psi=self.params.v_c / (24.0 * self.grid.h * R * R),
         )
-        if len(self._cache) > 64:
-            self._cache.clear()
-        self._cache[n] = sc
-        return sc
 
 
 def _nl_rfft(values: np.ndarray) -> np.ndarray:
@@ -169,6 +161,51 @@ def _nl_rfft(values: np.ndarray) -> np.ndarray:
     out = np.fft.rfft(values)
     out[0] = 0.0
     return out
+
+
+# Step kernels: state as values and rfft spectrum X in, the next (spectrum,
+# values) out.  run() chains them; the public step functions wrap them.
+
+
+def _first_step(vq, X, sc: StepCoefficients):
+    """Linear step from spectrum X with the quadratic term frozen at vq.
+
+    With vq = V^n this is the scheme's first step; the reference step repeats
+    it with vq the midpoint of V^n and the current iterate.
+    """
+    nl = sc.c_phi * _phi_values(vq, vq)
+    X_next = (sc.numer * X + _nl_rfft(nl)) / sc.denom
+    return X_next, np.fft.irfft(X_next, n=vq.size)
+
+
+def _reference_step(vn, X, sc: StepCoefficients, h: float, tol: float, n: int):
+    """Midpoint fixed point sweeps to relative update tolerance tol.
+
+    Each sweep solves the circulant system with the quadratic term taken at
+    the previous midpoint iterate; the contraction factor is of order
+    k * v_c * |v| / R^2, far below one for admissible steps.
+    """
+    w = vn
+    for _ in range(50):
+        X_next, w_next = _first_step(0.5 * (vn + w), X, sc)
+        delta = w_next - w
+        w = w_next
+        if math.sqrt(h * float(np.dot(delta, delta))) <= tol * max(
+            1.0, math.sqrt(h * float(np.dot(w, w)))
+        ):
+            return X_next, w
+    raise SolverError(f"reference step {n} did not converge in 50 sweeps", step=n)
+
+
+def _newton_sweep(base, b, phi_bb, w, vhat, sc: StepCoefficients):
+    """One sweep of the predictor-anchored linearization from iterate w.
+
+    base = numer * rfft(V^n), b = V^n + Vhat and phi_bb = phi(b, b) are
+    fixed over the j_n sweeps of a step.
+    """
+    rhs_nl = sc.c_psi * (_psi_values(b, w - vhat) + phi_bb)
+    X_next = (base + _nl_rfft(rhs_nl)) / sc.denom
+    return X_next, np.fft.irfft(X_next, n=w.size)
 
 
 def solve_linear_cn(rhs: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
@@ -193,38 +230,18 @@ def cn_residual(Vn: PeriodicField, Vnp1: PeriodicField, n: int, ctx: SchemeConte
 
 
 def cn_step(Vn: PeriodicField, n: int, ctx: SchemeContext, tol: float | None = None) -> PeriodicField:
-    """Reference step: iterates the midpoint fixed point to convergence.
-
-    Each sweep solves the circulant system with the quadratic term taken at
-    the previous midpoint iterate; the contraction factor is of order
-    k * v_c * |v| / R^2, far below one for admissible steps.
-    """
+    """Reference step: iterates the midpoint fixed point to convergence."""
     if tol is None:
         tol = ctx.config.reference_tol
     sc = ctx.step_coefficients(n)
-    vn = Vn.values
-    J = ctx.grid.J
-    base = sc.numer * np.fft.rfft(vn)
-    w = vn
-    for _ in range(50):
-        vmid = 0.5 * (vn + w)
-        nl = sc.c_phi * _phi_values(vmid, vmid)
-        w_new = np.fft.irfft((base + _nl_rfft(nl)) / sc.denom, n=J)
-        delta = w_new - w
-        w = w_new
-        if math.sqrt(ctx.grid.h * float(np.dot(delta, delta))) <= tol * max(
-            1.0, math.sqrt(ctx.grid.h * float(np.dot(w, w)))
-        ):
-            return PeriodicField(w, ctx.grid.h)
-    raise SolverError(f"reference step {n} did not converge in 50 sweeps", step=n)
+    _, w = _reference_step(Vn.values, np.fft.rfft(Vn.values), sc, ctx.grid.h, tol, n)
+    return PeriodicField(w, ctx.grid.h)
 
 
 def newton_first_step(v0: PeriodicField, ctx: SchemeContext) -> PeriodicField:
     """Linear first step: quadratic term evaluated at the initial data."""
-    sc = ctx.step_coefficients(0)
-    nl = sc.c_phi * _phi_values(v0.values, v0.values)
-    x = (sc.numer * np.fft.rfft(v0.values) + _nl_rfft(nl)) / sc.denom
-    return PeriodicField(np.fft.irfft(x, n=ctx.grid.J), ctx.grid.h)
+    _, w = _first_step(v0.values, np.fft.rfft(v0.values), ctx.step_coefficients(0))
+    return PeriodicField(w, ctx.grid.h)
 
 
 def extrapolate(Vn: PeriodicField, Vnm1: PeriodicField) -> PeriodicField:
@@ -242,9 +259,9 @@ def newton_iterate(
     """One sweep of the predictor-anchored linearization."""
     sc = ctx.step_coefficients(n)
     b = Vn.values + Vhat.values
-    rhs_nl = sc.c_psi * (_psi_values(b, Wj.values - Vhat.values) + _phi_values(b, b))
-    x = (sc.numer * np.fft.rfft(Vn.values) + _nl_rfft(rhs_nl)) / sc.denom
-    return PeriodicField(np.fft.irfft(x, n=ctx.grid.J), ctx.grid.h)
+    base = sc.numer * np.fft.rfft(Vn.values)
+    _, w = _newton_sweep(base, b, _phi_values(b, b), Wj.values, Vhat.values, sc)
+    return PeriodicField(w, ctx.grid.h)
 
 
 def mean_step_factor(k: float, R_half: float, alpha: float) -> float:
@@ -355,48 +372,24 @@ def run(
     for n in range(N):
         sc = ctx.step_coefficients(n)
         if method == "reference":
-            base = sc.numer * X
-            w = vn
-            converged = False
-            for _ in range(50):
-                vmid = 0.5 * (vn + w)
-                nl = sc.c_phi * _phi_values(vmid, vmid)
-                X_new = (base + _nl_rfft(nl)) / sc.denom
-                w_new = np.fft.irfft(X_new, n=J)
-                delta = w_new - w
-                w = w_new
-                if math.sqrt(h * float(np.dot(delta, delta))) <= tol * max(
-                    1.0, math.sqrt(h * float(np.dot(w, w)))
-                ):
-                    converged = True
-                    break
-            if not converged:
-                raise SolverError(f"reference step {n} did not converge", step=n)
-            X_next = X_new
-            v_next = w
+            X_next, v_next = _reference_step(vn, X, sc, h, tol, n)
         elif n == 0:
-            nl = sc.c_phi * _phi_values(vn, vn)
-            X_next = (sc.numer * X + _nl_rfft(nl)) / sc.denom
-            v_next = np.fft.irfft(X_next, n=J)
+            X_next, v_next = _first_step(vn, X, sc)
         else:
-            X_pred = 2.0 * X - X_prev
-            vhat = np.fft.irfft(X_pred, n=J)
+            vhat = np.fft.irfft(2.0 * X - X_prev, n=J)
             b = vn + vhat
             phi_bb = _phi_values(b, b)
             base = sc.numer * X
-            w = vhat
+            v_next = vhat
             for _ in range(j_n):
-                rhs_nl = sc.c_psi * (_psi_values(b, w - vhat) + phi_bb)
-                X_next = (base + _nl_rfft(rhs_nl)) / sc.denom
-                w = np.fft.irfft(X_next, n=J)
-            v_next = w
+                X_next, v_next = _newton_sweep(base, b, phi_bb, v_next, vhat, sc)
 
         m = n + 1
-        R_nodes[m] = ctx.law.radius_at(
-            m * k, guess=R_nodes[n] + ctx.law.rate(R_nodes[n]) * k
-        )
+        R_nodes[m] = ctx.law.radius_at(m * k)
         S[m] = h * X_next[0].real
         Q[m] = pw_linear_square_integral(v_next, h)
+        if not math.isfinite(Q[m]):
+            raise SolverError(f"the solution is no longer finite (Q = {Q[m]})", step=m)
         g = Q[m] / (ctx.law.rate(R_nodes[m]) * R_nodes[m] ** 2)
         A[m] = A[n] + 0.5 * k * (g_prev + g)
         g_prev = g

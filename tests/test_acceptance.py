@@ -56,7 +56,6 @@ def ladder_result():
         I0=0.0,
         jn=3,
         v0_method="analytic",
-        linear_tol=1e-12,
         reference_tol=1e-13,
         out_dir=None,
         stride=1,

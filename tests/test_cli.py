@@ -150,6 +150,17 @@ def test_run_report_contents(tmp_path):
     assert report["wall_time_seconds"] > 0
     assert len(report["config_hash"]) == 64
     assert report["config_hash"] == load_config(cfg_path).config_hash()
+    # one radius R(T) throughout the report, bitwise equal to the solver's
+    from ksring.radius import RadiusLaw
+    from ksring.solver import run as lib_run
+
+    cfg = load_config(cfg_path)
+    traj = lib_run(
+        cfg.params, cfg.tgrid, cfg.grid, cfg.solver_config(), cfg.initial_v(),
+        law=RadiusLaw(cfg.params), store_stride=cfg.stride,
+    )
+    R_T = float(traj.R_nodes[cfg.tgrid.N])
+    assert report["admissibility"]["bounds"]["R_T"] == report["spectral"]["R_T"] == R_T
 
 
 def test_run_csv_values_round_trip_doubles(tmp_path):
@@ -220,6 +231,49 @@ modes = 2
     out = tmp_path / "broken"
     assert main(["run", "--config", str(cfg_path), "--out", str(out), "--force"]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_diverging_run_exits_2_at_step(tmp_path, capsys):
+    # admissible, yet the iterate overflows within a few steps
+    text = """\
+[model]
+delta = 0.1
+alpha = 1.5
+v_c = 5
+
+[grid]
+J = 64
+k = 0.05
+T = 50
+
+[initial]
+R0 = 1
+amplitudes = 3, 3
+modes = 2, 3
+"""
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "diverged"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "at step" in captured.err
+    assert "run complete" not in captured.out
+    assert not (out / "means.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [["--bogus"], ["--jn", "x"], ["--seed", "1"]])
+def test_main_invalid_arguments_exit_1(tmp_path, capsys, extra):
+    cfg_path = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg_path), *extra]) == 1
+    assert "usage" in capsys.readouterr().err
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
 
 
 def test_eoc_command(tmp_path):

@@ -321,3 +321,39 @@ def test_context_rejects_sign_flipped_denominator():
     ctx = SchemeContext(p, TimeGrid(k=2000.0, N=1), GridSpec(64))
     with pytest.raises(SolverError):
         ctx.step_coefficients(0)
+
+
+def test_run_matches_public_step_functions():
+    # run() and the public step functions share their kernels; chaining the
+    # public ones reproduces run() up to the Fourier round trips run() skips.
+    # The sweeps contract by about 1e-2 here, so a sweep more or less, or a
+    # looser reference tolerance, moves the gap far above 1e-13.
+    p = ModelParams(delta=0.1, alpha=1.5, v_c=1.0, R0=2.0)
+    g = GridSpec(64)
+    tg = TimeGrid(k=0.01, N=20)
+    law = RadiusLaw(p)
+    cfg = SolverConfig()
+    ctx = SchemeContext(p, tg, g, law=law, config=cfg)
+    v0 = sample_cosine_sum_dsigma(g, [(0.5, 2), (0.5, 3)])
+
+    def rel_gap(traj, fields):
+        return max(
+            norm_h(PeriodicField(traj.snapshots[n] - V.values, g.h)) / norm_h(V)
+            for n, V in enumerate(fields)
+        )
+
+    V = [v0, newton_first_step(v0, ctx)]
+    for n in range(1, tg.N):
+        Vhat = extrapolate(V[n], V[n - 1])
+        W = Vhat
+        for _ in range(cfg.newton_iters):
+            W = newton_iterate(V[n], Vhat, W, n, ctx)
+        V.append(W)
+    newton = run(p, tg, g, cfg, v0, law=law, method="newton")
+    assert rel_gap(newton, V) <= 1e-13
+
+    V = [v0]
+    for n in range(tg.N):
+        V.append(cn_step(V[n], n, ctx))
+    reference = run(p, tg, g, cfg, v0, law=law, method="reference")
+    assert rel_gap(reference, V) <= 1e-13
