@@ -7,7 +7,8 @@ Subcommands
     wavenumber-suite   the five desk-scale expanding-circle mode selection runs
 
 Configs are flat INI files with sections [model], [grid], [initial],
-[solver], [output]; lists are comma separated.  Example:
+[solver], [output]; lists are comma separated, and a section or key not
+listed in CONFIG_KEYS is an error.  Example:
 
     [model]
     delta = 4.0
@@ -63,6 +64,14 @@ from .stability import (
 )
 
 EMIT_CHOICES = ("v", "u", "curve", "means", "spectrum")
+# Every key a config may set, by section, as configparser lowercases them.
+CONFIG_KEYS = {
+    "model": ("delta", "alpha", "v_c"),
+    "grid": ("j", "k", "t"),
+    "initial": ("r0", "amplitudes", "modes", "i0"),
+    "solver": ("jn", "v0_method", "reference_tol"),
+    "output": ("dir", "stride", "emit"),
+}
 ENV_OUT = "KSRING_OUT"
 SPECTRAL_M_MAX = 32
 
@@ -159,7 +168,9 @@ def load_config(path: str | Path) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.read_string(text, source=str(path))
 
-    problems: list[str] = []
+    problems = [f"{s}: unknown section" for s in cp.sections() if s not in CONFIG_KEYS]
+    for s in cp.sections():
+        problems += [f"{s}.{key}: unknown key" for key in cp.options(s) if s in CONFIG_KEYS and key not in CONFIG_KEYS[s]]
     for section in ("model", "grid", "initial"):
         if not cp.has_section(section):
             problems.append(f"{section}: section missing")
@@ -227,6 +238,7 @@ def load_config(path: str | Path) -> RunConfig:
             f"initial.modes: modes must be below J/2 = {J // 2}, got {mode_nums}",
         )
     check(jn >= 1, f"solver.jn: must be >= 1, got {jn}")
+    check(reference_tol > 0, f"solver.reference_tol: must be > 0, got {reference_tol}")
     check(
         v0_method in ("analytic", "centered"),
         f"solver.v0_method: must be analytic or centered, got {v0_method!r}",
@@ -657,6 +669,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         raise
     try:
+        if getattr(args, "jn", None) is not None and args.jn < 1:
+            raise ConfigError([f"solver.jn: must be >= 1, got {args.jn}"])
         if args.command == "wavenumber-suite":
             out = resolve_out_dir(args.out, None)
             cmd_wavenumber_suite(out, jn=args.jn)

@@ -117,8 +117,9 @@ def pw_linear_square_integral(values: np.ndarray, h: float) -> float:
     interpolant through the samples: sum_i (h/3)(a^2 + a b + b^2) with
     a = V_i, b = V_{i+1}."""
     a = np.asarray(values, dtype=float)
-    b = np.roll(a, -1)
-    return (h / 3.0) * float(np.sum(a * a + a * b + b * b))
+    # sum_i (a_i^2 + a_{i+1}^2) = 2 sum_i a_i^2 on the periodic grid
+    cross = np.dot(a[:-1], a[1:]) + a[-1] * a[0]
+    return (h / 3.0) * float(2.0 * np.dot(a, a) + cross)
 
 
 def sample_cosine_sum(grid: GridSpec, pairs) -> PeriodicField:

@@ -28,18 +28,38 @@ from .field import PeriodicField, _check_same_grid
 from .params import ModelParams
 
 
+def _neighbours(v: np.ndarray, width: int = 1) -> list[np.ndarray]:
+    """[v_{i-width}, ..., v_{i+width}] as slices of one periodically padded copy."""
+    J = v.size
+    padded = np.concatenate((v[J - width:], v, v[:width]))
+    return [padded[j : j + J] for j in range(2 * width + 1)]
+
+
 def _lap_values(v: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(v, 1) - 2.0 * v + np.roll(v, -1)) / h**2
+    vm, _, vp = _neighbours(v)
+    return (vm - 2.0 * v + vp) / h**2
 
 
 def _phi_values(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (np.roll(v, 1) + v + np.roll(v, -1)) * (np.roll(w, -1) - np.roll(w, 1))
+    vm, _, vp = _neighbours(v)
+    wm, _, wp = _neighbours(w)
+    return (vm + v + vp) * (wp - wm)
+
+
+def psi_coefficients(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stencil weights of W in psi(V, W)_i, for W_{i-1}, W_i and W_{i+1}."""
+    vm, _, vp = _neighbours(v)
+    return -(2.0 * vm + v), vp - vm, 2.0 * vp + v
+
+
+def _psi_apply(coeffs, w: np.ndarray) -> np.ndarray:
+    wm, _, wp = _neighbours(w)
+    cm, c0, cp = coeffs
+    return cm * wm + c0 * w + cp * wp
 
 
 def _psi_values(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    vm, vp = np.roll(v, 1), np.roll(v, -1)
-    wm, wp = np.roll(w, 1), np.roll(w, -1)
-    return -(2.0 * vm + v) * wm + (vp - vm) * w + (2.0 * vp + v) * wp
+    return _psi_apply(psi_coefficients(v), w)
 
 
 def laplacian_h(V: PeriodicField) -> PeriodicField:
@@ -86,8 +106,7 @@ def apply_L(coeffs: LinearOperatorCoefficients, V: PeriodicField) -> PeriodicFie
 
 def _apply_L_values(coeffs: LinearOperatorCoefficients, v: np.ndarray, h: float) -> np.ndarray:
     # One pass over the combined 5 point stencil; equals the composed form to roundoff.
-    vm1, vp1 = np.roll(v, 1), np.roll(v, -1)
-    vm2, vp2 = np.roll(v, 2), np.roll(v, -2)
+    vm2, vm1, _, vp1, vp2 = _neighbours(v, 2)
     h2 = h * h
     lap = (vm1 - 2.0 * v + vp1) / h2
     bilap = (vm2 - 4.0 * vm1 + 6.0 * v - 4.0 * vp1 + vp2) / (h2 * h2)
@@ -104,7 +123,12 @@ def second_difference_symbol(m, h: float):
 def modal_symbol(coeffs: LinearOperatorCoefficients, m, h: float):
     """Fourier symbol mu_m of L: mode m of L V equals mu_m times mode m of V."""
     s = second_difference_symbol(m, h)
-    return coeffs.c4 * s * s - coeffs.c2 * s + coeffs.c0
+    return _symbol(coeffs, s, s * s)
+
+
+def _symbol(coeffs: LinearOperatorCoefficients, s, s2):
+    """mu = c4 s^2 - c2 s + c0 from precomputed s_m and s_m^2."""
+    return coeffs.c4 * s2 - coeffs.c2 * s + coeffs.c0
 
 
 def symbol_array(coeffs: LinearOperatorCoefficients, J: int, h: float) -> np.ndarray:

@@ -12,16 +12,23 @@ R(t) <= R0 + rate(R0) * t, which provides the bracket.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .params import ModelParams, TimeGrid
 
 
-def radius_rate(R: float, params: ModelParams) -> float:
-    """dR/dt at radius R."""
-    if not (R > 0):
+def radius_rate(R, params: ModelParams):
+    """dR/dt at radius R, a float or an array of radii."""
+    if not np.all(R > 0):
         raise ValueError(f"R must be > 0, got {R}")
     return params.v_c + (params.alpha - 1.0) / R
+
+
+def _times(ts) -> np.ndarray:
+    t = np.array(ts, dtype=float)
+    if t.ndim != 1 or (t < 0).any():
+        raise ValueError(f"times must be a sequence of values >= 0, got {ts}")
+    return t
 
 
 class RadiusLaw:
@@ -30,7 +37,7 @@ class RadiusLaw:
     def __init__(self, params: ModelParams):
         self.params = params
 
-    def rate(self, R: float) -> float:
+    def rate(self, R):
         return radius_rate(R, self.params)
 
     def _implicit(self, R: float, t: float) -> float:
@@ -40,33 +47,37 @@ class RadiusLaw:
         p = self.params
         a = p.alpha - 1.0
         y = p.v_c * (R - p.R0) / (p.v_c * p.R0 + a)
-        return (R - p.R0 - (a / p.v_c) * math.log1p(y)) / p.v_c - t
+        return (R - p.R0 - (a / p.v_c) * np.log1p(y)) / p.v_c - t
 
     def radius_at(self, t: float) -> float:
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
+        return float(self.radii([t])[0])
+
+    def radii(self, ts) -> np.ndarray:
+        """R(t) for every t in ts: safeguarded Newton on the implicit relation,
+        all times at once; each entry is the value radius_at gives."""
+        t = _times(ts)
         p = self.params
-        if t == 0:
-            return p.R0
-        lo = p.R0
+        out = np.full(t.shape, p.R0)
+        idx = np.flatnonzero(t > 0)
+        t = t[idx]
+        lo = np.full(t.shape, p.R0)
         hi = p.R0 + self.rate(p.R0) * t + 1.0
-        tol = 1e-12 * max(1.0, t)
+        tol = 1e-12 * np.maximum(1.0, t)
         x = 0.5 * (lo + hi)
         for _ in range(200):
             f = self._implicit(x, t)
-            if abs(f) <= tol:
-                return x
-            if f > 0:
-                hi = x
-            else:
-                lo = x
+            done = np.abs(f) <= tol
+            out[idx[done]] = x[done]
+            todo = ~done
+            if not todo.any():
+                return out
+            idx, t, tol, x, f, lo, hi = (a[todo] for a in (idx, t, tol, x, f, lo, hi))
+            hi = np.where(f > 0, x, hi)
+            lo = np.where(f > 0, lo, x)
             # f' = x / (v_c x + alpha - 1) > 0 on the bracket
-            step = f * (p.v_c * x + p.alpha - 1.0) / x
-            x_new = x - step
-            if not (lo < x_new < hi):
-                x_new = 0.5 * (lo + hi)
-            x = x_new
-        raise RuntimeError(f"radius solve did not converge at t={t}")
+            x_new = x - f * (p.v_c * x + p.alpha - 1.0) / x
+            x = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        raise RuntimeError(f"radius solve did not converge at t={t[0]}")
 
     def rate_at(self, t: float) -> float:
         return self.rate(self.radius_at(t))
@@ -81,7 +92,5 @@ class RadiusLaw:
 class FrozenRadiusLaw(RadiusLaw):
     """Radius pinned at R0; a diagnostic device for fixed-radius comparisons."""
 
-    def radius_at(self, t: float) -> float:
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        return self.params.R0
+    def radii(self, ts) -> np.ndarray:
+        return np.full(_times(ts).shape, self.params.R0)

@@ -55,8 +55,10 @@ from .operators import (
     LinearOperatorCoefficients,
     _apply_L_values,
     _phi_values,
-    _psi_values,
-    symbol_array,
+    _psi_apply,
+    _symbol,
+    psi_coefficients,
+    second_difference_symbol,
 )
 from .params import ModelParams, SolverConfig, TimeGrid
 from .radius import RadiusLaw
@@ -108,7 +110,6 @@ class StepCoefficients:
 
     R_half: float
     coeffs: LinearOperatorCoefficients
-    mu: np.ndarray        # symbol of L for rfft modes 0..J/2
     denom: np.ndarray     # 1/k + mu/2
     numer: np.ndarray     # 1/k - mu/2
     c_phi: float          # v_c / (6 h R^2)
@@ -116,7 +117,9 @@ class StepCoefficients:
 
 
 class SchemeContext:
-    """Bundles the model, grids, radius law and solver configuration."""
+    """Bundles the model, grids, radius law and solver configuration, with
+    the tables every step reads: s_m and s_m^2 of the grid, and the radius
+    at the nodes t^n and the half steps t^n + k/2."""
 
     def __init__(
         self,
@@ -131,12 +134,19 @@ class SchemeContext:
         self.grid = grid
         self.law = law if law is not None else RadiusLaw(params)
         self.config = config if config is not None else SolverConfig()
+        self.s = second_difference_symbol(np.arange(grid.J // 2 + 1), grid.h)
+        self.s2 = self.s * self.s
+        steps = np.arange(tgrid.N + 1)
+        self.R_nodes = self.law.radii(steps * tgrid.k)
+        self.R_half = self.law.radii((steps[:-1] + 0.5) * tgrid.k)
 
     def step_coefficients(self, n: int) -> StepCoefficients:
+        if not (0 <= n < self.tgrid.N):
+            raise ValueError(f"step index {n} outside 0..{self.tgrid.N - 1}")
         k = self.tgrid.k
-        R = self.law.half_step(n, self.tgrid)
+        R = float(self.R_half[n])
         coeffs = LinearOperatorCoefficients.at_radius(self.params, R)
-        mu = symbol_array(coeffs, self.grid.J, self.grid.h)
+        mu = _symbol(coeffs, self.s, self.s2)
         denom = 1.0 / k + 0.5 * mu
         if denom.min() <= 0.0:
             m_bad = int(np.argmin(denom))
@@ -148,7 +158,6 @@ class SchemeContext:
         return StepCoefficients(
             R_half=R,
             coeffs=coeffs,
-            mu=mu,
             denom=denom,
             numer=1.0 / k - 0.5 * mu,
             c_phi=self.params.v_c / (6.0 * self.grid.h * R * R),
@@ -197,13 +206,13 @@ def _reference_step(vn, X, sc: StepCoefficients, h: float, tol: float, n: int):
     raise SolverError(f"reference step {n} did not converge in 50 sweeps", step=n)
 
 
-def _newton_sweep(base, b, phi_bb, w, vhat, sc: StepCoefficients):
+def _newton_sweep(base, psi_b, phi_bb, w, vhat, sc: StepCoefficients):
     """One sweep of the predictor-anchored linearization from iterate w.
 
-    base = numer * rfft(V^n), b = V^n + Vhat and phi_bb = phi(b, b) are
-    fixed over the j_n sweeps of a step.
+    base = numer * rfft(V^n), psi_b = psi_coefficients(b) and phi_bb =
+    phi(b, b) with b = V^n + Vhat are fixed over the j_n sweeps of a step.
     """
-    rhs_nl = sc.c_psi * (_psi_values(b, w - vhat) + phi_bb)
+    rhs_nl = sc.c_psi * (_psi_apply(psi_b, w - vhat) + phi_bb)
     X_next = (base + _nl_rfft(rhs_nl)) / sc.denom
     return X_next, np.fft.irfft(X_next, n=w.size)
 
@@ -260,7 +269,7 @@ def newton_iterate(
     sc = ctx.step_coefficients(n)
     b = Vn.values + Vhat.values
     base = sc.numer * np.fft.rfft(Vn.values)
-    _, w = _newton_sweep(base, b, _phi_values(b, b), Wj.values, Vhat.values, sc)
+    _, w = _newton_sweep(base, psi_coefficients(b), _phi_values(b, b), Wj.values, Vhat.values, sc)
     return PeriodicField(w, ctx.grid.h)
 
 
@@ -341,7 +350,6 @@ def run(
         )
 
     h = grid.h
-    J = grid.J
     k = tgrid.k
     N = tgrid.N
     mean0 = float(np.sum(v0.values)) * h
@@ -353,49 +361,49 @@ def run(
 
     S = np.empty(N + 1)
     Q = np.empty(N + 1)
-    A = np.empty(N + 1)
-    R_nodes = np.empty(N + 1)
 
     X = np.fft.rfft(v0.values)
     vn = v0.values.copy()
-    R_nodes[0] = ctx.law.radius_at(0.0)
     S[0] = h * X[0].real
     Q[0] = pw_linear_square_integral(vn, h)
-    A[0] = 0.0
-    g_prev = Q[0] / (ctx.law.rate(R_nodes[0]) * R_nodes[0] ** 2)
 
     snapshots: dict[int, np.ndarray] = {0: vn.copy()}
     j_n = ctx.config.newton_iters
     tol = ctx.config.reference_tol
-    X_prev = None
+    v_prev = None
 
-    for n in range(N):
-        sc = ctx.step_coefficients(n)
-        if method == "reference":
-            X_next, v_next = _reference_step(vn, X, sc, h, tol, n)
-        elif n == 0:
-            X_next, v_next = _first_step(vn, X, sc)
-        else:
-            vhat = np.fft.irfft(2.0 * X - X_prev, n=J)
-            b = vn + vhat
-            phi_bb = _phi_values(b, b)
-            base = sc.numer * X
-            v_next = vhat
-            for _ in range(j_n):
-                X_next, v_next = _newton_sweep(base, b, phi_bb, v_next, vhat, sc)
+    # Overflow or an invalid operation anywhere in a step fails the run at
+    # that step instead of carrying inf or NaN forward.
+    with np.errstate(over="raise", invalid="raise"):
+        for n in range(N):
+            m = n + 1
+            try:
+                sc = ctx.step_coefficients(n)
+                if method == "reference":
+                    X_next, v_next = _reference_step(vn, X, sc, h, tol, n)
+                elif n == 0:
+                    X_next, v_next = _first_step(vn, X, sc)
+                else:
+                    vhat = 2.0 * vn - v_prev
+                    b = vn + vhat
+                    psi_b = psi_coefficients(b)
+                    phi_bb = _phi_values(b, b)
+                    base = sc.numer * X
+                    v_next = vhat
+                    for _ in range(j_n):
+                        X_next, v_next = _newton_sweep(base, psi_b, phi_bb, v_next, vhat, sc)
+                Q[m] = pw_linear_square_integral(v_next, h)
+            except FloatingPointError as e:
+                raise SolverError(f"floating point failure: {e}", step=m) from e
+            if not math.isfinite(Q[m]):
+                raise SolverError(f"the solution is no longer finite (Q = {Q[m]})", step=m)
+            S[m] = h * X_next[0].real
+            if m % store_stride == 0 or m == N:
+                snapshots[m] = v_next.copy()
+            X, vn, v_prev = X_next, v_next, vn
 
-        m = n + 1
-        R_nodes[m] = ctx.law.radius_at(m * k)
-        S[m] = h * X_next[0].real
-        Q[m] = pw_linear_square_integral(v_next, h)
-        if not math.isfinite(Q[m]):
-            raise SolverError(f"the solution is no longer finite (Q = {Q[m]})", step=m)
-        g = Q[m] / (ctx.law.rate(R_nodes[m]) * R_nodes[m] ** 2)
-        A[m] = A[n] + 0.5 * k * (g_prev + g)
-        g_prev = g
-        if m % store_stride == 0 or m == N:
-            snapshots[m] = v_next.copy()
-        X_prev, X, vn = X, X_next, v_next
+    g = Q / (ctx.law.rate(ctx.R_nodes) * ctx.R_nodes**2)
+    A = np.concatenate(([0.0], np.cumsum(0.5 * k * (g[:-1] + g[1:]))))
 
     return Trajectory(
         params=params,
@@ -406,7 +414,7 @@ def run(
         S=S,
         Q=Q,
         A=A,
-        R_nodes=R_nodes,
+        R_nodes=ctx.R_nodes,
         stride=store_stride,
         snapshots=snapshots,
     )

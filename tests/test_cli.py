@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,56 @@ modes = 2, 3
     assert "at step" in captured.err
     assert "run complete" not in captured.out
     assert not (out / "means.csv").exists()
+
+
+def test_diverging_run_fails_without_floating_point_warnings(tmp_path, capsys):
+    # the divergence repro above with numpy's default error handling: the run
+    # stops at the first overflow instead of warning and carrying it forward
+    text = (
+        GOOD_CONFIG.replace("delta = 4.0", "delta = 0.1")
+        .replace("v_c = 0.001", "v_c = 5")
+        .replace("k = 0.01", "k = 0.05")
+        .replace("T = 0.5", "T = 50")
+        .replace("R0 = 6.0", "R0 = 1")
+        .replace("amplitudes = 0.1, 0.1", "amplitudes = 3, 3")
+    )
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "diverged"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "at step" in captured.err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not (out / "means.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, extra, key",
+    [
+        ("", ["--jn", "0"], "solver.jn:"),
+        ("[solver]\njn = 0\n", [], "solver.jn:"),
+        ("[solver]\nreference_tol = -1\n", [], "solver.reference_tol:"),
+    ],
+)
+def test_bad_solver_values_are_config_errors(tmp_path, capsys, edit, extra, key):
+    cfg_path = write_config(tmp_path, GOOD_CONFIG + edit)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *extra]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}" in err
+    assert "Traceback" not in err
+
+
+def test_unknown_sections_and_keys_are_config_errors(tmp_path, capsys):
+    text = GOOD_CONFIG.replace("stride = 25", "stirde = 25") + "[solver]\nlinear_tol = 1e-12\n\n[extra]\nx = 1\n"
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    for problem in ("output.stirde: unknown key", "solver.linear_tol: unknown key", "extra: unknown section"):
+        assert f"config error: {problem}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [["--bogus"], ["--jn", "x"], ["--seed", "1"]])

@@ -6,12 +6,14 @@ import pytest
 from ksring.field import GridSpec, PeriodicField, inner_h, norm_h, seminorm_1h, seminorm_2h
 from ksring.operators import (
     LinearOperatorCoefficients,
+    _psi_apply,
     apply_L,
     bilaplacian_h,
     laplacian_h,
     modal_symbol,
     phi,
     psi,
+    psi_coefficients,
     second_difference_symbol,
     symbol_array,
 )
@@ -79,6 +81,21 @@ def test_phi_psi_match_loop_stencils():
     V, W = random_field(8, 3), random_field(8, 4)
     np.testing.assert_array_equal(phi(V, W).values, loop_phi(V, W))
     np.testing.assert_array_equal(psi(V, W).values, loop_psi(V, W))
+
+
+def test_hoisted_psi_and_sliced_phi_match_loop_stencils():
+    # psi_coefficients(V) is computed once and applied to several W, as in a
+    # Newton step; the explicit index loops are the docstring's stencils.
+    J = 16
+    V = random_field(J, 10)
+    coeffs = psi_coefficients(V.values)
+    for seed in (11, 12, 13):
+        W = random_field(J, seed)
+        for got, expected in (
+            (_psi_apply(coeffs, W.values), loop_psi(V, W)),
+            (phi(V, W).values, loop_phi(V, W)),
+        ):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])

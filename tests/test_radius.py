@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ksring.params import ModelParams, TimeGrid
@@ -120,3 +121,30 @@ def test_frozen_law_keeps_radius():
     assert law.half_step(3, TimeGrid(k=0.5, N=10)) == SLOW.R0
     # the rate stays the formula so reconstruction denominators remain finite
     assert law.rate_at(50.0) == radius_rate(SLOW.R0, SLOW)
+
+
+@pytest.mark.parametrize("params", [SLOW, FAST])
+def test_radii_equal_radius_at_bitwise(params):
+    law = RadiusLaw(params)
+    k = 0.01
+    ts = np.concatenate(([0.0], np.arange(1, 1001) * k, (np.arange(1000) + 0.5) * k, [37.0, 500.0]))
+    expected = np.array([law.radius_at(t) for t in ts])
+    np.testing.assert_array_equal(law.radii(ts), expected)
+
+
+@pytest.mark.parametrize("params", [SLOW, FAST])
+def test_radii_match_rk4(params):
+    ts = [0.5, 5.0, 50.0]
+    expected = [rk4_radius(params, t, 1e-3) for t in ts]
+    np.testing.assert_allclose(RadiusLaw(params).radii(ts), expected, rtol=0, atol=1e-8)
+
+
+def test_radii_rejects_negative_time():
+    with pytest.raises(ValueError):
+        RadiusLaw(SLOW).radii([0.0, 1.0, -1.0])
+    with pytest.raises(ValueError):
+        FrozenRadiusLaw(SLOW).radii([-1.0])
+
+
+def test_frozen_law_radii():
+    np.testing.assert_array_equal(FrozenRadiusLaw(SLOW).radii([0.0, 0.5, 50.0]), np.full(3, SLOW.R0))

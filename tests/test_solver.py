@@ -323,6 +323,18 @@ def test_context_rejects_sign_flipped_denominator():
         ctx.step_coefficients(0)
 
 
+def test_step_coefficients_read_radius_tables():
+    law = RadiusLaw(SLOW)
+    tg = TimeGrid(k=0.25, N=40)
+    ctx = SchemeContext(SLOW, tg, GridSpec(16), law=law)
+    for n in (0, 17, 39):
+        assert ctx.step_coefficients(n).R_half == law.half_step(n, tg)
+    assert ctx.R_nodes[40] == law.radius_at(tg.T)
+    for n in (-1, 40):
+        with pytest.raises(ValueError):
+            ctx.step_coefficients(n)
+
+
 def test_run_matches_public_step_functions():
     # run() and the public step functions share their kernels; chaining the
     # public ones reproduces run() up to the Fourier round trips run() skips.
