@@ -39,6 +39,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
@@ -55,7 +56,7 @@ from .field import (
 from .params import ModelParams, SolverConfig, TimeGrid
 from .radius import RadiusLaw
 from .reconstruct import mean_I_path, reconstruct_u, curve_points
-from .solver import SolverError, Trajectory, check_admissibility, run
+from .solver import AdmissibilityReport, SolverError, Trajectory, check_admissibility, run
 from .stability import (
     critical_radius,
     measured_dominant_mode,
@@ -74,6 +75,8 @@ CONFIG_KEYS = {
 }
 ENV_OUT = "KSRING_OUT"
 SPECTRAL_M_MAX = 32
+# Rows per formatted write in write_csv: bounds the string built at once.
+CSV_BLOCK_ROWS = 512
 
 
 class ConfigError(ValueError):
@@ -272,15 +275,17 @@ def resolve_out_dir(flag_value: str | None, cfg_value: str | None) -> Path:
     return Path(os.environ.get(ENV_OUT, "out"))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Writes the header and the rows (a 2-D array or any iterable of rows),
+    every value as %.17g, which round-trips a double exactly.  Each block of
+    CSV_BLOCK_ROWS rows is one `%` format, so no Python loop runs per value."""
+    data = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+        for start in range(0, len(data), CSV_BLOCK_ROWS):
+            block = data[start : start + CSV_BLOCK_ROWS]
+            f.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -299,53 +304,73 @@ def _admissibility_dict(report) -> dict:
 
 
 def emit_run_outputs(
-    cfg: RunConfig, traj: Trajectory, law: RadiusLaw, out: Path, wall: float, report_extra: dict | None = None
+    cfg: RunConfig,
+    traj: Trajectory,
+    law: RadiusLaw,
+    admissibility: AdmissibilityReport,
+    out: Path,
+    solve_s: float,
 ) -> dict:
+    """Writes the CSV files and report.json of one run; each stored step's
+    height is reconstructed once and shared by its snapshot, its curve and,
+    at step N, the spectral report."""
     out.mkdir(parents=True, exist_ok=True)
     N = traj.tgrid.N
-    k = traj.tgrid.k
     emit = set(cfg.emit)
-    I_path = mean_I_path(traj, law, cfg.I0)
+    seconds = {"reconstruct_s": 0.0, "write_s": 0.0}
+
+    @contextmanager
+    def timer(phase: str):
+        t0 = time.perf_counter()
+        yield
+        seconds[phase] += time.perf_counter() - t0
 
     if "means" in emit:
-        write_csv(
-            out / "means.csv",
-            ["n", "t", "S_n", "I_tilde"],
-            ((n, n * k, traj.S[n], I_path[n]) for n in range(N + 1)),
-        )
+        with timer("reconstruct_s"):
+            I_path = mean_I_path(traj, law, cfg.I0)
+        with timer("write_s"):
+            steps = np.arange(N + 1)
+            write_csv(
+                out / "means.csv",
+                ["n", "t", "S_n", "I_tilde"],
+                np.column_stack((steps, steps * traj.tgrid.k, traj.S, I_path)),
+            )
 
     width = len(str(N))
     sigma = traj.grid.sigma
+    final_u = None
     for n in traj.stored_steps():
         tag = str(n).zfill(width)
         u_field = None
         if "u" in emit or "curve" in emit:
-            u_field = reconstruct_u(traj, law, cfg.I0, n)
+            with timer("reconstruct_s"):
+                u_field = reconstruct_u(traj, law, cfg.I0, n)
+            if n == N:
+                final_u = u_field
         if "v" in emit:
-            v = traj.v(n)
-            if "u" in emit:
-                rows = zip(sigma, v.values, u_field.values)
-                write_csv(out / f"snapshot_{tag}.csv", ["sigma", "v", "u"], rows)
-            else:
-                write_csv(out / f"snapshot_{tag}.csv", ["sigma", "v"], zip(sigma, v.values))
+            columns = (sigma, traj.v(n).values) + ((u_field.values,) if "u" in emit else ())
+            with timer("write_s"):
+                write_csv(out / f"snapshot_{tag}.csv", ["sigma", "v", "u"][: len(columns)], np.column_stack(columns))
         if "curve" in emit:
-            pts = curve_points(traj, law, n, cfg.I0)
-            write_csv(out / f"curve_{tag}.csv", ["x", "y"], pts)
+            with timer("reconstruct_s"):
+                pts = curve_points(traj, law, n, cfg.I0, u=u_field)
+            with timer("write_s"):
+                write_csv(out / f"curve_{tag}.csv", ["x", "y"], pts)
 
     report = {
         "params": cfg.to_dict()["model"] | {"R0": cfg.params.R0},
         "grid": cfg.to_dict()["grid"] | {"N": N},
         "solver": {"method": traj.method, "jn": cfg.jn, "v0_method": cfg.v0_method},
-        "admissibility": _admissibility_dict(
-            check_admissibility(cfg.params, traj.tgrid, law)
-        ),
+        "admissibility": _admissibility_dict(admissibility),
         "max_abs_mean": float(np.max(np.abs(traj.S))),
-        "wall_time_seconds": wall,
+        "wall_time_seconds": solve_s,
         "config_hash": cfg.config_hash(),
     }
     if "spectrum" in emit:
         R_T = float(traj.R_nodes[N])
-        final_u = reconstruct_u(traj, law, cfg.I0, N)
+        if final_u is None:
+            with timer("reconstruct_s"):
+                final_u = reconstruct_u(traj, law, cfg.I0, N)
         rep = spectral_report(R_T, cfg.params, SPECTRAL_M_MAX, probe=final_u)
         rep0 = spectral_report(cfg.params.R0, cfg.params, SPECTRAL_M_MAX)
         report["spectral"] = {
@@ -356,8 +381,7 @@ def emit_run_outputs(
             "unstable_at_R_T": rep.unstable_modes,
             "measured_dominant": rep.measured_dominant,
         }
-    if report_extra:
-        report.update(report_extra)
+    report["timing"] = {"solve_s": solve_s} | seconds
     _write_json(out / "report.json", report)
     return report
 
@@ -387,8 +411,8 @@ def cmd_run(cfg: RunConfig, out: Path, jn: int | None = None, force: bool = Fals
         store_stride=cfg.stride,
         require_admissible=not force,
     )
-    wall = time.perf_counter() - t0
-    return emit_run_outputs(cfg, traj, law, out, wall)
+    solve_s = time.perf_counter() - t0
+    return emit_run_outputs(cfg, traj, law, admissibility, out, solve_s)
 
 
 @dataclass

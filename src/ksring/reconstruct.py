@@ -119,9 +119,15 @@ def reconstruct_u(traj: "Trajectory", law: RadiusLaw, I0: float, n: int) -> Peri
     return PeriodicField(base + c[:-1], v.h)
 
 
-def curve_points(traj: "Trajectory", law: RadiusLaw, n: int, I0: float = 0.0) -> np.ndarray:
-    """Closed interface polyline (R(t^n) + U_i)(cos sigma_i, sin sigma_i), J+1 rows."""
-    u = reconstruct_u(traj, law, I0, n)
+def curve_points(
+    traj: "Trajectory", law: RadiusLaw, n: int, I0: float = 0.0, u: PeriodicField | None = None
+) -> np.ndarray:
+    """Closed interface polyline (R(t^n) + U_i)(cos sigma_i, sin sigma_i), J+1 rows.
+
+    u is the height reconstruct_u(traj, law, I0, n) when the caller already
+    has it; it is reconstructed here otherwise."""
+    if u is None:
+        u = reconstruct_u(traj, law, I0, n)
     r = traj.R_nodes[n] + u.values
     s = traj.grid.sigma
     pts = np.column_stack((r * np.cos(s), r * np.sin(s)))

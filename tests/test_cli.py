@@ -399,3 +399,131 @@ def test_run_determinism_across_invocations(tmp_path):
     r1 = json.loads((out1 / "report.json").read_text())
     r2 = json.loads((out2 / "report.json").read_text())
     assert r1["config_hash"] == r2["config_hash"]
+
+
+# --- CSV output --------------------------------------------------------------
+
+
+def _per_value_csv(path, header, rows):
+    """The per-value formatter write_csv replaced: the byte-identity oracle."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1e308, 0.1, math.nan, math.inf, -math.inf, -1e-300, 1 / 3]
+
+
+def _mixed_table(n_rows):
+    """Rows [n, J, x, y] with ints, wide-range doubles and special values."""
+    rng = np.random.default_rng(n_rows)
+    xy = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-300, 300, (n_rows, 2))
+    flat = xy.ravel()
+    flat[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: flat.size]
+    return [[n, 2048, float(x), float(y)] for n, (x, y) in enumerate(xy)]
+
+
+ROW_FORMS = {
+    "generator": lambda table: (tuple(row) for row in table),
+    "array": lambda table: np.array(table, dtype=float).reshape(len(table), 4),
+    "lists": lambda table: table,
+}
+
+
+@pytest.mark.parametrize("form", sorted(ROW_FORMS))
+@pytest.mark.parametrize("n_rows", ["zero", "one", "block", "two_blocks_plus_one"])
+def test_write_csv_bytes_match_per_value_formatter(tmp_path, form, n_rows):
+    from ksring.cli import CSV_BLOCK_ROWS, write_csv
+
+    count = {"zero": 0, "one": 1, "block": CSV_BLOCK_ROWS, "two_blocks_plus_one": 2 * CSV_BLOCK_ROWS + 1}[n_rows]
+    table = _mixed_table(count)
+    header = ["n", "J", "x", "y"]
+    write_csv(tmp_path / "new.csv", header, ROW_FORMS[form](table))
+    _per_value_csv(tmp_path / "old.csv", header, ROW_FORMS[form](table))
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == (tmp_path / "old.csv").read_bytes()
+    assert written.count(b"\n") == count + 1
+    if count == 0:
+        assert written == b"n,J,x,y\n"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def test_run_csv_files_round_trip_bitwise(tmp_path):
+    # every written field parses back to the in-process value, bit for bit
+    from ksring.cli import cmd_run
+    from ksring.radius import RadiusLaw
+    from ksring.reconstruct import curve_points, mean_I_path, reconstruct_u
+    from ksring.solver import run as lib_run
+
+    text = GOOD_CONFIG.replace("J = 64", "J = 32").replace("T = 0.5", "T = 0.05").replace("stride = 25", "stride = 1")
+    cfg = load_config(write_config(tmp_path, text))
+    out = tmp_path / "rt"
+    cmd_run(cfg, out)
+    law = RadiusLaw(cfg.params)
+    traj = lib_run(
+        cfg.params, cfg.tgrid, cfg.grid, cfg.solver_config(), cfg.initial_v(),
+        law=law, store_stride=cfg.stride,
+    )
+
+    def parsed(name):
+        lines = (out / name).read_text().splitlines()[1:]
+        return np.array([[float(x) for x in line.split(",")] for line in lines])
+
+    N = cfg.tgrid.N
+    assert traj.stored_steps() == list(range(N + 1))
+    for n in traj.stored_steps():
+        snap = parsed(f"snapshot_{n}.csv")
+        np.testing.assert_array_equal(_bits(snap[:, 0]), _bits(traj.grid.sigma))
+        np.testing.assert_array_equal(_bits(snap[:, 1]), _bits(traj.snapshots[n]))
+        np.testing.assert_array_equal(_bits(snap[:, 2]), _bits(reconstruct_u(traj, law, cfg.I0, n).values))
+        np.testing.assert_array_equal(_bits(parsed(f"curve_{n}.csv")), _bits(curve_points(traj, law, n, cfg.I0)))
+    means = parsed("means.csv")
+    np.testing.assert_array_equal(means[:, 0], np.arange(N + 1))
+    np.testing.assert_array_equal(_bits(means[:, 1]), _bits([n * cfg.tgrid.k for n in range(N + 1)]))
+    np.testing.assert_array_equal(_bits(means[:, 2]), _bits(traj.S))
+    np.testing.assert_array_equal(_bits(means[:, 3]), _bits(mean_I_path(traj, law, cfg.I0)))
+
+
+def test_run_reconstructs_each_stored_step_once(tmp_path, monkeypatch):
+    # the snapshot, the curve and the spectral report share one height per
+    # stored step, and the admissibility report of cmd_run is reused
+    import ksring.cli
+    import ksring.reconstruct
+
+    calls = {"reconstruct_u": 0, "check_admissibility": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    u_counter = counted("reconstruct_u", ksring.reconstruct.reconstruct_u)
+    monkeypatch.setattr(ksring.reconstruct, "reconstruct_u", u_counter)
+    monkeypatch.setattr(ksring.cli, "reconstruct_u", u_counter)
+    monkeypatch.setattr(ksring.cli, "check_admissibility", counted("check_admissibility", ksring.cli.check_admissibility))
+    cfg = load_config(write_config(tmp_path))
+    report = ksring.cli.cmd_run(cfg, tmp_path / "o")
+    assert calls == {"reconstruct_u": 3, "check_admissibility": 1}  # steps 0, 25 and 50
+    assert report["spectral"]["measured_dominant"] is not None
+
+
+def test_run_report_timing_block(tmp_path):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    timing = report["timing"]
+    assert set(timing) == {"solve_s", "reconstruct_s", "write_s"}
+    for seconds in timing.values():
+        assert math.isfinite(seconds) and seconds >= 0
+    assert timing["solve_s"] == report["wall_time_seconds"]
+    # the timing block lies outside the hashed configuration
+    cfg = load_config(cfg_path)
+    assert "timing" not in cfg.to_dict()
+    assert report["config_hash"] == cfg.config_hash()
