@@ -20,7 +20,7 @@ mu_m = c4*s_m^2 - c2*s_m + c0, where s_m = (4/h^2) sin^2(m h / 2) is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,15 +40,16 @@ def _lap_values(v: np.ndarray, h: float) -> np.ndarray:
     return (vm - 2.0 * v + vp) / h**2
 
 
-def _phi_values(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    vm, _, vp = _neighbours(v)
-    wm, _, wp = _neighbours(w)
+def _phi_values(v: np.ndarray, w: np.ndarray, nv=None) -> np.ndarray:
+    # nv is _neighbours(v) when the caller has it; phi(v, v) pads v once.
+    vm, _, vp = _neighbours(v) if nv is None else nv
+    wm, _, wp = (vm, v, vp) if w is v else _neighbours(w)
     return (vm + v + vp) * (wp - wm)
 
 
-def psi_coefficients(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def psi_coefficients(v: np.ndarray, nv=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stencil weights of W in psi(V, W)_i, for W_{i-1}, W_i and W_{i+1}."""
-    vm, _, vp = _neighbours(v)
+    vm, _, vp = _neighbours(v) if nv is None else nv
     return -(2.0 * vm + v), vp - vm, 2.0 * vp + v
 
 
@@ -80,17 +81,16 @@ def psi(V: PeriodicField, W: PeriodicField) -> PeriodicField:
     return PeriodicField(_psi_values(V.values, W.values), V.h)
 
 
-@dataclass(frozen=True)
-class LinearOperatorCoefficients:
-    """Coefficients of the linear operator at one radius; never reuse across R."""
+class LinearOperatorCoefficients(NamedTuple):
+    """Coefficients of the linear operator at one radius, or per radius of an array."""
 
     c4: float
     c2: float
     c0: float
 
     @classmethod
-    def at_radius(cls, params: ModelParams, R: float) -> "LinearOperatorCoefficients":
-        if not (R > 0):
+    def at_radius(cls, params: ModelParams, R) -> "LinearOperatorCoefficients":
+        if not np.all(np.asarray(R) > 0):
             raise ValueError(f"R must be > 0, got {R}")
         R2 = R * R
         return cls(

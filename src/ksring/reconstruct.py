@@ -40,21 +40,21 @@ if TYPE_CHECKING:
 
 def _cumulative_nodes(values: np.ndarray, h: float) -> np.ndarray:
     """C_i = int_0^{sigma_i} Vtilde for i = 0..J, trapezoid cumulative sum."""
-    seg = 0.5 * h * (values + np.roll(values, -1))
+    seg = 0.5 * h * (values + np.concatenate((values[1:], values[:1])))
     out = np.empty(values.size + 1)
     out[0] = 0.0
     np.cumsum(seg, out=out[1:])
     return out
 
 
-def _mean_of_cumulative(values: np.ndarray, h: float) -> float:
-    """(1/2pi) int_0^{2pi} C(sigma) dsigma with C piecewise quadratic.
+def _mean_of_cumulative(values: np.ndarray, c: np.ndarray, h: float) -> float:
+    """(1/2pi) int_0^{2pi} C(sigma) dsigma with C piecewise quadratic, from
+    the node values c = _cumulative_nodes(values, h).
 
     On each cell the integral is h*C_i + h^2 (2 V_i + V_{i+1}) / 6, which is
     Simpson exact for the quadratic piece.
     """
-    c = _cumulative_nodes(values, h)
-    cells = h * c[:-1] + h * h * (2.0 * values + np.roll(values, -1)) / 6.0
+    cells = h * c[:-1] + h * h * (2.0 * values + np.concatenate((values[1:], values[:1]))) / 6.0
     return float(np.sum(cells)) / TWO_PI
 
 
@@ -115,7 +115,7 @@ def reconstruct_u(traj: "Trajectory", law: RadiusLaw, I0: float, n: int) -> Peri
     """Height samples U_i^n on the grid of the trajectory."""
     v = traj.v(n)
     c = _cumulative_nodes(v.values, v.h)
-    base = mean_I(traj, law, I0, n) - _mean_of_cumulative(v.values, v.h)
+    base = mean_I(traj, law, I0, n) - _mean_of_cumulative(v.values, c, v.h)
     return PeriodicField(base + c[:-1], v.h)
 
 

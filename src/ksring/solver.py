@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .field import GridSpec, PeriodicField, norm_h, pw_linear_square_integral
 from .operators import (
     LinearOperatorCoefficients,
     _apply_L_values,
+    _neighbours,
     _phi_values,
     _psi_apply,
     _symbol,
@@ -104,8 +106,7 @@ def check_admissibility(params: ModelParams, tgrid: TimeGrid, law: RadiusLaw) ->
     )
 
 
-@dataclass(frozen=True)
-class StepCoefficients:
+class StepCoefficients(NamedTuple):
     """Everything the step from t^n to t^{n+1} needs at the half-step radius."""
 
     R_half: float
@@ -118,8 +119,8 @@ class StepCoefficients:
 
 class SchemeContext:
     """Bundles the model, grids, radius law and solver configuration, with
-    the tables every step reads: s_m and s_m^2 of the grid, and the radius
-    at the nodes t^n and the half steps t^n + k/2."""
+    the tables every step reads: s_m and s_m^2 of the grid, the radius at
+    the nodes t^n and the half steps, and c4, c2, c0, c_phi, c_psi per step."""
 
     def __init__(
         self,
@@ -138,31 +139,37 @@ class SchemeContext:
         self.s2 = self.s * self.s
         steps = np.arange(tgrid.N + 1)
         self.R_nodes = self.law.radii(steps * tgrid.k)
-        self.R_half = self.law.radii((steps[:-1] + 0.5) * tgrid.k)
+        self.R_half = R = self.law.radii((steps[:-1] + 0.5) * tgrid.k)
+        self.c4, self.c2, self.c0 = LinearOperatorCoefficients.at_radius(params, R)
+        self.c_phi = params.v_c / (6.0 * grid.h * R * R)
+        self.c_psi = params.v_c / (24.0 * grid.h * R * R)
+
+    def steps(self, n0: int, n1: int):
+        """StepCoefficients of steps n0..n1-1, each array operation serving a block of steps."""
+        inv_k = 1.0 / self.tgrid.k
+        rows = max(1, 2048 // self.s.size)  # a block's arrays stay at 16 kB
+        for b0 in range(n0, n1, rows):
+            b = slice(b0, min(b0 + rows, n1))
+            block = LinearOperatorCoefficients(self.c4[b, None], self.c2[b, None], self.c0[b, None])
+            half_mu = 0.5 * _symbol(block, self.s, self.s2)
+            denom, numer = inv_k + half_mu, inv_k - half_mu
+            bad = denom.min(axis=1) <= 0.0
+            for i, n in enumerate(range(b.start, b.stop)):
+                if bad[i]:
+                    raise SolverError(
+                        f"non positive circulant denominator at mode {int(np.argmin(denom[i]))}, "
+                        f"step {n}; the time step violates the existence bound",
+                        step=n,
+                    )
+                coeffs = LinearOperatorCoefficients(self.c4[n], self.c2[n], self.c0[n])
+                yield StepCoefficients(
+                    self.R_half[n], coeffs, denom[i], numer[i], self.c_phi[n], self.c_psi[n]
+                )
 
     def step_coefficients(self, n: int) -> StepCoefficients:
         if not (0 <= n < self.tgrid.N):
             raise ValueError(f"step index {n} outside 0..{self.tgrid.N - 1}")
-        k = self.tgrid.k
-        R = float(self.R_half[n])
-        coeffs = LinearOperatorCoefficients.at_radius(self.params, R)
-        mu = _symbol(coeffs, self.s, self.s2)
-        denom = 1.0 / k + 0.5 * mu
-        if denom.min() <= 0.0:
-            m_bad = int(np.argmin(denom))
-            raise SolverError(
-                f"non positive circulant denominator at mode {m_bad}, step {n}; "
-                "the time step violates the existence bound",
-                step=n,
-            )
-        return StepCoefficients(
-            R_half=R,
-            coeffs=coeffs,
-            denom=denom,
-            numer=1.0 / k - 0.5 * mu,
-            c_phi=self.params.v_c / (6.0 * self.grid.h * R * R),
-            c_psi=self.params.v_c / (24.0 * self.grid.h * R * R),
-        )
+        return next(self.steps(n, n + 1))
 
 
 def _nl_rfft(values: np.ndarray) -> np.ndarray:
@@ -176,15 +183,21 @@ def _nl_rfft(values: np.ndarray) -> np.ndarray:
 # values) out.  run() chains them; the public step functions wrap them.
 
 
-def _first_step(vq, X, sc: StepCoefficients):
-    """Linear step from spectrum X with the quadratic term frozen at vq.
+def _solve(base, nl, sc: StepCoefficients):
+    """(base + rfft(nl)) / denom and its values; base = numer * X is fixed over a step."""
+    X_next = _nl_rfft(nl)
+    X_next += base
+    X_next /= sc.denom
+    return X_next, np.fft.irfft(X_next, n=nl.size)
+
+
+def _first_step(vq, base, sc: StepCoefficients):
+    """Linear step with the quadratic term frozen at vq.
 
     With vq = V^n this is the scheme's first step; the reference step repeats
     it with vq the midpoint of V^n and the current iterate.
     """
-    nl = sc.c_phi * _phi_values(vq, vq)
-    X_next = (sc.numer * X + _nl_rfft(nl)) / sc.denom
-    return X_next, np.fft.irfft(X_next, n=vq.size)
+    return _solve(base, sc.c_phi * _phi_values(vq, vq), sc)
 
 
 def _reference_step(vn, X, sc: StepCoefficients, h: float, tol: float, n: int):
@@ -194,9 +207,10 @@ def _reference_step(vn, X, sc: StepCoefficients, h: float, tol: float, n: int):
     the previous midpoint iterate; the contraction factor is of order
     k * v_c * |v| / R^2, far below one for admissible steps.
     """
+    base = sc.numer * X
     w = vn
     for _ in range(50):
-        X_next, w_next = _first_step(0.5 * (vn + w), X, sc)
+        X_next, w_next = _first_step(0.5 * (vn + w), base, sc)
         delta = w_next - w
         w = w_next
         if math.sqrt(h * float(np.dot(delta, delta))) <= tol * max(
@@ -209,12 +223,23 @@ def _reference_step(vn, X, sc: StepCoefficients, h: float, tol: float, n: int):
 def _newton_sweep(base, psi_b, phi_bb, w, vhat, sc: StepCoefficients):
     """One sweep of the predictor-anchored linearization from iterate w.
 
-    base = numer * rfft(V^n), psi_b = psi_coefficients(b) and phi_bb =
-    phi(b, b) with b = V^n + Vhat are fixed over the j_n sweeps of a step.
+    psi_b = psi_coefficients(b) and phi_bb = phi(b, b) with b = V^n + Vhat
+    are fixed over the j_n sweeps of a step.
     """
-    rhs_nl = sc.c_psi * (_psi_apply(psi_b, w - vhat) + phi_bb)
-    X_next = (base + _nl_rfft(rhs_nl)) / sc.denom
-    return X_next, np.fft.irfft(X_next, n=w.size)
+    return _solve(base, sc.c_psi * (_psi_apply(psi_b, w - vhat) + phi_bb), sc)
+
+
+def _newton_step(vn, X, v_prev, sc: StepCoefficients, j_n: int):
+    """j_n sweeps from W^0 = Vhat = 2 V^n - V^{n-1}; psi(b, W^0 - Vhat) = 0 in the first."""
+    vhat = 2.0 * vn - v_prev
+    b = vn + vhat
+    nb = _neighbours(b)  # one padded copy of b for both stencils
+    psi_b, phi_bb = psi_coefficients(b, nb), _phi_values(b, b, nb)
+    base = sc.numer * X
+    X_next, w = _solve(base, sc.c_psi * phi_bb, sc)
+    for _ in range(j_n - 1):
+        X_next, w = _newton_sweep(base, psi_b, phi_bb, w, vhat, sc)
+    return X_next, w
 
 
 def solve_linear_cn(rhs: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
@@ -249,7 +274,8 @@ def cn_step(Vn: PeriodicField, n: int, ctx: SchemeContext, tol: float | None = N
 
 def newton_first_step(v0: PeriodicField, ctx: SchemeContext) -> PeriodicField:
     """Linear first step: quadratic term evaluated at the initial data."""
-    _, w = _first_step(v0.values, np.fft.rfft(v0.values), ctx.step_coefficients(0))
+    sc = ctx.step_coefficients(0)
+    _, w = _first_step(v0.values, sc.numer * np.fft.rfft(v0.values), sc)
     return PeriodicField(w, ctx.grid.h)
 
 
@@ -372,26 +398,20 @@ def run(
     tol = ctx.config.reference_tol
     v_prev = None
 
+    steps = ctx.steps(0, N)
     # Overflow or an invalid operation anywhere in a step fails the run at
     # that step instead of carrying inf or NaN forward.
     with np.errstate(over="raise", invalid="raise"):
         for n in range(N):
             m = n + 1
             try:
-                sc = ctx.step_coefficients(n)
+                sc = next(steps)
                 if method == "reference":
                     X_next, v_next = _reference_step(vn, X, sc, h, tol, n)
                 elif n == 0:
-                    X_next, v_next = _first_step(vn, X, sc)
+                    X_next, v_next = _first_step(vn, sc.numer * X, sc)
                 else:
-                    vhat = 2.0 * vn - v_prev
-                    b = vn + vhat
-                    psi_b = psi_coefficients(b)
-                    phi_bb = _phi_values(b, b)
-                    base = sc.numer * X
-                    v_next = vhat
-                    for _ in range(j_n):
-                        X_next, v_next = _newton_sweep(base, psi_b, phi_bb, v_next, vhat, sc)
+                    X_next, v_next = _newton_step(vn, X, v_prev, sc, j_n)
                 Q[m] = pw_linear_square_integral(v_next, h)
             except FloatingPointError as e:
                 raise SolverError(f"floating point failure: {e}", step=m) from e

@@ -248,6 +248,17 @@ def test_reconstruct_interpolant_mean_is_mean_I():
     assert total / TWO_PI == pytest.approx(mean_I(traj, law, I0, 0), abs=1e-8)
 
 
+def test_reconstruct_u_matches_roll_formula_bitwise():
+    # the height formula with np.roll shifts and the cumulative sum built twice
+    traj = two_step_traj(seed=3, J=16)
+    v, h = traj.v(1).values, traj.grid.h
+    c = np.concatenate(([0.0], np.cumsum(0.5 * h * (v + np.roll(v, -1)))))
+    cells = h * c[:-1] + h * h * (2.0 * v + np.roll(v, -1)) / 6.0
+    expected = (mean_I(traj, traj.law, 0.3, 1) - float(np.sum(cells)) / TWO_PI) + c[:-1]
+    got = reconstruct_u(traj, traj.law, 0.3, 1).values
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_curve_is_closed_and_circular_for_flat_interface():
     traj, law = zero_run(N=10)
     pts = curve_points(traj, law, 10, I0=0.0)

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from ksring.field import GridSpec, PeriodicField, norm_h, sample_cosine_sum_dsigma
+from ksring.field import (
+    GridSpec,
+    PeriodicField,
+    norm_h,
+    pw_linear_square_integral,
+    sample_cosine_sum_dsigma,
+)
+from ksring.operators import phi, psi
 from ksring.params import ModelParams, SolverConfig, TimeGrid
 from ksring.radius import RadiusLaw
 from ksring.solver import (
     SchemeContext,
     SolverError,
+    _newton_step,
     check_admissibility,
     cn_residual,
     cn_step,
@@ -335,6 +343,22 @@ def test_step_coefficients_read_radius_tables():
             ctx.step_coefficients(n)
 
 
+def test_steps_match_step_coefficients_across_blocks():
+    # run() reads the coefficients of many steps from one block; at J = 1024
+    # a block holds a few steps, so 20 steps cross several block boundaries.
+    tg = TimeGrid(k=0.01, N=20)
+    ctx = SchemeContext(SLOW, tg, GridSpec(1024))
+    blocks = list(ctx.steps(0, tg.N))
+    assert len(blocks) == tg.N
+    for n, sc in enumerate(blocks):
+        one = ctx.step_coefficients(n)
+        assert sc.R_half == one.R_half == ctx.R_half[n]
+        assert sc.coeffs == one.coeffs and (sc.c_phi, sc.c_psi) == (one.c_phi, one.c_psi)
+        for name in ("denom", "numer"):
+            a, b = getattr(sc, name), getattr(one, name)
+            assert a.shape == (513,) and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_run_matches_public_step_functions():
     # run() and the public step functions share their kernels; chaining the
     # public ones reproduces run() up to the Fourier round trips run() skips.
@@ -369,3 +393,176 @@ def test_run_matches_public_step_functions():
         V.append(cn_step(V[n], n, ctx))
     reference = run(p, tg, g, cfg, v0, law=law, method="reference")
     assert rel_gap(reference, V) <= 1e-13
+
+
+# An independent step loop, kept as the oracle run() must match bit for bit:
+# the coefficients are formed from R_{n+1/2} at every step, psi is applied on
+# every sweep (the first one included, where its argument is zero) and every
+# stencil operand is shifted by np.roll on its own.
+
+
+def roll_phi(v, w):
+    return (np.roll(v, 1) + v + np.roll(v, -1)) * (np.roll(w, -1) - np.roll(w, 1))
+
+
+def roll_psi(v, w):
+    vm, vp = np.roll(v, 1), np.roll(v, -1)
+    return -(2.0 * vm + v) * np.roll(w, 1) + (vp - vm) * w + (2.0 * vp + v) * np.roll(w, -1)
+
+
+def step_loop_oracle(p, tg, g, cfg, v0, law, method):
+    h, k, N, J = g.h, tg.k, tg.N, g.J
+    s = (4.0 / h**2) * np.sin(np.arange(J // 2 + 1) * h / 2.0) ** 2
+    steps = np.arange(N + 1)
+    R_nodes = law.radii(steps * k)
+    R_half = law.radii((steps[:-1] + 0.5) * k)
+
+    def nl_rfft(values):
+        out = np.fft.rfft(values)
+        out[0] = 0.0
+        return out
+
+    X = np.fft.rfft(v0.values)
+    vn = v0.values.copy()
+    S, Q, snaps = [h * X[0].real], [pw_linear_square_integral(vn, h)], [vn.copy()]
+    v_prev = None
+    for n in range(N):
+        R = float(R_half[n])
+        R2 = R * R
+        c4 = p.delta / (R2 * R2)
+        c2 = (p.alpha - 1.0 + p.delta / R2) / R2
+        c0 = (p.alpha - 1.0) / R2
+        mu = c4 * (s * s) - c2 * s + c0
+        denom, numer = 1.0 / k + 0.5 * mu, 1.0 / k - 0.5 * mu
+        assert denom.min() > 0.0
+        c_phi = p.v_c / (6.0 * h * R * R)
+        c_psi = p.v_c / (24.0 * h * R * R)
+        if method == "reference":
+            w = vn
+            for _ in range(50):
+                vq = 0.5 * (vn + w)
+                X_next = (numer * X + nl_rfft(c_phi * roll_phi(vq, vq))) / denom
+                w_next = np.fft.irfft(X_next, n=J)
+                d = w_next - w
+                w = w_next
+                if math.sqrt(h * float(np.dot(d, d))) <= cfg.reference_tol * max(
+                    1.0, math.sqrt(h * float(np.dot(w, w)))
+                ):
+                    break
+            else:
+                raise AssertionError(f"oracle reference step {n} did not converge")
+            v_next = w
+        elif n == 0:
+            X_next = (numer * X + nl_rfft(c_phi * roll_phi(vn, vn))) / denom
+            v_next = np.fft.irfft(X_next, n=J)
+        else:
+            vhat = 2.0 * vn - v_prev
+            b = vn + vhat
+            phi_bb = roll_phi(b, b)
+            base = numer * X
+            v_next = vhat
+            for _ in range(cfg.newton_iters):
+                rhs_nl = c_psi * (roll_psi(b, v_next - vhat) + phi_bb)
+                X_next = (base + nl_rfft(rhs_nl)) / denom
+                v_next = np.fft.irfft(X_next, n=J)
+        Q.append(pw_linear_square_integral(v_next, h))
+        S.append(h * X_next[0].real)
+        snaps.append(v_next.copy())
+        X, vn, v_prev = X_next, v_next, vn
+
+    Q = np.array(Q)
+    g_ = Q / (law.rate(R_nodes) * R_nodes**2)
+    A = np.concatenate(([0.0], np.cumsum(0.5 * k * (g_[:-1] + g_[1:]))))
+    return np.array(snaps), np.array(S), Q, A, R_nodes
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("J", [16, 64])
+@pytest.mark.parametrize("method", ["newton", "reference"])
+def test_run_matches_step_loop_oracle_bitwise(method, J):
+    # Same config as test_run_matches_public_step_functions: the sweeps
+    # contract by about 1e-2, so a sweep more or less shows in the last bits.
+    p = ModelParams(delta=0.1, alpha=1.5, v_c=1.0, R0=2.0)
+    g = GridSpec(J)
+    tg = TimeGrid(k=0.01, N=30)
+    law = RadiusLaw(p)
+    cfg = SolverConfig()
+    v0 = sample_cosine_sum_dsigma(g, [(0.5, 2), (0.5, 3)])
+    traj = run(p, tg, g, cfg, v0, law=law, method=method)
+    snaps, S, Q, A, R_nodes = step_loop_oracle(p, tg, g, cfg, v0, law, method)
+    assert traj.stored_steps() == list(range(tg.N + 1))
+    got = np.array([traj.snapshots[n] for n in range(tg.N + 1)])
+    assert np.array_equal(bits(got), bits(snaps))
+    for name, expected in (("S", S), ("Q", Q), ("A", A), ("R_nodes", R_nodes)):
+        assert np.array_equal(bits(getattr(traj, name)), bits(expected)), name
+
+
+def test_run_fails_at_first_non_positive_denominator():
+    # k passes the existence bound at R0 but not at R(T): the denominator
+    # 1/k + mu/2 turns non-positive only once the radius has grown.
+    p = ModelParams(delta=0.1, alpha=1.5, v_c=0.001, R0=2.0)
+    g = GridSpec(32)
+    tg = TimeGrid(k=3.26, N=10)
+    law = RadiusLaw(p)
+    report = check_admissibility(p, tg, law)
+    a = p.alpha - 1.0
+    assert report.r0_pass and not report.k_pass
+    assert tg.k < 8.0 * p.delta / (a - p.delta / p.R0**2) ** 2
+
+    m = np.arange(g.J // 2 + 1)
+    s = (4.0 / g.h**2) * np.sin(m * g.h / 2.0) ** 2
+
+    def min_denom(n):
+        R = law.half_step(n, tg)
+        mu = (p.delta / R**4) * s * s - ((a + p.delta / R**2) / R**2) * s + a / R**2
+        return float(np.min(1.0 / tg.k + 0.5 * mu))
+
+    n0 = next(n for n in range(tg.N) if min_denom(n) <= 0.0)
+    assert n0 > 0
+
+    ctx = SchemeContext(p, tg, g, law=law)
+    ctx.step_coefficients(n0 - 1)
+    with pytest.raises(SolverError) as err:
+        ctx.step_coefficients(n0)
+    assert err.value.step == n0
+    v0 = sample_cosine_sum_dsigma(g, [(0.01, 2)])
+    with pytest.raises(SolverError) as err:
+        run(p, tg, g, SolverConfig(), v0, law=law, require_admissible=False)
+    assert err.value.step == n0
+
+
+def test_psi_free_first_sweep_equals_generic_sweep():
+    # Mirror-symmetric V^n and V^{n-1} make b = V^n + Vhat symmetric, so
+    # b_{i+1} = b_{i-1} at i = 0 and J/2 and phi(b, b) has zeros there whose
+    # sign follows the stencil sum; the generic sweep adds psi(b, 0), whose
+    # zeros may carry the other sign.
+    ctx = make_ctx(J=16, N=10, params=ModelParams(delta=0.1, alpha=1.5, v_c=1.0, R0=2.0))
+    h, n = ctx.grid.h, 3
+    rng = np.random.default_rng(11)
+
+    def mirrored(half):
+        return PeriodicField(np.concatenate((half, half[-2:0:-1])), h)
+
+    Vn = mirrored(-1.0 - rng.random(9))
+    Vprev = mirrored(-1.0 - rng.random(9))
+    Vhat = extrapolate(Vn, Vprev)
+    b = PeriodicField(Vn.values + Vhat.values, h)
+    phi_bb = phi(b, b).values
+    assert np.any((phi_bb == 0.0) & np.signbit(phi_bb))
+    generic_rhs = psi(b, PeriodicField(Vhat.values - Vhat.values, h)).values + phi_bb
+    assert not np.array_equal(bits(generic_rhs), bits(phi_bb))
+
+    sc = ctx.step_coefficients(n)
+    X = np.fft.rfft(Vn.values)
+    _, first = _newton_step(Vn.values, X, Vprev.values, sc, 1)
+    assert np.array_equal(bits(first), bits(newton_iterate(Vn, Vhat, Vhat, n, ctx).values))
+
+    # and the later sweeps are the public ones
+    W = Vhat
+    for _ in range(3):
+        W = newton_iterate(Vn, Vhat, W, n, ctx)
+    _, last = _newton_step(Vn.values, X, Vprev.values, sc, 3)
+    assert np.array_equal(bits(last), bits(W.values))
