@@ -1,0 +1,198 @@
+"""Run configuration: one table of INI keys, the loader and RunConfig.
+
+Configs are flat INI files with sections [model], [grid], [initial],
+[solver] and [output]; lists are comma separated.  KEYS lists every key a
+config may set, and the README shows a complete example.  A bound on one
+field is written once, in the container that holds it (ksring.params,
+ksring.field); the loader adds only the checks that relate fields to each
+other or pick from a fixed set of choices.
+"""
+
+from __future__ import annotations
+
+import configparser
+import hashlib
+import json
+from dataclasses import dataclass
+from operator import attrgetter
+from pathlib import Path
+from typing import Any, Callable, NamedTuple
+
+from .field import GridSpec, PeriodicField, centered_difference, sample_cosine_sum, sample_cosine_sum_dsigma
+from .params import FieldErrors, ModelParams, SolverConfig, TimeGrid
+
+EMIT_CHOICES = ("v", "u", "curve", "means", "spectrum")
+V0_METHODS = ("analytic", "centered")
+REQUIRED = object()  # the default of a key a config must set
+
+
+class ConfigError(ValueError):
+    """Validation failure; carries one message per offending field."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("; ".join(problems))
+        self.problems = problems
+
+
+def _list_of(cast: Callable[[str], Any]) -> Callable[[str], list]:
+    """The parser of a comma separated list; blank items are skipped."""
+    return lambda raw: [cast(x) for x in raw.split(",") if x.strip()]
+
+
+class Key(NamedTuple):
+    """One config key.  `name` is matched case-insensitively; `attr` is the
+    RunConfig attribute that to_dict, and so config_hash, records under
+    section.name (None: the key is not hashed)."""
+
+    section: str
+    name: str
+    parse: Callable[[str], Any]
+    default: Any = REQUIRED
+    attr: str | None = None
+
+
+KEYS = (
+    Key("model", "delta", float, attr="params.delta"),
+    Key("model", "alpha", float, attr="params.alpha"),
+    Key("model", "v_c", float, attr="params.v_c"),
+    Key("grid", "J", int, attr="grid.J"),
+    Key("grid", "k", float, attr="tgrid.k"),
+    Key("grid", "T", float, attr="tgrid.T"),  # N*k, which may differ from the T read
+    Key("initial", "R0", float, attr="params.R0"),
+    Key("initial", "amplitudes", _list_of(float)),  # hashed as the (amplitude, mode) pairs
+    Key("initial", "modes", _list_of(int), attr="modes"),
+    Key("initial", "I0", float, 0.0, "I0"),
+    Key("solver", "jn", int, SolverConfig.newton_iters, "jn"),
+    Key("solver", "v0_method", str, "analytic", "v0_method"),
+    Key("solver", "reference_tol", float, SolverConfig.reference_tol, "reference_tol"),
+    Key("output", "dir", str, None),
+    Key("output", "stride", int, 1, "stride"),
+    Key("output", "emit", _list_of(str.strip), EMIT_CHOICES, "emit"),
+)
+# The section.key a container field is read from, for error messages.
+QUALIFIED = {key.name: f"{key.section}.{key.name}" for key in KEYS} | {"newton_iters": "solver.jn"}
+
+
+def checked(make: Callable, *args, **kwargs):
+    """make(*args, **kwargs), with its FieldErrors raised as a ConfigError
+    that names every failing field by its section.key."""
+    try:
+        return make(*args, **kwargs)
+    except FieldErrors as e:
+        raise ConfigError([f"{QUALIFIED[name]}: {message}" for name, message in e.problems]) from None
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    params: ModelParams
+    grid: GridSpec
+    tgrid: TimeGrid
+    modes: tuple[tuple[float, int], ...]
+    I0: float
+    jn: int
+    v0_method: str
+    reference_tol: float
+    out_dir: str | None
+    stride: int
+    emit: tuple[str, ...]
+
+    def solver_config(self, jn: int | None = None) -> SolverConfig:
+        return SolverConfig(newton_iters=jn if jn is not None else self.jn, reference_tol=self.reference_tol)
+
+    def to_dict(self) -> dict:
+        out: dict = {}
+        for key in KEYS:
+            if key.attr:
+                out.setdefault(key.section, {})[key.name] = attrgetter(key.attr)(self)
+        return out
+
+    def config_hash(self) -> str:
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()
+
+    def initial_v(self) -> PeriodicField:
+        if self.v0_method == "centered":
+            return centered_difference(sample_cosine_sum(self.grid, self.modes))
+        return sample_cosine_sum_dsigma(self.grid, self.modes)
+
+
+def _read_keys(cp: configparser.ConfigParser) -> dict[str, Any]:
+    """Every key of KEYS by name, parsed or defaulted; ConfigError for an
+    unknown, missing or unparseable key or section."""
+    known: dict[str, set[str]] = {}
+    for key in KEYS:
+        known.setdefault(key.section, set()).add(key.name.lower())
+    required = dict.fromkeys(key.section for key in KEYS if key.default is REQUIRED)
+    problems = [f"{s}: unknown section" for s in cp.sections() if s not in known]
+    for s in cp.sections():
+        problems += [f"{s}.{o}: unknown key" for o in cp.options(s) if s in known and o not in known[s]]
+    problems += [f"{s}: section missing" for s in required if not cp.has_section(s)]
+    if problems:
+        raise ConfigError(problems)
+
+    values = {}
+    for key in KEYS:
+        where = f"{key.section}.{key.name}"
+        if not cp.has_option(key.section, key.name):
+            if key.default is REQUIRED:
+                problems.append(f"{where}: missing")
+            values[key.name] = key.default
+            continue
+        raw = cp.get(key.section, key.name)
+        try:
+            values[key.name] = key.parse(raw)
+        except ValueError:
+            problems.append(f"{where}: cannot parse {raw!r}")
+    if problems:
+        raise ConfigError(problems)
+    return values
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Parses and validates a run configuration.
+
+    Raises OSError if the file is missing, configparser.Error if it is not
+    INI at all, and ConfigError listing every field level problem.
+    """
+    path = Path(path)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read_string(path.read_text(), source=str(path))
+    v = _read_keys(cp)
+
+    J, modes, amplitudes = v["J"], v["modes"], v["amplitudes"]
+    checks = [
+        (len(modes) > 0, "initial.modes", "must be nonempty"),
+        (
+            len(amplitudes) == len(modes),
+            "initial.amplitudes",
+            f"length {len(amplitudes)} does not match modes length {len(modes)}",
+        ),
+        (all(m >= 2 for m in modes), "initial.modes", f"all modes must be >= 2, got {modes}"),
+        (len(set(modes)) == len(modes), "initial.modes", f"modes must be distinct, got {modes}"),
+        (all(m < J // 2 for m in modes), "initial.modes", f"modes must be below J/2 = {J // 2}, got {modes}"),
+        (v["v0_method"] in V0_METHODS, "solver.v0_method", f"must be analytic or centered, got {v['v0_method']!r}"),
+        (v["stride"] >= 1, "output.stride", f"must be >= 1, got {v['stride']}"),
+    ]
+    checks += [(e in EMIT_CHOICES, "output.emit", f"unknown artifact {e!r}") for e in v["emit"]]
+    problems = [f"{where}: {message}" for ok, where, message in checks if not ok]
+
+    built = []
+    for make, args in (
+        (ModelParams, (v["delta"], v["alpha"], v["v_c"], v["R0"])),
+        (GridSpec, (J,)),
+        (TimeGrid.from_horizon, (v["T"], v["k"])),
+        (SolverConfig, (v["jn"], v["reference_tol"])),
+    ):
+        try:
+            built.append(checked(make, *args))
+        except ConfigError as e:
+            problems += e.problems
+    if problems:
+        raise ConfigError(problems)
+    params, grid, tgrid, _ = built
+
+    return RunConfig(
+        params=params, grid=grid, tgrid=tgrid, modes=tuple(zip(amplitudes, modes)), I0=v["I0"], jn=v["jn"],
+        v0_method=v["v0_method"], reference_tol=v["reference_tol"], out_dir=v["dir"], stride=v["stride"],
+        emit=tuple(v["emit"]),
+    )

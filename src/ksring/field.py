@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import TWO_PI
+from .params import TWO_PI, require
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,7 @@ class GridSpec:
     J: int
 
     def __post_init__(self):
-        if self.J < 8 or self.J % 2:
-            raise ValueError(f"J must be even and >= 8, got {self.J}")
+        require((self.J >= 8 and self.J % 2 == 0, "J", f"must be even and >= 8, got {self.J}"))
 
     @property
     def h(self) -> float:
@@ -47,13 +46,11 @@ class PeriodicField:
         v = np.array(values, dtype=float)
         if v.ndim != 1:
             raise ValueError("field values must be one dimensional")
-        J = v.size
-        if J < 8 or J % 2:
-            raise ValueError(f"J must be even and >= 8, got {J}")
+        grid = GridSpec(v.size)
         if h is None:
-            h = TWO_PI / J
-        elif abs(h * J - TWO_PI) > 1e-14 * TWO_PI:
-            raise ValueError(f"h*J must equal 2*pi, got h={h}, J={J}")
+            h = grid.h
+        elif abs(h * grid.J - TWO_PI) > 1e-14 * TWO_PI:
+            raise ValueError(f"h*J must equal 2*pi, got h={h}, J={grid.J}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "h", float(h))

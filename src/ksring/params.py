@@ -1,9 +1,26 @@
-"""Model constants, time grid, and solver knobs shared across the package."""
+"""Model constants, time grid, and solver knobs shared across the package.
+
+Each bound on a field is written once, in its container's constructor."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+
+class FieldErrors(ValueError):
+    """Invalid fields of one container; `problems` holds (field, message) pairs."""
+
+    def __init__(self, problems: list[tuple[str, str]]):
+        super().__init__("; ".join(f"{name}: {message}" for name, message in problems))
+        self.problems = problems
+
+
+def require(*checks: tuple[bool, str, str]) -> None:
+    """Raises FieldErrors naming every (ok, field, message) check that fails."""
+    problems = [(name, message) for ok, name, message in checks if not ok]
+    if problems:
+        raise FieldErrors(problems)
 
 
 @dataclass(frozen=True)
@@ -22,14 +39,12 @@ class ModelParams:
     R0: float
 
     def __post_init__(self):
-        if not (self.delta > 0):
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if not (self.alpha > 1):
-            raise ValueError(f"alpha must be > 1, got {self.alpha}")
-        if not (self.v_c > 0):
-            raise ValueError(f"v_c must be > 0, got {self.v_c}")
-        if not (self.R0 > 0):
-            raise ValueError(f"R0 must be > 0, got {self.R0}")
+        require(
+            (self.delta > 0, "delta", f"must be > 0, got {self.delta}"),
+            (self.alpha > 1, "alpha", f"must be > 1, got {self.alpha}"),
+            (self.v_c > 0, "v_c", f"must be > 0, got {self.v_c}"),
+            (self.R0 > 0, "R0", f"must be > 0, got {self.R0}"),
+        )
 
 
 @dataclass(frozen=True)
@@ -40,10 +55,10 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if not (self.k > 0):
-            raise ValueError(f"k must be > 0, got {self.k}")
-        if not (self.N >= 1):
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        require(
+            (self.k > 0, "k", f"must be > 0, got {self.k}"),
+            (self.N >= 1, "N", f"must be >= 1, got {self.N}"),
+        )
 
     @property
     def T(self) -> float:
@@ -54,9 +69,11 @@ class TimeGrid:
 
     @classmethod
     def from_horizon(cls, T: float, k: float) -> "TimeGrid":
-        N = round(T / k)
-        if N < 1 or abs(N * k - T) > 1e-12 * max(1.0, abs(T)):
-            raise ValueError(f"horizon T={T} is not an integer multiple of k={k}")
+        """The grid with N = T/k steps; T must be a positive multiple of k."""
+        require((T > 0, "T", f"must be > 0, got {T}"), (k > 0, "k", f"must be > 0, got {k}"))
+        N = round(T / k) if math.isfinite(T / k) else 0
+        multiple = N >= 1 and abs(N * k - T) <= 1e-12 * max(1.0, T)
+        require((multiple, "T", f"must be an integer multiple of k, got T={T}, k={k}"))
         return cls(k=k, N=N)
 
 
@@ -72,10 +89,10 @@ class SolverConfig:
     reference_tol: float = 1e-13
 
     def __post_init__(self):
-        if self.newton_iters < 1:
-            raise ValueError(f"newton_iters must be >= 1, got {self.newton_iters}")
-        if not (self.reference_tol > 0):
-            raise ValueError(f"reference_tol must be > 0, got {self.reference_tol}")
+        require(
+            (self.newton_iters >= 1, "newton_iters", f"must be >= 1, got {self.newton_iters}"),
+            (self.reference_tol > 0, "reference_tol", f"must be > 0, got {self.reference_tol}"),
+        )
 
 
 TWO_PI = 2.0 * math.pi

@@ -105,8 +105,7 @@ def mean_I(traj: "Trajectory", law: RadiusLaw, I0: float, n: int) -> float:
 def mean_I_path(traj: "Trajectory", law: RadiusLaw, I0: float) -> np.ndarray:
     """Itilde at every step boundary 0..N."""
     rate0 = law.rate(law.radius_at(0.0))
-    rates = traj.params.v_c + (traj.params.alpha - 1.0) / traj.R_nodes
-    return (rates / rate0) * (
+    return (law.rate(traj.R_nodes) / rate0) * (
         I0 + (traj.params.v_c * rate0 / (4.0 * math.pi)) * traj.A
     )
 

@@ -88,6 +88,9 @@ class AdmissibilityReport:
     def passed(self) -> bool:
         return self.r0_pass and self.k_pass
 
+    def __str__(self) -> str:
+        return f"R0 > {self.r0_bound:.6g} is {self.r0_pass}, k < {self.k_bound:.6g} is {self.k_pass}"
+
 
 def check_admissibility(params: ModelParams, tgrid: TimeGrid, law: RadiusLaw) -> AdmissibilityReport:
     """R0 must exceed sqrt(delta/(alpha-1)) and k must stay below
@@ -370,10 +373,7 @@ def run(
     ctx = SchemeContext(params, tgrid, grid, law=law, config=config)
     report = check_admissibility(params, tgrid, ctx.law)
     if require_admissible and not report.passed:
-        raise SolverError(
-            f"admissibility failed: R0 bound {report.r0_bound:.6g} "
-            f"(pass={report.r0_pass}), k bound {report.k_bound:.6g} (pass={report.k_pass})"
-        )
+        raise SolverError(f"admissibility failed: {report}")
 
     h = grid.h
     k = tgrid.k

@@ -25,6 +25,10 @@ import numpy as np
 from .field import PeriodicField, mode_amplitudes
 from .params import ModelParams
 
+# Modes m = 1..SPECTRAL_M_MAX scanned for unstable sets by the run report and
+# the wavenumber suite.
+SPECTRAL_M_MAX = 32
+
 
 def _lambda_formula(m: float, R: float, params: ModelParams) -> float:
     # Grouped so the neutral curve cancellation is exact to roundoff; also

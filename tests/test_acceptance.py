@@ -13,7 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ksring.cli import RunConfig, eoc_ladder, wavenumber_suite
+from ksring.config import RunConfig
+from ksring.experiments import eoc_ladder, wavenumber_suite
 from ksring.field import (
     GridSpec,
     PeriodicField,

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,3 +529,97 @@ def test_run_report_timing_block(tmp_path):
     cfg = load_config(cfg_path)
     assert "timing" not in cfg.to_dict()
     assert report["config_hash"] == cfg.config_hash()
+
+
+# --- the config contract -----------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_INI = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
+
+def _ini_keys(text):
+    """(section, key) of every key line of an INI text, in order."""
+    keys, section = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            keys.append((section, line.split("=")[0].strip()))
+    return keys
+
+
+README_KEYS = _ini_keys(README_INI)  # the README example sets every key
+REQUIRED_KEYS = {"delta", "alpha", "v_c", "J", "k", "T", "R0", "amplitudes", "modes"}
+TEXT_KEYS = {"v0_method", "dir", "emit"}
+
+
+def _edit_key(text, key, new_line):
+    lines = [new_line if line.split("=")[0].strip() == key else line for line in text.splitlines()]
+    return "\n".join(line for line in lines if line is not None) + "\n"
+
+
+def test_readme_config_hash_is_pinned(tmp_path):
+    cfg = load_config(write_config(tmp_path, README_INI))
+    assert cfg.config_hash() == "433b741aa4337e72a452ce71aabfeb9f8eb94f47a1dff44e7861cb05a5a0a2be"
+
+
+def test_config_hash_records_T_as_N_times_k(tmp_path):
+    text = README_INI.replace("k = 0.01", "k = 0.1").replace("T = 100", "T = 0.3")
+    cfg = load_config(write_config(tmp_path, text))
+    assert cfg.to_dict()["grid"]["T"] == 3 * 0.1 != 0.3
+    assert cfg.config_hash() == "efd61085f59849cde17da2e4ad1248ec955cdd0483f931db9f448db46aa4b403"
+
+
+def test_two_bad_fields_in_one_section_are_both_reported(tmp_path, capsys):
+    text = GOOD_CONFIG.replace("delta = 4.0", "delta = -1").replace("alpha = 1.5", "alpha = 0.5")
+    assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "config error: model.delta: must be > 0, got -1.0" in err
+    assert "config error: model.alpha: must be > 1, got 0.5" in err
+
+
+def test_readme_example_sets_every_config_key():
+    from ksring.config import KEYS
+
+    assert README_KEYS == [(key.section, key.name) for key in KEYS]
+
+
+@pytest.mark.parametrize("section, key", README_KEYS)
+def test_every_key_reports_missing_and_unparseable(tmp_path, capsys, section, key):
+    cfg_path = write_config(tmp_path, _edit_key(README_INI, key, None))
+    argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    if key in REQUIRED_KEYS:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {section}.{key}: missing\n"
+    else:
+        load_config(cfg_path)  # an optional key falls back to its default
+    if key not in TEXT_KEYS:
+        write_config(tmp_path, _edit_key(README_INI, key, f"{key} = 1.5x"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {section}.{key}: cannot parse '1.5x'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_eoc_checks_admissibility_at_the_coarsest_level(tmp_path, capsys):
+    # k = T/J passes the bound at the finest level (J = 256) but not at the
+    # coarsest (J = 64); nothing runs and nothing is written
+    text = """\
+[model]
+delta = 0.1
+alpha = 3
+v_c = 0.01
+
+[grid]
+J = 64
+k = 0.25
+T = 16
+
+[initial]
+R0 = 6
+amplitudes = 0.01
+modes = 2
+"""
+    out = tmp_path / "eoc"
+    assert main(["eoc", "--config", str(write_config(tmp_path, text)), "--levels", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: eoc")
+    assert not (out / "eoc.json").exists()
