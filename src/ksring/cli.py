@@ -192,6 +192,7 @@ def cmd_eoc(cfg: RunConfig, out: Path, levels: int = 3, jn: int | None = None) -
         "grid": cfg.to_dict()["grid"],
         "eoc": ladder.to_dict(),
         "wall_time_seconds": wall,
+        "timing": ladder.timing,
         "config_hash": cfg.config_hash(),
     }
     _write_json(out / "eoc.json", report)

@@ -155,7 +155,8 @@ def load_config(path: str | Path) -> RunConfig:
     INI at all, and ConfigError listing every field level problem.
     """
     path = Path(path)
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No interpolation: a value such as dir = a%b is taken as written.
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.read_string(path.read_text(), source=str(path))
     v = _read_keys(cp)
 

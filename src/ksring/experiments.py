@@ -4,6 +4,7 @@ wavenumber selection suite."""
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -34,6 +35,8 @@ class EocReport:
     eoc_u: list[float] = dc_field(default_factory=list)
     eoc_v_newton: list[float] = dc_field(default_factory=list)
     reference_J: int = 0
+    # Solve seconds of every run, kept out of to_dict(): they vary between runs.
+    timing: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -67,11 +70,15 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3, jn: int | None = None) -> EocRep
         raise ConfigError([f"eoc: coarsest level J = {Js[0]} fails admissibility: {adm}"])
 
     solver_cfg = cfg.solver_config(jn)
+    solve_s: dict[tuple[int, str], float] = {}
 
     def one_run(J: int, method: str, stride: int) -> Trajectory:
         tg = TimeGrid.from_horizon(T, T / J)
         v0 = replace(cfg, grid=GridSpec(J)).initial_v()
-        return run(cfg.params, tg, GridSpec(J), solver_cfg, v0, law=law, method=method, store_stride=stride)
+        t0 = time.perf_counter()
+        traj = run(cfg.params, tg, GridSpec(J), solver_cfg, v0, law=law, method=method, store_stride=stride)
+        solve_s[J, method] = time.perf_counter() - t0
+        return traj
 
     ref = one_run(J_ref, "reference", J_ref)
     ref_v = ref.final().values
@@ -91,6 +98,13 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3, jn: int | None = None) -> EocRep
         report.eoc_v.append(math.log2(a.err_v / b.err_v))
         report.eoc_u.append(math.log2(a.err_u / b.err_u))
         report.eoc_v_newton.append(math.log2(a.err_v_newton / b.err_v_newton))
+    report.timing = {
+        "reference_solve_s": solve_s[J_ref, "reference"],
+        "levels": [
+            {"J": J, "reference_solve_s": solve_s[J, "reference"], "newton_solve_s": solve_s[J, "newton"]}
+            for J in Js
+        ],
+    }
     return report
 
 

@@ -28,35 +28,61 @@ from .field import PeriodicField, _check_same_grid
 from .params import ModelParams
 
 
-def _neighbours(v: np.ndarray, width: int = 1) -> list[np.ndarray]:
-    """[v_{i-width}, ..., v_{i+width}] as slices of one periodically padded copy."""
-    J = v.size
-    padded = np.concatenate((v[J - width:], v, v[:width]))
-    return [padded[j : j + J] for j in range(2 * width + 1)]
+def _pad(v: np.ndarray, width: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """v between its periodic neighbours, [v_{J-width} .. v_{J-1}, v, v_0 .. v_{width-1}],
+    written into out (J + 2 width entries) when given."""
+    if out is None:
+        out = np.empty(v.size + 2 * width)
+    out[width:-width] = v
+    return _wrap(out, width)
+
+
+def _wrap(p: np.ndarray, width: int = 1) -> np.ndarray:
+    """Fills the width entries at each end of p from its middle, as _pad does,
+    so a kernel can compute an operand in place in p[width:-width] and pad it."""
+    for i in range(width):
+        p[i], p[i - width] = p[i - 2 * width], p[width + i]
+    return p
 
 
 def _lap_values(v: np.ndarray, h: float) -> np.ndarray:
-    vm, _, vp = _neighbours(v)
-    return (vm - 2.0 * v + vp) / h**2
+    p = _pad(v)
+    return (p[:-2] - 2.0 * v + p[2:]) / h**2
 
 
-def _phi_values(v: np.ndarray, w: np.ndarray, nv=None) -> np.ndarray:
-    # nv is _neighbours(v) when the caller has it; phi(v, v) pads v once.
-    vm, _, vp = _neighbours(v) if nv is None else nv
-    wm, _, wp = (vm, v, vp) if w is v else _neighbours(w)
-    return (vm + v + vp) * (wp - wm)
+# The quadratic stencils write into out when it is given (tmp: scratch of v's
+# size) and take pv, v padded by _pad, when the caller has it.
 
 
-def psi_coefficients(v: np.ndarray, nv=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _phi_values(v: np.ndarray, w: np.ndarray, out=None, tmp=None, pv=None) -> np.ndarray:
+    pv = _pad(v) if pv is None else pv
+    pw = pv if w is v else _pad(w)
+    out = np.add(pv[:-2], v, out=out)
+    out += pv[2:]
+    out *= np.subtract(pw[2:], pw[:-2], out=tmp)
+    return out
+
+
+def psi_coefficients(v: np.ndarray, out=None, pv=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stencil weights of W in psi(V, W)_i, for W_{i-1}, W_i and W_{i+1}."""
-    vm, _, vp = _neighbours(v) if nv is None else nv
-    return -(2.0 * vm + v), vp - vm, 2.0 * vp + v
+    pv = _pad(v) if pv is None else pv
+    vm, vp = pv[:-2], pv[2:]
+    cm, c0, cp = (None, None, None) if out is None else out
+    cm = np.multiply(2.0, vm, out=cm)
+    cm += v
+    np.negative(cm, out=cm)
+    cp = np.multiply(2.0, vp, out=cp)
+    cp += v
+    return cm, np.subtract(vp, vm, out=c0), cp
 
 
-def _psi_apply(coeffs, w: np.ndarray) -> np.ndarray:
-    wm, _, wp = _neighbours(w)
+def _psi_apply(coeffs, w: np.ndarray, out=None, tmp=None, pw=None) -> np.ndarray:
+    pw = _pad(w) if pw is None else pw
     cm, c0, cp = coeffs
-    return cm * wm + c0 * w + cp * wp
+    out = np.multiply(cm, pw[:-2], out=out)
+    out += np.multiply(c0, w, out=tmp)
+    out += np.multiply(cp, pw[2:], out=tmp)
+    return out
 
 
 def _psi_values(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -106,7 +132,8 @@ def apply_L(coeffs: LinearOperatorCoefficients, V: PeriodicField) -> PeriodicFie
 
 def _apply_L_values(coeffs: LinearOperatorCoefficients, v: np.ndarray, h: float) -> np.ndarray:
     # One pass over the combined 5 point stencil; equals the composed form to roundoff.
-    vm2, vm1, _, vp1, vp2 = _neighbours(v, 2)
+    p = _pad(v, 2)
+    vm2, vm1, vp1, vp2 = p[:-4], p[1:-3], p[3:-1], p[4:]
     h2 = h * h
     lap = (vm1 - 2.0 * v + vp1) / h2
     bilap = (vm2 - 4.0 * vm1 + 6.0 * v - 4.0 * vp1 + vp2) / (h2 * h2)

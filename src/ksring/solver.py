@@ -55,10 +55,11 @@ from .field import GridSpec, PeriodicField, norm_h, pw_linear_square_integral
 from .operators import (
     LinearOperatorCoefficients,
     _apply_L_values,
-    _neighbours,
+    _pad,
     _phi_values,
     _psi_apply,
     _symbol,
+    _wrap,
     psi_coefficients,
     second_difference_symbol,
 )
@@ -109,6 +110,15 @@ def check_admissibility(params: ModelParams, tgrid: TimeGrid, law: RadiusLaw) ->
     )
 
 
+class StepRow(NamedTuple):
+    """What the step kernels read of one step."""
+
+    denom: np.ndarray     # 1/k + mu/2
+    numer: np.ndarray     # 1/k - mu/2
+    c_phi: float          # v_c / (6 h R^2)
+    c_psi: float          # v_c / (24 h R^2)
+
+
 class StepCoefficients(NamedTuple):
     """Everything the step from t^n to t^{n+1} needs at the half-step radius."""
 
@@ -147,12 +157,12 @@ class SchemeContext:
         self.c_phi = params.v_c / (6.0 * grid.h * R * R)
         self.c_psi = params.v_c / (24.0 * grid.h * R * R)
 
-    def steps(self, n0: int, n1: int):
-        """StepCoefficients of steps n0..n1-1, each array operation serving a block of steps."""
+    def rows(self, n0: int, n1: int):
+        """StepRow of steps n0..n1-1, each array operation serving a block of steps."""
         inv_k = 1.0 / self.tgrid.k
-        rows = max(1, 2048 // self.s.size)  # a block's arrays stay at 16 kB
-        for b0 in range(n0, n1, rows):
-            b = slice(b0, min(b0 + rows, n1))
+        per_block = max(1, 2048 // self.s.size)  # a block's arrays stay at 16 kB
+        for b0 in range(n0, n1, per_block):
+            b = slice(b0, min(b0 + per_block, n1))
             block = LinearOperatorCoefficients(self.c4[b, None], self.c2[b, None], self.c0[b, None])
             half_mu = 0.5 * _symbol(block, self.s, self.s2)
             denom, numer = inv_k + half_mu, inv_k - half_mu
@@ -164,10 +174,13 @@ class SchemeContext:
                         f"step {n}; the time step violates the existence bound",
                         step=n,
                     )
-                coeffs = LinearOperatorCoefficients(self.c4[n], self.c2[n], self.c0[n])
-                yield StepCoefficients(
-                    self.R_half[n], coeffs, denom[i], numer[i], self.c_phi[n], self.c_psi[n]
-                )
+                yield StepRow(denom[i], numer[i], self.c_phi[n], self.c_psi[n])
+
+    def steps(self, n0: int, n1: int):
+        """StepCoefficients of steps n0..n1-1: rows() with the radius and operator coefficients."""
+        for n, row in zip(range(n0, n1), self.rows(n0, n1)):
+            coeffs = LinearOperatorCoefficients(self.c4[n], self.c2[n], self.c0[n])
+            yield StepCoefficients(self.R_half[n], coeffs, *row)
 
     def step_coefficients(self, n: int) -> StepCoefficients:
         if not (0 <= n < self.tgrid.N):
@@ -175,46 +188,76 @@ class SchemeContext:
         return next(self.steps(n, n + 1))
 
 
-def _nl_rfft(values: np.ndarray) -> np.ndarray:
-    # The quadratic stencils telescope to zero mean; drop their roundoff there.
-    out = np.fft.rfft(values)
-    out[0] = 0.0
-    return out
+class _Workspace:
+    """The arrays the step kernels write into at J grid points.
+
+    run() makes one and every step and sweep reuses it, so a step allocates
+    no array.  v_prev, vn and v_next hold V^{n-1}, V^n and V^{n+1}, X and
+    X_next the rfft spectra of V^n and V^{n+1}; rotate() advances them a step.
+    pb holds b = V^n + Vhat and pw the sweep's stencil operand, each padded
+    by _pad.
+    """
+
+    def __init__(self, J: int):
+        self.v_prev, self.vn, self.v_next, self.vhat, self.phi_bb, self.rhs, self.tmp = (
+            np.empty(J) for _ in range(7)
+        )
+        self.psi_b = (np.empty(J), np.empty(J), np.empty(J))
+        self.pb, self.pw = np.empty(J + 2), np.empty(J + 2)
+        self.X, self.X_next, self.base = (np.empty(J // 2 + 1, dtype=complex) for _ in range(3))
+
+    def rotate(self):
+        self.v_prev, self.vn, self.v_next = self.vn, self.v_next, self.v_prev
+        self.X, self.X_next = self.X_next, self.X
 
 
 # Step kernels: state as values and rfft spectrum X in, the next (spectrum,
-# values) out.  run() chains them; the public step functions wrap them.
+# values) out, in ws.X_next and ws.v_next.  sc is a StepRow or a
+# StepCoefficients.  run() chains them on its own workspace; the public step
+# functions wrap them, each call on a fresh one.
 
 
-def _solve(base, nl, sc: StepCoefficients):
+def _solve(base, nl, sc, ws: _Workspace):
     """(base + rfft(nl)) / denom and its values; base = numer * X is fixed over a step."""
-    X_next = _nl_rfft(nl)
+    X_next = np.fft.rfft(nl, out=ws.X_next)
+    # The quadratic stencils telescope to zero mean; drop their roundoff there.
+    X_next[0] = 0.0
     X_next += base
     X_next /= sc.denom
-    return X_next, np.fft.irfft(X_next, n=nl.size)
+    return X_next, np.fft.irfft(X_next, n=nl.size, out=ws.v_next)
 
 
-def _first_step(vq, base, sc: StepCoefficients):
-    """Linear step with the quadratic term frozen at vq.
+def _first_step(pq, base, sc, ws: _Workspace | None = None):
+    """Linear step with the quadratic term frozen at vq, given as pq = _pad(vq).
 
     With vq = V^n this is the scheme's first step; the reference step repeats
     it with vq the midpoint of V^n and the current iterate.
     """
-    return _solve(base, sc.c_phi * _phi_values(vq, vq), sc)
+    vq = pq[1:-1]
+    ws = _Workspace(vq.size) if ws is None else ws
+    nl = _phi_values(vq, vq, ws.rhs, ws.tmp, pq)
+    nl *= sc.c_phi
+    return _solve(base, nl, sc, ws)
 
 
-def _reference_step(vn, X, sc: StepCoefficients, h: float, tol: float, n: int):
+def _reference_step(vn, X, sc, h: float, tol: float, n: int, ws: _Workspace | None = None):
     """Midpoint fixed point sweeps to relative update tolerance tol.
 
     Each sweep solves the circulant system with the quadratic term taken at
     the previous midpoint iterate; the contraction factor is of order
     k * v_c * |v| / R^2, far below one for admissible steps.
     """
-    base = sc.numer * X
+    ws = _Workspace(vn.size) if ws is None else ws
+    base = np.multiply(sc.numer, X, out=ws.base)
+    vq = ws.pw[1:-1]
     w = vn
     for _ in range(50):
-        X_next, w_next = _first_step(0.5 * (vn + w), base, sc)
-        delta = w_next - w
+        np.add(vn, w, out=vq)
+        vq *= 0.5
+        if w is ws.v_next:  # keep the iterate; this step reads no V^{n-1}, so sweep into its buffer
+            ws.v_prev, ws.v_next = ws.v_next, ws.v_prev
+        X_next, w_next = _first_step(_wrap(ws.pw), base, sc, ws)
+        delta = np.subtract(w_next, w, out=ws.tmp)
         w = w_next
         if math.sqrt(h * float(np.dot(delta, delta))) <= tol * max(
             1.0, math.sqrt(h * float(np.dot(w, w)))
@@ -223,25 +266,36 @@ def _reference_step(vn, X, sc: StepCoefficients, h: float, tol: float, n: int):
     raise SolverError(f"reference step {n} did not converge in 50 sweeps", step=n)
 
 
-def _newton_sweep(base, psi_b, phi_bb, w, vhat, sc: StepCoefficients):
-    """One sweep of the predictor-anchored linearization from iterate w.
+def _newton_setup(vn, vhat, X, sc, ws: _Workspace):
+    """base = numer * X, psi_coefficients(b) and phi(b, b) with b = V^n + Vhat,
+    fixed over the j_n sweeps of a step."""
+    b = np.add(vn, vhat, out=ws.pb[1:-1])
+    pb = _wrap(ws.pb)
+    return (
+        np.multiply(sc.numer, X, out=ws.base),
+        psi_coefficients(b, ws.psi_b, pb),
+        _phi_values(b, b, ws.phi_bb, ws.tmp, pb),
+    )
 
-    psi_b = psi_coefficients(b) and phi_bb = phi(b, b) with b = V^n + Vhat
-    are fixed over the j_n sweeps of a step.
-    """
-    return _solve(base, sc.c_psi * (_psi_apply(psi_b, w - vhat) + phi_bb), sc)
+
+def _newton_sweep(base, psi_b, phi_bb, w, vhat, sc, ws: _Workspace):
+    """One sweep of the predictor-anchored linearization from iterate w."""
+    d = np.subtract(w, vhat, out=ws.pw[1:-1])
+    nl = _psi_apply(psi_b, d, ws.rhs, ws.tmp, _wrap(ws.pw))
+    nl += phi_bb
+    nl *= sc.c_psi
+    return _solve(base, nl, sc, ws)
 
 
-def _newton_step(vn, X, v_prev, sc: StepCoefficients, j_n: int):
+def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace | None = None):
     """j_n sweeps from W^0 = Vhat = 2 V^n - V^{n-1}; psi(b, W^0 - Vhat) = 0 in the first."""
-    vhat = 2.0 * vn - v_prev
-    b = vn + vhat
-    nb = _neighbours(b)  # one padded copy of b for both stencils
-    psi_b, phi_bb = psi_coefficients(b, nb), _phi_values(b, b, nb)
-    base = sc.numer * X
-    X_next, w = _solve(base, sc.c_psi * phi_bb, sc)
+    ws = _Workspace(vn.size) if ws is None else ws
+    vhat = np.multiply(2.0, vn, out=ws.vhat)
+    vhat -= v_prev
+    base, psi_b, phi_bb = _newton_setup(vn, vhat, X, sc, ws)
+    X_next, w = _solve(base, np.multiply(sc.c_psi, phi_bb, out=ws.rhs), sc, ws)
     for _ in range(j_n - 1):
-        X_next, w = _newton_sweep(base, psi_b, phi_bb, w, vhat, sc)
+        X_next, w = _newton_sweep(base, psi_b, phi_bb, w, vhat, sc, ws)
     return X_next, w
 
 
@@ -278,7 +332,7 @@ def cn_step(Vn: PeriodicField, n: int, ctx: SchemeContext, tol: float | None = N
 def newton_first_step(v0: PeriodicField, ctx: SchemeContext) -> PeriodicField:
     """Linear first step: quadratic term evaluated at the initial data."""
     sc = ctx.step_coefficients(0)
-    _, w = _first_step(v0.values, sc.numer * np.fft.rfft(v0.values), sc)
+    _, w = _first_step(_pad(v0.values), sc.numer * np.fft.rfft(v0.values), sc)
     return PeriodicField(w, ctx.grid.h)
 
 
@@ -296,9 +350,9 @@ def newton_iterate(
 ) -> PeriodicField:
     """One sweep of the predictor-anchored linearization."""
     sc = ctx.step_coefficients(n)
-    b = Vn.values + Vhat.values
-    base = sc.numer * np.fft.rfft(Vn.values)
-    _, w = _newton_sweep(base, psi_coefficients(b), _phi_values(b, b), Wj.values, Vhat.values, sc)
+    ws = _Workspace(ctx.grid.J)
+    base, psi_b, phi_bb = _newton_setup(Vn.values, Vhat.values, np.fft.rfft(Vn.values), sc, ws)
+    _, w = _newton_sweep(base, psi_b, phi_bb, Wj.values, Vhat.values, sc, ws)
     return PeriodicField(w, ctx.grid.h)
 
 
@@ -388,30 +442,31 @@ def run(
     S = np.empty(N + 1)
     Q = np.empty(N + 1)
 
-    X = np.fft.rfft(v0.values)
-    vn = v0.values.copy()
-    S[0] = h * X[0].real
-    Q[0] = pw_linear_square_integral(vn, h)
+    ws = _Workspace(grid.J)
+    ws.vn[:] = v0.values
+    np.fft.rfft(ws.vn, out=ws.X)
+    S[0] = h * ws.X[0].real
+    Q[0] = pw_linear_square_integral(ws.vn, h)
 
-    snapshots: dict[int, np.ndarray] = {0: vn.copy()}
+    snapshots: dict[int, np.ndarray] = {0: ws.vn.copy()}
     j_n = ctx.config.newton_iters
     tol = ctx.config.reference_tol
-    v_prev = None
 
-    steps = ctx.steps(0, N)
+    rows = ctx.rows(0, N)
     # Overflow or an invalid operation anywhere in a step fails the run at
     # that step instead of carrying inf or NaN forward.
     with np.errstate(over="raise", invalid="raise"):
         for n in range(N):
             m = n + 1
             try:
-                sc = next(steps)
+                sc = next(rows)
                 if method == "reference":
-                    X_next, v_next = _reference_step(vn, X, sc, h, tol, n)
+                    X_next, v_next = _reference_step(ws.vn, ws.X, sc, h, tol, n, ws)
                 elif n == 0:
-                    X_next, v_next = _first_step(vn, sc.numer * X, sc)
+                    base = np.multiply(sc.numer, ws.X, out=ws.base)
+                    X_next, v_next = _first_step(_pad(ws.vn, out=ws.pw), base, sc, ws)
                 else:
-                    X_next, v_next = _newton_step(vn, X, v_prev, sc, j_n)
+                    X_next, v_next = _newton_step(ws.vn, ws.X, ws.v_prev, sc, j_n, ws)
                 Q[m] = pw_linear_square_integral(v_next, h)
             except FloatingPointError as e:
                 raise SolverError(f"floating point failure: {e}", step=m) from e
@@ -420,7 +475,7 @@ def run(
             S[m] = h * X_next[0].real
             if m % store_stride == 0 or m == N:
                 snapshots[m] = v_next.copy()
-            X, vn, v_prev = X_next, v_next, vn
+            ws.rotate()
 
     g = Q / (ctx.law.rate(ctx.R_nodes) * ctx.R_nodes**2)
     A = np.concatenate(([0.0], np.cumsum(0.5 * k * (g[:-1] + g[1:]))))

@@ -531,6 +531,34 @@ def test_run_report_timing_block(tmp_path):
     assert report["config_hash"] == cfg.config_hash()
 
 
+def test_eoc_report_timing_block(tmp_path):
+    cfg_path = write_config(tmp_path, GOOD_CONFIG.replace("J = 64", "J = 16"))
+    out = tmp_path / "eoc"
+    assert main(["eoc", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "eoc.json").read_text())
+    timing = report["timing"]
+    assert set(timing) == {"reference_solve_s", "levels"}
+    assert [level["J"] for level in timing["levels"]] == [16, 32, 64]
+    seconds = [timing["reference_solve_s"]]
+    for level in timing["levels"]:
+        assert set(level) == {"J", "reference_solve_s", "newton_solve_s"}
+        seconds += [level["reference_solve_s"], level["newton_solve_s"]]
+    assert all(math.isfinite(s) and s >= 0 for s in seconds)
+    # the timing block lies outside the ladder's results and the hashed configuration
+    assert "timing" not in report["eoc"]
+    assert report["config_hash"] == load_config(cfg_path).config_hash()
+
+
+def test_percent_in_config_value_is_taken_literally(tmp_path, monkeypatch):
+    # "%" is legal in a directory name; configparser's default interpolation
+    # would reject it as a parse error (exit 3).
+    cfg_path = write_config(tmp_path, GOOD_CONFIG + "dir = a%b\n")
+    assert load_config(cfg_path).out_dir == "a%b"
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "a%b" / "report.json").is_file()
+
+
 # --- the config contract -----------------------------------------------------
 
 README = Path(__file__).resolve().parents[1] / "README.md"

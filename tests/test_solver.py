@@ -480,7 +480,7 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("J", [16, 64])
+@pytest.mark.parametrize("J", [16, 64, 256])
 @pytest.mark.parametrize("method", ["newton", "reference"])
 def test_run_matches_step_loop_oracle_bitwise(method, J):
     # Same config as test_run_matches_public_step_functions: the sweeps
@@ -498,6 +498,63 @@ def test_run_matches_step_loop_oracle_bitwise(method, J):
     assert np.array_equal(bits(got), bits(snaps))
     for name, expected in (("S", S), ("Q", Q), ("A", A), ("R_nodes", R_nodes)):
         assert np.array_equal(bits(getattr(traj, name)), bits(expected)), name
+
+
+@pytest.mark.parametrize("method, jn", [("newton", 1), ("newton", 2), ("newton", 4), ("reference", 3)])
+def test_run_buffer_rotation_matches_step_loop_oracle_bitwise(method, jn):
+    # run() rotates V^{n-1}, V^n, V^{n+1} and two spectra through one
+    # workspace; odd and even j_n and a store stride that does not divide N
+    # show a buffer read out of turn.  SLOW is the README model.  (The
+    # reference sweeps alternate between two buffers; the J = 256 case of
+    # test_run_matches_step_loop_oracle_bitwise takes 7 or 8 sweeps a step.)
+    g = GridSpec(256)
+    tg = TimeGrid(k=0.01, N=120)
+    law = RadiusLaw(SLOW)
+    cfg = SolverConfig(newton_iters=jn)
+    v0 = sample_cosine_sum_dsigma(g, [(0.1, m) for m in (2, 3, 4, 5)])
+    traj = run(SLOW, tg, g, cfg, v0, law=law, method=method, store_stride=7)
+    snaps, S, Q, A, R_nodes = step_loop_oracle(SLOW, tg, g, cfg, v0, law, method)
+    stored = traj.stored_steps()
+    assert stored == list(range(0, tg.N, 7)) + [tg.N]
+    got = np.array([traj.snapshots[n] for n in stored])
+    assert np.array_equal(bits(got), bits(snaps[stored]))
+    for name, expected in (("S", S), ("Q", Q), ("A", A), ("R_nodes", R_nodes)):
+        assert np.array_equal(bits(getattr(traj, name)), bits(expected)), name
+
+
+def test_step_functions_return_arrays_later_calls_leave_alone():
+    ctx = make_ctx(J=16, N=10, params=ModelParams(delta=0.1, alpha=1.5, v_c=1.0, R0=2.0))
+    U, V, W = (random_field(16, seed, 0.1) for seed in (1, 2, 3))
+    sc = ctx.step_coefficients(3)
+    calls = (
+        lambda a, b: cn_step(a, 3, ctx).values,
+        lambda a, b: newton_iterate(a, b, b, 3, ctx).values,
+        lambda a, b: _newton_step(a.values, np.fft.rfft(a.values), b.values, sc, 3)[1],
+    )
+    for call in calls:
+        first = call(U, V)
+        kept = first.copy()
+        second = call(V, W)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(bits(first), bits(kept))
+
+
+def test_run_snapshots_share_no_memory():
+    g = GridSpec(64)
+    tg = TimeGrid(k=0.01, N=30)
+
+    def one_run(a, method):
+        return run(SLOW, tg, g, SolverConfig(), sample_cosine_sum_dsigma(g, [(a, 2), (a, 3)]), method=method)
+
+    first = one_run(0.1, "newton")
+    snaps = [first.snapshots[n] for n in range(tg.N + 1)]
+    kept = [v.copy() for v in snaps]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(snaps) for b in snaps[i + 1 :])
+    for a, method in ((0.2, "newton"), (0.3, "reference")):
+        later = one_run(a, method)
+        for n in range(tg.N + 1):
+            assert np.array_equal(bits(first.snapshots[n]), bits(kept[n]))
+            assert not np.shares_memory(first.snapshots[n], later.snapshots[n])
 
 
 def test_run_fails_at_first_non_positive_denominator():
