@@ -78,7 +78,6 @@ def _admissibility_dict(report) -> dict:
 def emit_run_outputs(
     cfg: RunConfig,
     traj: Trajectory,
-    law: RadiusLaw,
     admissibility: AdmissibilityReport,
     out: Path,
     solve_s: float,
@@ -99,7 +98,7 @@ def emit_run_outputs(
 
     if "means" in emit:
         with timer("reconstruct_s"):
-            I_path = mean_I_path(traj, law, cfg.I0)
+            I_path = mean_I_path(traj, cfg.I0)
         with timer("write_s"):
             steps = np.arange(N + 1)
             write_csv(
@@ -116,7 +115,7 @@ def emit_run_outputs(
         u_field = None
         if "u" in emit or "curve" in emit:
             with timer("reconstruct_s"):
-                u_field = reconstruct_u(traj, law, cfg.I0, n)
+                u_field = reconstruct_u(traj, cfg.I0, n)
             if n == N:
                 final_u = u_field
         if "v" in emit:
@@ -125,7 +124,7 @@ def emit_run_outputs(
                 write_csv(out / f"snapshot_{tag}.csv", ["sigma", "v", "u"][: len(columns)], np.column_stack(columns))
         if "curve" in emit:
             with timer("reconstruct_s"):
-                pts = curve_points(traj, law, n, cfg.I0, u=u_field)
+                pts = curve_points(traj, n, cfg.I0, u=u_field)
             with timer("write_s"):
                 write_csv(out / f"curve_{tag}.csv", ["x", "y"], pts)
 
@@ -142,7 +141,7 @@ def emit_run_outputs(
         R_T = float(traj.R_nodes[N])
         if final_u is None:
             with timer("reconstruct_s"):
-                final_u = reconstruct_u(traj, law, cfg.I0, N)
+                final_u = reconstruct_u(traj, cfg.I0, N)
         rep = spectral_report(R_T, cfg.params, SPECTRAL_M_MAX, probe=final_u)
         rep0 = spectral_report(cfg.params.R0, cfg.params, SPECTRAL_M_MAX)
         report["spectral"] = {
@@ -171,7 +170,7 @@ def cmd_run(cfg: RunConfig, out: Path, jn: int | None = None, force: bool = Fals
         law=law, method="newton", store_stride=cfg.stride, require_admissible=not force,
     )
     solve_s = time.perf_counter() - t0
-    return emit_run_outputs(cfg, traj, law, admissibility, out, solve_s)
+    return emit_run_outputs(cfg, traj, admissibility, out, solve_s)
 
 
 def cmd_eoc(cfg: RunConfig, out: Path, levels: int = 3, jn: int | None = None) -> dict:
@@ -207,8 +206,8 @@ def cmd_stability_map(
     samples: int = 121,
     m_max: int = 5,
 ) -> dict:
-    if not (r_max > r_min >= 0.0) or samples < 2:
-        raise ConfigError(["stability-map: need r_max > r_min >= 0 and samples >= 2"])
+    if not (r_max > r_min >= 0.0) or samples < 2 or m_max < 2:
+        raise ConfigError(["stability-map: need r_max > r_min >= 0, samples >= 2 and m_max >= 2"])
     out.mkdir(parents=True, exist_ok=True)
     rs = np.linspace(r_min, r_max, samples)
     header = ["R"] + [f"delta_m{m}" for m in range(2, m_max + 1)]
@@ -223,7 +222,7 @@ def cmd_stability_map(
     for R in rs:
         if R <= 0:
             continue
-        rep = spectral_report(float(R), params, max(m_max, 2))
+        rep = spectral_report(float(R), params, m_max)
         entries.append(
             {
                 "R": float(R),

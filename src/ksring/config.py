@@ -5,7 +5,8 @@ Configs are flat INI files with sections [model], [grid], [initial],
 config may set, and the README shows a complete example.  A bound on one
 field is written once, in the container that holds it (ksring.params,
 ksring.field); the loader adds only the checks that relate fields to each
-other or pick from a fixed set of choices.
+other or pick from a fixed set of choices, and the finiteness of the initial
+data (I0, amplitudes).
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .field import GridSpec, PeriodicField, centered_difference, sample_cosine_sum, sample_cosine_sum_dsigma
-from .params import FieldErrors, ModelParams, SolverConfig, TimeGrid
+from .params import FieldErrors, ModelParams, SolverConfig, TimeGrid, finite
 
 EMIT_CHOICES = ("v", "u", "curve", "means", "spectrum")
 V0_METHODS = ("analytic", "centered")
@@ -168,11 +170,14 @@ def load_config(path: str | Path) -> RunConfig:
             "initial.amplitudes",
             f"length {len(amplitudes)} does not match modes length {len(modes)}",
         ),
+        (all(math.isfinite(a) for a in amplitudes), "initial.amplitudes", f"must be finite, got {amplitudes}"),
+        finite(v["I0"], "initial.I0"),
         (all(m >= 2 for m in modes), "initial.modes", f"all modes must be >= 2, got {modes}"),
         (len(set(modes)) == len(modes), "initial.modes", f"modes must be distinct, got {modes}"),
         (all(m < J // 2 for m in modes), "initial.modes", f"modes must be below J/2 = {J // 2}, got {modes}"),
         (v["v0_method"] in V0_METHODS, "solver.v0_method", f"must be analytic or centered, got {v['v0_method']!r}"),
         (v["stride"] >= 1, "output.stride", f"must be >= 1, got {v['stride']}"),
+        ("v" in v["emit"] or "u" not in v["emit"], "output.emit", "u needs v: u is a column of snapshot_<n>.csv"),
     ]
     checks += [(e in EMIT_CHOICES, "output.emit", f"unknown artifact {e!r}") for e in v["emit"]]
     problems = [f"{where}: {message}" for ok, where, message in checks if not ok]

@@ -82,7 +82,7 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3, jn: int | None = None) -> EocRep
 
     ref = one_run(J_ref, "reference", J_ref)
     ref_v = ref.final().values
-    ref_u = reconstruct_u(ref, law, cfg.I0, ref.tgrid.N).values
+    ref_u = reconstruct_u(ref, cfg.I0, ref.tgrid.N).values
 
     report = EocReport(reference_J=J_ref)
     for J in Js:
@@ -91,7 +91,7 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3, jn: int | None = None) -> EocRep
         h = cn.grid.h
         gap = max(norm_h(PeriodicField(newton.snapshots[n] - cn.snapshots[n], h)) for n in range(cn.tgrid.N + 1))
         err_v = _subsampled_err(ref_v, cn.final().values, h)
-        err_u = _subsampled_err(ref_u, reconstruct_u(cn, law, cfg.I0, cn.tgrid.N).values, h)
+        err_u = _subsampled_err(ref_u, reconstruct_u(cn, cfg.I0, cn.tgrid.N).values, h)
         err_vn = _subsampled_err(ref_v, newton.final().values, h)
         report.levels.append(EocLevel(J, T / J, err_v, err_u, err_vn, gap))
     for a, b in zip(report.levels, report.levels[1:]):
@@ -132,13 +132,10 @@ def wavenumber_suite(
         params = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=R0)
         tgrid = TimeGrid.from_horizon(T, k)
         grid = GridSpec(J)
-        law = RadiusLaw(params)
         pairs = tuple((SUITE_AMPLITUDE, m) for m in mode_set)
         v0 = sample_cosine_sum_dsigma(grid, pairs)
-        traj = run(
-            params, tgrid, grid, SolverConfig(newton_iters=jn), v0, law=law, method="newton", store_stride=tgrid.N
-        )
-        u_T = reconstruct_u(traj, law, 0.0, tgrid.N)
+        traj = run(params, tgrid, grid, SolverConfig(newton_iters=jn), v0, store_stride=tgrid.N)
+        u_T = reconstruct_u(traj, 0.0, tgrid.N)
         measured = measured_dominant_mode(u_T)
         rep0 = spectral_report(R0, params, SPECTRAL_M_MAX)
         unstable = rep0.unstable_modes

@@ -3,7 +3,8 @@
 A field is J real samples V_0..V_{J-1} on the uniform grid sigma_i = i*h,
 h = 2*pi/J, identified periodically (V_{i+J} = V_i).  The discrete L2 norm
 is ||V||_h = (h*sum V_i^2)^(1/2); first and second difference seminorms and
-the h-weighted inner product follow the same convention.
+the h-weighted inner product follow the same convention.  The periodic shift
+(_pad) and the second difference (_lap_values) every stencil uses live here.
 """
 
 from __future__ import annotations
@@ -68,8 +69,27 @@ class PeriodicField:
     def __getitem__(self, i: int) -> float:
         return float(self.values[i % self.values.size])
 
-    def grid(self) -> GridSpec:
-        return GridSpec(self.values.size)
+
+def _pad(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """v between its periodic neighbours, [v_{J-1}, v, v_0], written into out
+    (J + 2 entries) when given; p[:-2] and p[2:] are v shifted by one."""
+    if out is None:
+        out = np.empty(v.size + 2)
+    out[1:-1] = v
+    return _wrap(out)
+
+
+def _wrap(p: np.ndarray) -> np.ndarray:
+    """Fills the end entries of p from its middle, as _pad does, so a kernel
+    can compute an operand in place in p[1:-1] and pad it."""
+    p[0], p[-1] = p[-2], p[1]
+    return p
+
+
+def _lap_values(v: np.ndarray, h: float) -> np.ndarray:
+    """(v_{i-1} - 2 v_i + v_{i+1}) / h^2, the second difference D_h v."""
+    p = _pad(v)
+    return (p[:-2] - 2.0 * v + p[2:]) / h**2
 
 
 def zeros(grid: GridSpec) -> PeriodicField:
@@ -93,14 +113,13 @@ def inner_h(V: PeriodicField, W: PeriodicField) -> float:
 
 def seminorm_1h(V: PeriodicField) -> float:
     # |V|_{1,h}^2 = h * sum ((V_i - V_{i-1})/h)^2
-    d = (V.values - np.roll(V.values, 1)) / V.h
+    d = (V.values - _pad(V.values)[:-2]) / V.h
     return math.sqrt(V.h * float(np.dot(d, d)))
 
 
 def seminorm_2h(V: PeriodicField) -> float:
-    # |V|_{2,h}^2 = h * sum (second difference / h^2)^2
-    v = V.values
-    lap = (np.roll(v, 1) - 2.0 * v + np.roll(v, -1)) / V.h**2
+    # |V|_{2,h}^2 = h * sum (D_h V)_i^2
+    lap = _lap_values(V.values, V.h)
     return math.sqrt(V.h * float(np.dot(lap, lap)))
 
 
@@ -139,5 +158,5 @@ def sample_cosine_sum_dsigma(grid: GridSpec, pairs) -> PeriodicField:
 
 def centered_difference(U: PeriodicField) -> PeriodicField:
     """(U_{i+1} - U_{i-1}) / (2h), the second order alternative for v0."""
-    u = U.values
-    return PeriodicField((np.roll(u, -1) - np.roll(u, 1)) / (2.0 * U.h), U.h)
+    p = _pad(U.values)
+    return PeriodicField((p[2:] - p[:-2]) / (2.0 * U.h), U.h)

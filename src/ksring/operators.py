@@ -24,30 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import PeriodicField, _check_same_grid
+from .field import PeriodicField, _check_same_grid, _lap_values, _pad
 from .params import ModelParams
-
-
-def _pad(v: np.ndarray, width: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """v between its periodic neighbours, [v_{J-width} .. v_{J-1}, v, v_0 .. v_{width-1}],
-    written into out (J + 2 width entries) when given."""
-    if out is None:
-        out = np.empty(v.size + 2 * width)
-    out[width:-width] = v
-    return _wrap(out, width)
-
-
-def _wrap(p: np.ndarray, width: int = 1) -> np.ndarray:
-    """Fills the width entries at each end of p from its middle, as _pad does,
-    so a kernel can compute an operand in place in p[width:-width] and pad it."""
-    for i in range(width):
-        p[i], p[i - width] = p[i - 2 * width], p[width + i]
-    return p
-
-
-def _lap_values(v: np.ndarray, h: float) -> np.ndarray:
-    p = _pad(v)
-    return (p[:-2] - 2.0 * v + p[2:]) / h**2
 
 
 # The quadratic stencils write into out when it is given (tmp: scratch of v's
@@ -131,13 +109,8 @@ def apply_L(coeffs: LinearOperatorCoefficients, V: PeriodicField) -> PeriodicFie
 
 
 def _apply_L_values(coeffs: LinearOperatorCoefficients, v: np.ndarray, h: float) -> np.ndarray:
-    # One pass over the combined 5 point stencil; equals the composed form to roundoff.
-    p = _pad(v, 2)
-    vm2, vm1, vp1, vp2 = p[:-4], p[1:-3], p[3:-1], p[4:]
-    h2 = h * h
-    lap = (vm1 - 2.0 * v + vp1) / h2
-    bilap = (vm2 - 4.0 * vm1 + 6.0 * v - 4.0 * vp1 + vp2) / (h2 * h2)
-    return coeffs.c4 * bilap + coeffs.c2 * lap + coeffs.c0 * v
+    lap = _lap_values(v, h)
+    return coeffs.c4 * _lap_values(lap, h) + coeffs.c2 * lap + coeffs.c0 * v
 
 
 def second_difference_symbol(m, h: float):

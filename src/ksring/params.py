@@ -17,10 +17,19 @@ class FieldErrors(ValueError):
 
 
 def require(*checks: tuple[bool, str, str]) -> None:
-    """Raises FieldErrors naming every (ok, field, message) check that fails."""
-    problems = [(name, message) for ok, name, message in checks if not ok]
-    if problems:
-        raise FieldErrors(problems)
+    """Raises FieldErrors naming every field with an (ok, field, message)
+    check that fails, each by the first such check."""
+    failed: dict[str, str] = {}
+    for ok, name, message in checks:
+        if not ok:
+            failed.setdefault(name, message)
+    if failed:
+        raise FieldErrors(list(failed.items()))
+
+
+def finite(value, name: str) -> tuple[bool, str, str]:
+    """The require check that value is a finite number."""
+    return (math.isfinite(value), name, f"must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,8 @@ class ModelParams:
     alpha : scaled Lewis number, > 1 (expanding regime)
     v_c   : normal velocity of the undisturbed front, > 0
     R0    : initial circle radius, > 0
+
+    Every field must be finite.
     """
 
     delta: float
@@ -40,9 +51,13 @@ class ModelParams:
 
     def __post_init__(self):
         require(
+            finite(self.delta, "delta"),
             (self.delta > 0, "delta", f"must be > 0, got {self.delta}"),
+            finite(self.alpha, "alpha"),
             (self.alpha > 1, "alpha", f"must be > 1, got {self.alpha}"),
+            finite(self.v_c, "v_c"),
             (self.v_c > 0, "v_c", f"must be > 0, got {self.v_c}"),
+            finite(self.R0, "R0"),
             (self.R0 > 0, "R0", f"must be > 0, got {self.R0}"),
         )
 
@@ -63,9 +78,6 @@ class TimeGrid:
     @property
     def T(self) -> float:
         return self.N * self.k
-
-    def t(self, n: int) -> float:
-        return n * self.k
 
     @classmethod
     def from_horizon(cls, T: float, k: float) -> "TimeGrid":

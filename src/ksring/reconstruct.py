@@ -30,31 +30,31 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .field import PeriodicField, pw_linear_square_integral
+from .field import PeriodicField, _pad, pw_linear_square_integral
 from .params import TWO_PI
-from .radius import RadiusLaw
 
 if TYPE_CHECKING:
     from .solver import Trajectory
 
 
-def _cumulative_nodes(values: np.ndarray, h: float) -> np.ndarray:
-    """C_i = int_0^{sigma_i} Vtilde for i = 0..J, trapezoid cumulative sum."""
-    seg = 0.5 * h * (values + np.concatenate((values[1:], values[:1])))
+def _cumulative_nodes(values: np.ndarray, nxt: np.ndarray, h: float) -> np.ndarray:
+    """C_i = int_0^{sigma_i} Vtilde for i = 0..J, trapezoid cumulative sum;
+    nxt[i] is values[i+1], periodically (_pad(values)[2:])."""
+    seg = 0.5 * h * (values + nxt)
     out = np.empty(values.size + 1)
     out[0] = 0.0
     np.cumsum(seg, out=out[1:])
     return out
 
 
-def _mean_of_cumulative(values: np.ndarray, c: np.ndarray, h: float) -> float:
+def _mean_of_cumulative(values: np.ndarray, nxt: np.ndarray, c: np.ndarray, h: float) -> float:
     """(1/2pi) int_0^{2pi} C(sigma) dsigma with C piecewise quadratic, from
-    the node values c = _cumulative_nodes(values, h).
+    the node values c = _cumulative_nodes(values, nxt, h).
 
     On each cell the integral is h*C_i + h^2 (2 V_i + V_{i+1}) / 6, which is
     Simpson exact for the quadratic piece.
     """
-    cells = h * c[:-1] + h * h * (2.0 * values + np.concatenate((values[1:], values[:1]))) / 6.0
+    cells = h * c[:-1] + h * h * (2.0 * values + nxt) / 6.0
     return float(np.sum(cells)) / TWO_PI
 
 
@@ -82,7 +82,7 @@ def cumulative_v(traj: "Trajectory", i: int, n: int) -> float:
     v = traj.v(n)
     if not (0 <= i <= v.J):
         raise ValueError(f"node index {i} outside 0..{v.J}")
-    return float(_cumulative_nodes(v.values, v.h)[i])
+    return float(_cumulative_nodes(v.values, _pad(v.values)[2:], v.h)[i])
 
 
 def v_squared_integral(traj: "Trajectory", n: int) -> float:
@@ -91,42 +91,42 @@ def v_squared_integral(traj: "Trajectory", n: int) -> float:
     return pw_linear_square_integral(v.values, v.h)
 
 
-def mean_I(traj: "Trajectory", law: RadiusLaw, I0: float, n: int) -> float:
+def _mean_I(traj: "Trajectory", I0: float, at):
+    """Itilde at the step boundaries traj.R_nodes[at], at an index or a slice."""
+    rate0 = traj.law.rate(traj.R_nodes[0])
+    return (traj.law.rate(traj.R_nodes[at]) / rate0) * (
+        I0 + (traj.params.v_c * rate0 / (4.0 * math.pi)) * traj.A[at]
+    )
+
+
+def mean_I(traj: "Trajectory", I0: float, n: int) -> float:
     """Mean height Itilde(t^n) via the closed form above."""
     if not (0 <= n <= traj.tgrid.N):
         raise ValueError(f"step {n} outside 0..{traj.tgrid.N}")
-    rate0 = law.rate(law.radius_at(0.0))
-    rate_n = law.rate(traj.R_nodes[n])
-    return (rate_n / rate0) * (
-        I0 + (traj.params.v_c * rate0 / (4.0 * math.pi)) * traj.A[n]
-    )
+    return _mean_I(traj, I0, n)
 
 
-def mean_I_path(traj: "Trajectory", law: RadiusLaw, I0: float) -> np.ndarray:
+def mean_I_path(traj: "Trajectory", I0: float) -> np.ndarray:
     """Itilde at every step boundary 0..N."""
-    rate0 = law.rate(law.radius_at(0.0))
-    return (law.rate(traj.R_nodes) / rate0) * (
-        I0 + (traj.params.v_c * rate0 / (4.0 * math.pi)) * traj.A
-    )
+    return _mean_I(traj, I0, slice(None))
 
 
-def reconstruct_u(traj: "Trajectory", law: RadiusLaw, I0: float, n: int) -> PeriodicField:
+def reconstruct_u(traj: "Trajectory", I0: float, n: int) -> PeriodicField:
     """Height samples U_i^n on the grid of the trajectory."""
     v = traj.v(n)
-    c = _cumulative_nodes(v.values, v.h)
-    base = mean_I(traj, law, I0, n) - _mean_of_cumulative(v.values, c, v.h)
+    nxt = _pad(v.values)[2:]
+    c = _cumulative_nodes(v.values, nxt, v.h)
+    base = mean_I(traj, I0, n) - _mean_of_cumulative(v.values, nxt, c, v.h)
     return PeriodicField(base + c[:-1], v.h)
 
 
-def curve_points(
-    traj: "Trajectory", law: RadiusLaw, n: int, I0: float = 0.0, u: PeriodicField | None = None
-) -> np.ndarray:
+def curve_points(traj: "Trajectory", n: int, I0: float = 0.0, u: PeriodicField | None = None) -> np.ndarray:
     """Closed interface polyline (R(t^n) + U_i)(cos sigma_i, sin sigma_i), J+1 rows.
 
-    u is the height reconstruct_u(traj, law, I0, n) when the caller already
-    has it; it is reconstructed here otherwise."""
+    u is the height reconstruct_u(traj, I0, n) when the caller already has
+    it; it is reconstructed here otherwise."""
     if u is None:
-        u = reconstruct_u(traj, law, I0, n)
+        u = reconstruct_u(traj, I0, n)
     r = traj.R_nodes[n] + u.values
     s = traj.grid.sigma
     pts = np.column_stack((r * np.cos(s), r * np.sin(s)))

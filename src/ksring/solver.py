@@ -51,15 +51,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import GridSpec, PeriodicField, norm_h, pw_linear_square_integral
+from .field import GridSpec, PeriodicField, _pad, _wrap, norm_h, pw_linear_square_integral
 from .operators import (
     LinearOperatorCoefficients,
     _apply_L_values,
-    _pad,
     _phi_values,
     _psi_apply,
     _symbol,
-    _wrap,
     psi_coefficients,
     second_difference_symbol,
 )
@@ -147,6 +145,8 @@ class SchemeContext:
         self.tgrid = tgrid
         self.grid = grid
         self.law = law if law is not None else RadiusLaw(params)
+        if self.law.params != params:
+            raise ValueError(f"the radius law is for {self.law.params}, the run for {params}")
         self.config = config if config is not None else SolverConfig()
         self.s = second_difference_symbol(np.arange(grid.J // 2 + 1), grid.h)
         self.s2 = self.s * self.s
@@ -424,6 +424,8 @@ def run(
         raise ValueError(f"unknown method {method!r}")
     if v0.J != grid.J:
         raise ValueError(f"v0 has J={v0.J}, grid expects {grid.J}")
+    if store_stride < 1:
+        raise ValueError(f"store_stride must be >= 1, got {store_stride}")
     ctx = SchemeContext(params, tgrid, grid, law=law, config=config)
     report = check_admissibility(params, tgrid, ctx.law)
     if require_admissible and not report.passed:

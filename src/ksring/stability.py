@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .field import PeriodicField, mode_amplitudes
-from .params import ModelParams
+from .params import ModelParams, TimeGrid
 
 # Modes m = 1..SPECTRAL_M_MAX scanned for unstable sets by the run report and
 # the wavenumber suite.
@@ -165,9 +165,7 @@ def integrate_modes(
     Returns (times, path) where path[j] is the full spectrum at times[j];
     the initial state is row 0 and the final time is always recorded.
     """
-    steps = round(T / dt)
-    if abs(steps * dt - T) > 1e-12 * max(1.0, T):
-        raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
+    steps = TimeGrid.from_horizon(T, dt).N
     u = np.asarray(modes0, dtype=complex).copy()
     _check_reality(u)
     times = [0.0]

@@ -319,7 +319,7 @@ def test_criterion_9_mean_height_ode(suite_result):
     law = traj.law
     k = traj.tgrid.k
     N = traj.tgrid.N
-    I = mean_I_path(traj, law, 0.0)
+    I = mean_I_path(traj, 0.0)
     a = traj.params.alpha - 1.0
     v_c = traj.params.v_c
     worst = 0.0

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -481,13 +482,13 @@ def test_run_csv_files_round_trip_bitwise(tmp_path):
         snap = parsed(f"snapshot_{n}.csv")
         np.testing.assert_array_equal(_bits(snap[:, 0]), _bits(traj.grid.sigma))
         np.testing.assert_array_equal(_bits(snap[:, 1]), _bits(traj.snapshots[n]))
-        np.testing.assert_array_equal(_bits(snap[:, 2]), _bits(reconstruct_u(traj, law, cfg.I0, n).values))
-        np.testing.assert_array_equal(_bits(parsed(f"curve_{n}.csv")), _bits(curve_points(traj, law, n, cfg.I0)))
+        np.testing.assert_array_equal(_bits(snap[:, 2]), _bits(reconstruct_u(traj, cfg.I0, n).values))
+        np.testing.assert_array_equal(_bits(parsed(f"curve_{n}.csv")), _bits(curve_points(traj, n, cfg.I0)))
     means = parsed("means.csv")
     np.testing.assert_array_equal(means[:, 0], np.arange(N + 1))
     np.testing.assert_array_equal(_bits(means[:, 1]), _bits([n * cfg.tgrid.k for n in range(N + 1)]))
     np.testing.assert_array_equal(_bits(means[:, 2]), _bits(traj.S))
-    np.testing.assert_array_equal(_bits(means[:, 3]), _bits(mean_I_path(traj, law, cfg.I0)))
+    np.testing.assert_array_equal(_bits(means[:, 3]), _bits(mean_I_path(traj, cfg.I0)))
 
 
 def test_run_reconstructs_each_stored_step_once(tmp_path, monkeypatch):
@@ -651,3 +652,73 @@ modes = 2
     assert main(["eoc", "--config", str(write_config(tmp_path, text)), "--levels", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error: eoc")
     assert not (out / "eoc.json").exists()
+
+
+# --- rejected input ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "where, line, bad_line",
+    [
+        ("model.delta", "delta = 4.0", "delta = inf"),
+        ("model.alpha", "alpha = 1.5", "alpha = inf"),
+        ("model.v_c", "v_c = 0.001", "v_c = inf"),
+        ("initial.R0", "R0 = 6.0", "R0 = inf"),
+        ("initial.I0", "R0 = 6.0", "R0 = 6.0\nI0 = nan"),
+        ("initial.I0", "R0 = 6.0", "R0 = 6.0\nI0 = -inf"),
+        ("initial.amplitudes", "amplitudes = 0.1, 0.1", "amplitudes = 0.1, nan"),
+    ],
+    ids=["delta-inf", "alpha-inf", "v_c-inf", "R0-inf", "I0-nan", "I0-minus-inf", "amplitude-nan"],
+)
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, where, line, bad_line):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, GOOD_CONFIG.replace(line, bad_line))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {where}: must be finite, got ")
+    assert not out.exists()
+
+
+def test_emit_u_without_v_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, GOOD_CONFIG + "emit = u, means\n")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: output.emit: u needs v")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m_max", ["1", "0"])
+def test_stability_map_needs_m_max_two(tmp_path, capsys, m_max):
+    out = tmp_path / "map"
+    argv = ["stability-map", "--config", str(write_config(tmp_path)), "--out", str(out), "--mmax", m_max]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: stability-map:")
+    assert not out.exists()
+
+
+# --- v0_method = centered ----------------------------------------------------
+
+CENTERED = "\n[solver]\nv0_method = centered\n"
+
+
+def test_centered_v0_converges_to_analytic_at_second_order(tmp_path):
+    # the centered difference of u0 differs from the analytic u0' by O(h^2)
+    text = GOOD_CONFIG.replace("modes = 2, 3", "modes = 2, 5") + CENTERED
+    errors = []
+    for J in (64, 128, 256):
+        cfg = load_config(write_config(tmp_path, text.replace("J = 64", f"J = {J}")))
+        assert cfg.v0_method == "centered"
+        exact = replace(cfg, v0_method="analytic").initial_v().values
+        errors.append(np.max(np.abs(cfg.initial_v().values - exact)))
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(3.8 < r < 4.1 for r in ratios), ratios
+
+
+def test_run_with_centered_v0(tmp_path):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, GOOD_CONFIG + CENTERED)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver"]["v0_method"] == "centered"
+    assert report["config_hash"] == load_config(path).config_hash()
+    assert report["config_hash"] != load_config(write_config(tmp_path, name="analytic.ini")).config_hash()

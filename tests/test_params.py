@@ -28,3 +28,12 @@ def test_containers_name_every_failing_field(make, names):
     assert isinstance(exc.value, ValueError)
     assert str(exc.value) == "; ".join(f"{name}: {message}" for name, message in exc.value.problems)
 
+
+
+@pytest.mark.parametrize("name", ["delta", "alpha", "v_c", "R0"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_model_params_refuse_non_finite_fields(name, value):
+    fields = dict(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0) | {name: value}
+    with pytest.raises(FieldErrors) as exc:
+        ModelParams(**fields)
+    assert exc.value.problems == [(name, f"must be finite, got {value}")]

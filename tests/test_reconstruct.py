@@ -171,8 +171,8 @@ def test_mean_I_zero_field_follows_rate_ratio():
     rate0 = law.rate(SLOW.R0)
     for n in (0, 50, 100):
         expected = 5.0 * law.rate(traj.R_nodes[n]) / rate0
-        assert mean_I(traj, law, 5.0, n) == pytest.approx(expected, rel=1e-13)
-    assert mean_I(traj, law, 5.0, 0) == pytest.approx(5.0, rel=1e-15)
+        assert mean_I(traj, 5.0, n) == pytest.approx(expected, rel=1e-13)
+    assert mean_I(traj, 5.0, 0) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_mean_I_path_matches_pointwise():
@@ -180,10 +180,10 @@ def test_mean_I_path_matches_pointwise():
     law = RadiusLaw(SLOW)
     v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
     traj = run(SLOW, TimeGrid(k=0.01, N=50), g, SolverConfig(), v0, law=law)
-    path = mean_I_path(traj, law, 0.3)
+    path = mean_I_path(traj, 0.3)
     assert path.shape == (51,)
     for n in (0, 17, 50):
-        assert path[n] == pytest.approx(mean_I(traj, law, 0.3, n), rel=1e-13)
+        assert path[n] == pytest.approx(mean_I(traj, 0.3, n), rel=1e-13)
 
 
 def test_mean_I_satisfies_discrete_ode():
@@ -193,7 +193,7 @@ def test_mean_I_satisfies_discrete_ode():
     v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
     k = 0.01
     traj = run(SLOW, TimeGrid(k=k, N=100), g, SolverConfig(), v0, law=law)
-    I = mean_I_path(traj, law, 0.2)
+    I = mean_I_path(traj, 0.2)
     a = SLOW.alpha - 1.0
     for n in range(1, 100):
         R = traj.R_nodes[n]
@@ -205,7 +205,7 @@ def test_mean_I_satisfies_discrete_ode():
 
 def test_reconstruct_zero_field_is_scaled_constant():
     traj, law = zero_run(N=10)
-    u = reconstruct_u(traj, law, 5.0, 10)
+    u = reconstruct_u(traj, 5.0, 10)
     expected = 5.0 * law.rate(traj.R_nodes[10]) / law.rate(SLOW.R0)
     np.testing.assert_allclose(u.values, expected, rtol=1e-13)
 
@@ -217,7 +217,7 @@ def test_reconstruct_recovers_cosine_height():
         g = GridSpec(J)
         vals = -2.0 * np.sin(2.0 * g.sigma)
         traj = manual_traj({0: vals, 1: vals}, params=SLOW)
-        u = reconstruct_u(traj, RadiusLaw(SLOW), 0.0, 0)
+        u = reconstruct_u(traj, 0.0, 0)
         errs.append(np.abs(u.values - np.cos(2.0 * g.sigma)).max())
     assert errs[0] <= 0.05
     # halving h divides the error by about four
@@ -231,7 +231,7 @@ def test_reconstruct_interpolant_mean_is_mean_I():
     traj = manual_traj({0: vals, 1: vals})
     law = traj.law
     I0 = 0.7
-    u = reconstruct_u(traj, law, I0, 0)
+    u = reconstruct_u(traj, I0, 0)
     h = traj.grid.h
     closed_v = np.append(vals, vals[0])
     closed_u = np.append(u.values, u.values[0])
@@ -245,7 +245,7 @@ def test_reconstruct_interpolant_mean_is_mean_I():
             ([0.0], np.cumsum(0.5 * (seg_v[1:] + seg_v[:-1]) * (h / panels)))
         )
         total += np.trapezoid(seg_u, dx=h / panels)
-    assert total / TWO_PI == pytest.approx(mean_I(traj, law, I0, 0), abs=1e-8)
+    assert total / TWO_PI == pytest.approx(mean_I(traj, I0, 0), abs=1e-8)
 
 
 def test_reconstruct_u_matches_roll_formula_bitwise():
@@ -254,14 +254,14 @@ def test_reconstruct_u_matches_roll_formula_bitwise():
     v, h = traj.v(1).values, traj.grid.h
     c = np.concatenate(([0.0], np.cumsum(0.5 * h * (v + np.roll(v, -1)))))
     cells = h * c[:-1] + h * h * (2.0 * v + np.roll(v, -1)) / 6.0
-    expected = (mean_I(traj, traj.law, 0.3, 1) - float(np.sum(cells)) / TWO_PI) + c[:-1]
-    got = reconstruct_u(traj, traj.law, 0.3, 1).values
+    expected = (mean_I(traj, 0.3, 1) - float(np.sum(cells)) / TWO_PI) + c[:-1]
+    got = reconstruct_u(traj, 0.3, 1).values
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_curve_is_closed_and_circular_for_flat_interface():
     traj, law = zero_run(N=10)
-    pts = curve_points(traj, law, 10, I0=0.0)
+    pts = curve_points(traj, 10, I0=0.0)
     assert pts.shape == (traj.grid.J + 1, 2)
     np.testing.assert_array_equal(pts[0], pts[-1])
     radii = np.hypot(pts[:, 0], pts[:, 1])
@@ -273,7 +273,7 @@ def test_curve_radii_follow_reconstruction():
     law = RadiusLaw(SLOW)
     v0 = sample_cosine_sum_dsigma(g, [(0.1, 2)])
     traj = run(SLOW, TimeGrid(k=0.01, N=10), g, SolverConfig(), v0, law=law)
-    u = reconstruct_u(traj, law, 0.0, 10)
-    pts = curve_points(traj, law, 10)
+    u = reconstruct_u(traj, 0.0, 10)
+    pts = curve_points(traj, 10)
     radii = np.hypot(pts[:-1, 0], pts[:-1, 1])
     np.testing.assert_allclose(radii, traj.R_nodes[10] + u.values, rtol=1e-12)

@@ -623,3 +623,23 @@ def test_psi_free_first_sweep_equals_generic_sweep():
         W = newton_iterate(Vn, Vhat, W, n, ctx)
     _, last = _newton_step(Vn.values, X, Vprev.values, sc, 3)
     assert np.array_equal(bits(last), bits(W.values))
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+def test_run_rejects_store_stride_below_one(stride):
+    g = GridSpec(16)
+    v0 = sample_cosine_sum_dsigma(g, [(0.01, 2)])
+    with pytest.raises(ValueError, match="store_stride"):
+        run(SLOW, TimeGrid(k=0.01, N=10), g, SolverConfig(), v0, store_stride=stride)
+
+
+def test_run_rejects_a_radius_law_of_other_params():
+    # SLOW coefficients on the radii of R0 = 60 would be a run of neither model
+    g, tg = GridSpec(16), TimeGrid(k=0.01, N=10)
+    other = RadiusLaw(ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=60.0))
+    with pytest.raises(ValueError, match="radius law"):
+        SchemeContext(SLOW, tg, g, law=other)
+    v0 = sample_cosine_sum_dsigma(g, [(0.01, 2)])
+    with pytest.raises(ValueError, match="radius law"):
+        run(SLOW, tg, g, SolverConfig(), v0, law=other)
+    assert run(SLOW, tg, g, SolverConfig(), v0, law=RadiusLaw(SLOW)).R_nodes[0] == SLOW.R0
