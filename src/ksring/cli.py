@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -206,36 +207,43 @@ def cmd_stability_map(
     samples: int = 121,
     m_max: int = 5,
 ) -> dict:
-    if not (r_max > r_min >= 0.0) or samples < 2 or m_max < 2:
-        raise ConfigError(["stability-map: need r_max > r_min >= 0, samples >= 2 and m_max >= 2"])
-    out.mkdir(parents=True, exist_ok=True)
-    rs = np.linspace(r_min, r_max, samples)
+    finite = math.isfinite(r_min) and math.isfinite(r_max)
+    if not (finite and r_max > r_min >= 0.0) or samples < 2 or m_max < 2:
+        raise ConfigError(
+            ["stability-map: need finite r_max > r_min >= 0, samples >= 2 and m_max >= 2"]
+        )
     header = ["R"] + [f"delta_m{m}" for m in range(2, m_max + 1)]
     rows = []
-    for R in rs:
-        row = [R] + [
-            neutral_delta(m, R, params) if R > 0 else 0.0 for m in range(2, m_max + 1)
-        ]
-        rows.append(row)
-    write_csv(out / "neutral_curves.csv", header, rows)
     entries = []
-    for R in rs:
-        if R <= 0:
-            continue
-        rep = spectral_report(float(R), params, m_max)
-        entries.append(
-            {
-                "R": float(R),
-                "unstable_modes": rep.unstable_modes,
-                "predicted_dominant": rep.predicted_dominant,
-            }
-        )
+    # Every row and entry is computed before the output directory is made, so
+    # a radius whose curves or rates overflow leaves no partial map behind.
+    for R in np.linspace(r_min, r_max, samples).tolist():
+        try:
+            deltas = [neutral_delta(m, R, params) if R > 0 else 0.0 for m in range(2, m_max + 1)]
+            rep = spectral_report(R, params, m_max) if R > 0 else None
+        except (OverflowError, ZeroDivisionError):
+            deltas, rep = [math.nan], None
+        if not (np.isfinite(deltas).all() and (rep is None or np.isfinite(rep.lam).all())):
+            raise ConfigError(
+                [f"stability-map: the neutral curves or growth rates are not finite at R = {R:g}"]
+            )
+        rows.append([R] + deltas)
+        if rep is not None:
+            entries.append(
+                {
+                    "R": R,
+                    "unstable_modes": rep.unstable_modes,
+                    "predicted_dominant": rep.predicted_dominant,
+                }
+            )
     report = {
         "params": {"delta": params.delta, "alpha": params.alpha, "v_c": params.v_c},
         "R_star": critical_radius(params),
         "m_max": m_max,
         "spectral": entries,
     }
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "neutral_curves.csv", header, rows)
     _write_json(out / "stability.json", report)
     return report
 

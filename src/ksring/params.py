@@ -103,6 +103,7 @@ class SolverConfig:
     def __post_init__(self):
         require(
             (self.newton_iters >= 1, "newton_iters", f"must be >= 1, got {self.newton_iters}"),
+            finite(self.reference_tol, "reference_tol"),
             (self.reference_tol > 0, "reference_tol", f"must be > 0, got {self.reference_tol}"),
         )
 

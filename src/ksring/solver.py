@@ -50,6 +50,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .field import GridSpec, PeriodicField, _pad, _wrap, norm_h, pw_linear_square_integral
 from .operators import (
@@ -111,8 +112,8 @@ def check_admissibility(params: ModelParams, tgrid: TimeGrid, law: RadiusLaw) ->
 class StepRow(NamedTuple):
     """What the step kernels read of one step."""
 
-    denom: np.ndarray     # 1/k + mu/2
-    numer: np.ndarray     # 1/k - mu/2
+    denom: np.ndarray     # 1/k + mu/2, complex128
+    numer: np.ndarray     # 1/k - mu/2, complex128
     c_phi: float          # v_c / (6 h R^2)
     c_psi: float          # v_c / (24 h R^2)
 
@@ -122,8 +123,8 @@ class StepCoefficients(NamedTuple):
 
     R_half: float
     coeffs: LinearOperatorCoefficients
-    denom: np.ndarray     # 1/k + mu/2
-    numer: np.ndarray     # 1/k - mu/2
+    denom: np.ndarray     # 1/k + mu/2, complex128
+    numer: np.ndarray     # 1/k - mu/2, complex128
     c_phi: float          # v_c / (6 h R^2)
     c_psi: float          # v_c / (24 h R^2)
 
@@ -158,7 +159,11 @@ class SchemeContext:
         self.c_psi = params.v_c / (24.0 * grid.h * R * R)
 
     def rows(self, n0: int, n1: int):
-        """StepRow of steps n0..n1-1, each array operation serving a block of steps."""
+        """StepRow of steps n0..n1-1, each array operation serving a block of steps.
+
+        The denominators are checked as reals; denom and numer are then cast
+        to complex once per block, so dividing or multiplying a spectrum by
+        them skips NumPy's per-call cast and gives the same values."""
         inv_k = 1.0 / self.tgrid.k
         per_block = max(1, 2048 // self.s.size)  # a block's arrays stay at 16 kB
         for b0 in range(n0, n1, per_block):
@@ -167,6 +172,7 @@ class SchemeContext:
             half_mu = 0.5 * _symbol(block, self.s, self.s2)
             denom, numer = inv_k + half_mu, inv_k - half_mu
             bad = denom.min(axis=1) <= 0.0
+            denom_c, numer_c = denom.astype(complex), numer.astype(complex)
             for i, n in enumerate(range(b.start, b.stop)):
                 if bad[i]:
                     raise SolverError(
@@ -174,7 +180,7 @@ class SchemeContext:
                         f"step {n}; the time step violates the existence bound",
                         step=n,
                     )
-                yield StepRow(denom[i], numer[i], self.c_phi[n], self.c_psi[n])
+                yield StepRow(denom_c[i], numer_c[i], self.c_phi[n], self.c_psi[n])
 
     def steps(self, n0: int, n1: int):
         """StepCoefficients of steps n0..n1-1: rows() with the radius and operator coefficients."""
@@ -195,7 +201,7 @@ class _Workspace:
     no array.  v_prev, vn and v_next hold V^{n-1}, V^n and V^{n+1}, X and
     X_next the rfft spectra of V^n and V^{n+1}; rotate() advances them a step.
     pb holds b = V^n + Vhat and pw the sweep's stencil operand, each padded
-    by _pad.
+    by _pad.  inv_J is the irfft normalization 1/J.
     """
 
     def __init__(self, J: int):
@@ -205,6 +211,7 @@ class _Workspace:
         self.psi_b = (np.empty(J), np.empty(J), np.empty(J))
         self.pb, self.pw = np.empty(J + 2), np.empty(J + 2)
         self.X, self.X_next, self.base = (np.empty(J // 2 + 1, dtype=complex) for _ in range(3))
+        self.inv_J = 1.0 / J
 
     def rotate(self):
         self.v_prev, self.vn, self.v_next = self.vn, self.v_next, self.v_prev
@@ -215,16 +222,22 @@ class _Workspace:
 # values) out, in ws.X_next and ws.v_next.  sc is a StepRow or a
 # StepCoefficients.  run() chains them on its own workspace; the public step
 # functions wrap them, each call on a fresh one.
+#
+# _rfft and _irfft are the pocketfft ufuncs behind np.fft.rfft and irfft
+# (rfft_n_even, since GridSpec makes J even), called without np.fft's Python
+# wrapper, whose per-call cost at J = 256 is as large as the call itself.
+# Both write through out=, and _irfft scales by 1/J as np.fft.irfft does, so
+# the results are bit-identical.
 
 
 def _solve(base, nl, sc, ws: _Workspace):
     """(base + rfft(nl)) / denom and its values; base = numer * X is fixed over a step."""
-    X_next = np.fft.rfft(nl, out=ws.X_next)
+    X_next = _rfft(nl, 1.0, out=ws.X_next)
     # The quadratic stencils telescope to zero mean; drop their roundoff there.
     X_next[0] = 0.0
     X_next += base
     X_next /= sc.denom
-    return X_next, np.fft.irfft(X_next, n=nl.size, out=ws.v_next)
+    return X_next, _irfft(X_next, ws.inv_J, out=ws.v_next)
 
 
 def _first_step(pq, base, sc, ws: _Workspace | None = None):
@@ -446,7 +459,7 @@ def run(
 
     ws = _Workspace(grid.J)
     ws.vn[:] = v0.values
-    np.fft.rfft(ws.vn, out=ws.X)
+    _rfft(ws.vn, 1.0, out=ws.X)
     S[0] = h * ws.X[0].real
     Q[0] = pw_linear_square_integral(ws.vn, h)
 

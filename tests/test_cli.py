@@ -696,6 +696,34 @@ def test_stability_map_needs_m_max_two(tmp_path, capsys, m_max):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("rmax", ["inf", "1e200", "1e100", "1e-310"])
+def test_stability_map_rejects_radii_with_non_finite_curves(tmp_path, capsys, rmax):
+    # inf fails the flag check; 1e200 and 1e100 overflow delta_m or lambda_m
+    # and 1e-310 underflows R^4, each a config error before any output
+    out = tmp_path / "map"
+    argv = ["stability-map", "--config", str(write_config(tmp_path)), "--out", str(out),
+            "--rmax", rmax, "--samples", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: stability-map:")
+    assert "Traceback" not in err
+    if rmax != "inf":
+        assert "not finite at R = " in err
+    assert not out.exists()
+
+
+def test_infinite_reference_tol_is_a_config_error(tmp_path, capsys):
+    # inf passes "> 0" but would accept every reference step after one sweep
+    cfg_path = write_config(tmp_path, GOOD_CONFIG + "[solver]\nreference_tol = inf\n")
+    out = tmp_path / "eoc"
+    assert main(["eoc", "--config", str(cfg_path), "--out", str(out), "--levels", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solver.reference_tol: must be finite")
+    assert not out.exists()
+
 # --- v0_method = centered ----------------------------------------------------
 
 CENTERED = "\n[solver]\nv0_method = centered\n"

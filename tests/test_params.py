@@ -37,3 +37,10 @@ def test_model_params_refuse_non_finite_fields(name, value):
     with pytest.raises(FieldErrors) as exc:
         ModelParams(**fields)
     assert exc.value.problems == [(name, f"must be finite, got {value}")]
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_reference_tol_must_be_finite(tol):
+    with pytest.raises(FieldErrors) as exc:
+        SolverConfig(reference_tol=tol)
+    assert exc.value.problems == [("reference_tol", f"must be finite, got {tol}")]

@@ -10,13 +10,17 @@ from ksring.field import (
     pw_linear_square_integral,
     sample_cosine_sum_dsigma,
 )
-from ksring.operators import phi, psi
+from ksring.operators import LinearOperatorCoefficients, _symbol, phi, psi
 from ksring.params import ModelParams, SolverConfig, TimeGrid
 from ksring.radius import RadiusLaw
+import ksring.solver as solver
 from ksring.solver import (
     SchemeContext,
     SolverError,
+    _Workspace,
+    _irfft,
     _newton_step,
+    _rfft,
     check_admissibility,
     cn_residual,
     cn_step,
@@ -643,3 +647,126 @@ def test_run_rejects_a_radius_law_of_other_params():
     with pytest.raises(ValueError, match="radius law"):
         run(SLOW, tg, g, SolverConfig(), v0, law=other)
     assert run(SLOW, tg, g, SolverConfig(), v0, law=RadiusLaw(SLOW)).R_nodes[0] == SLOW.R0
+
+
+# --- direct pocketfft transforms and complex denominators --------------------
+
+
+def signed_zero_values(shape, seed):
+    """Random values with every 7th entry -0.0 and every 11th from the 3rd +0.0."""
+    x = np.random.default_rng(seed).standard_normal(shape)
+    x[..., ::7] = -0.0
+    x[..., 3::11] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("J", [8, 64, 256, 2048, 4096])
+def test_direct_transforms_match_np_fft_bitwise(J):
+    x = signed_zero_values(J, J)
+    assert np.any((x == 0.0) & np.signbit(x))
+    X = _rfft(x, 1.0, out=np.empty(J // 2 + 1, dtype=complex))
+    assert np.array_equal(X.view(np.int64), np.fft.rfft(x).view(np.int64))
+
+    Y = X.copy()
+    Y.real[::3] = -0.0
+    Y.imag[1::4] = -0.0
+    inv_J = _Workspace(J).inv_J
+    assert inv_J == np.reciprocal(J, dtype=float)
+    y = _irfft(Y, inv_J, out=np.empty(J))
+    assert np.array_equal(bits(y), bits(np.fft.irfft(Y, n=J)))
+
+
+@pytest.mark.parametrize("J", [64, 256, 2048])
+def test_direct_transforms_match_np_fft_on_rows(J):
+    # a (members, J) batch transforms row by row with the bits of single calls
+    x = signed_zero_values((5, J), J + 1)
+    X = _rfft(x, 1.0, out=np.empty((5, J // 2 + 1), dtype=complex))
+    y = _irfft(X, 1.0 / J, out=np.empty((5, J)))
+    for i in range(5):
+        Xi = np.fft.rfft(x[i])
+        assert np.array_equal(X[i].view(np.int64), Xi.view(np.int64))
+        assert np.array_equal(bits(y[i]), bits(np.fft.irfft(Xi, n=J)))
+
+
+def test_direct_rfft_raises_on_overflow_like_np_fft():
+    x = np.full(64, 1e308)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            np.fft.rfft(x)
+        with pytest.raises(FloatingPointError):
+            _rfft(x, 1.0, out=np.empty(33, dtype=complex))
+
+
+def test_run_calls_the_module_transforms(monkeypatch):
+    # _solve and run() read _rfft and _irfft from the module at call time, so
+    # a wrapper sees every transform: 1 + 1 + 3 (N - 1) rfft calls with jn = 3.
+    calls = {"rfft": 0, "irfft": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "_rfft", counted("rfft", _rfft))
+    monkeypatch.setattr(solver, "_irfft", counted("irfft", _irfft))
+    g, N = GridSpec(32), 6
+    run(SLOW, TimeGrid(k=0.01, N=N), g, SolverConfig(newton_iters=3),
+        sample_cosine_sum_dsigma(g, [(0.01, 2)]))
+    assert calls == {"rfft": 2 + 3 * (N - 1), "irfft": 1 + 3 * (N - 1)}
+
+
+def test_run_reports_transform_overflow_at_its_step(monkeypatch):
+    # the 6th rfft call (after run()'s initial one and the first two steps'
+    # four) sweeps step n = 2, so the overflow fails the run at step m = 3
+    calls = []
+
+    def overflowing(x, fct, out):
+        calls.append(1)
+        if len(calls) == 6:
+            x = np.full_like(x, 1e308)
+        return _rfft(x, fct, out=out)
+
+    monkeypatch.setattr(solver, "_rfft", overflowing)
+    g = GridSpec(32)
+    with pytest.raises(SolverError, match="floating point failure") as err:
+        run(SLOW, TimeGrid(k=0.01, N=6), g, SolverConfig(),
+            sample_cosine_sum_dsigma(g, [(0.01, 2)]))
+    assert err.value.step == 3
+
+
+def real_rows(ctx, n):
+    """1/k +- mu/2 at step n, from the scalar coefficients of that step."""
+    coeffs = LinearOperatorCoefficients(ctx.c4[n], ctx.c2[n], ctx.c0[n])
+    half_mu = 0.5 * _symbol(coeffs, ctx.s, ctx.s2)
+    inv_k = 1.0 / ctx.tgrid.k
+    return inv_k + half_mu, inv_k - half_mu
+
+
+@pytest.mark.parametrize("J", [64, 1024])
+def test_rows_yield_complex_denominators_of_the_real_formulas(J):
+    tg = TimeGrid(k=0.01, N=40)
+    ctx = SchemeContext(SLOW, tg, GridSpec(J))
+    rows = list(ctx.rows(0, tg.N))
+    assert len(rows) == tg.N
+    for n, row in enumerate(rows):
+        for got, expected in zip((row.denom, row.numer), real_rows(ctx, n)):
+            assert got.dtype == np.complex128 and got.shape == (J // 2 + 1,)
+            assert np.array_equal(bits(got.real), bits(expected))
+            assert np.array_equal(bits(got.imag), bits(np.zeros_like(expected)))
+
+
+def test_rows_check_real_denominators_before_the_cast():
+    # the non-positive denominator case of the run test above, through rows()
+    p = ModelParams(delta=0.1, alpha=1.5, v_c=0.001, R0=2.0)
+    tg = TimeGrid(k=3.26, N=10)
+    ctx = SchemeContext(p, tg, GridSpec(32))
+    n0 = next(n for n in range(tg.N) if real_rows(ctx, n)[0].min() <= 0.0)
+    mode = int(np.argmin(real_rows(ctx, n0)[0]))
+    rows = ctx.rows(0, tg.N)
+    for _ in range(n0):
+        assert next(rows).denom.dtype == np.complex128
+    with pytest.raises(SolverError, match=f"at mode {mode}, step {n0};") as err:
+        next(rows)
+    assert err.value.step == n0
