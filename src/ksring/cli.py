@@ -23,13 +23,14 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, checked, load_config
 from .experiments import eoc_ladder, wavenumber_suite
-from .params import ModelParams, SolverConfig
+from .params import ModelParams
 from .radius import RadiusLaw
 from .reconstruct import mean_I_path, reconstruct_u, curve_points
 from .solver import AdmissibilityReport, SolverError, Trajectory, check_admissibility, run
@@ -132,7 +133,7 @@ def emit_run_outputs(
     report = {
         "params": cfg.to_dict()["model"] | {"R0": cfg.params.R0},
         "grid": cfg.to_dict()["grid"] | {"N": N},
-        "solver": {"method": traj.method, "jn": cfg.jn, "v0_method": cfg.v0_method},
+        "solver": {"method": traj.method, "jn": cfg.solver.newton_iters, "v0_method": cfg.v0_method},
         "admissibility": _admissibility_dict(admissibility),
         "max_abs_mean": float(np.max(np.abs(traj.S))),
         "wall_time_seconds": solve_s,
@@ -158,7 +159,7 @@ def emit_run_outputs(
     return report
 
 
-def cmd_run(cfg: RunConfig, out: Path, jn: int | None = None, force: bool = False) -> dict:
+def cmd_run(cfg: RunConfig, out: Path, force: bool = False) -> dict:
     law = RadiusLaw(cfg.params)
     admissibility = check_admissibility(cfg.params, cfg.tgrid, law)
     if not admissibility.passed:
@@ -167,16 +168,16 @@ def cmd_run(cfg: RunConfig, out: Path, jn: int | None = None, force: bool = Fals
         print("warning: admissibility failed, continuing because of --force", file=sys.stderr)
     t0 = time.perf_counter()
     traj = run(
-        cfg.params, cfg.tgrid, cfg.grid, cfg.solver_config(jn), cfg.initial_v(),
+        cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(),
         law=law, method="newton", store_stride=cfg.stride, require_admissible=not force,
     )
     solve_s = time.perf_counter() - t0
     return emit_run_outputs(cfg, traj, admissibility, out, solve_s)
 
 
-def cmd_eoc(cfg: RunConfig, out: Path, levels: int = 3, jn: int | None = None) -> dict:
+def cmd_eoc(cfg: RunConfig, out: Path, levels: int = 3) -> dict:
     t0 = time.perf_counter()
-    ladder = eoc_ladder(cfg, levels=levels, jn=jn)
+    ladder = eoc_ladder(cfg, levels=levels)
     wall = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
@@ -253,7 +254,7 @@ def cmd_wavenumber_suite(out: Path, jn: int = 3) -> dict:
     rows = wavenumber_suite(jn=jn)
     wall = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
-    report = {"rows": rows, "wall_time_seconds": wall, "all_pass": all(r["pass"] for r in rows)}
+    report = {"rows": rows, "jn": jn, "wall_time_seconds": wall, "all_pass": all(r["pass"] for r in rows)}
     _write_json(out / "wavenumber_suite.json", report)
     print(f"{'R0':>5} {'modes':>14} {'unstable':>18} {'pred':>5} {'meas':>5} {'pass':>5}")
     for r in rows:
@@ -302,22 +303,21 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         raise
     try:
-        if getattr(args, "jn", None) is not None:
-            checked(SolverConfig, newton_iters=args.jn)
         if args.command == "wavenumber-suite":
-            out = resolve_out_dir(args.out, None)
-            cmd_wavenumber_suite(out, jn=args.jn)
+            cmd_wavenumber_suite(resolve_out_dir(args.out, None), jn=args.jn)
             return 0
         cfg = load_config(args.config)
+        if getattr(args, "jn", None) is not None:
+            cfg = replace(cfg, solver=checked(replace, cfg.solver, newton_iters=args.jn))
         out = resolve_out_dir(args.out, cfg.out_dir)
         if args.command == "run":
-            report = cmd_run(cfg, out, jn=args.jn, force=args.force)
+            report = cmd_run(cfg, out, force=args.force)
             print(
                 f"run complete: N={report['grid']['N']} steps, "
                 f"max |S_n| = {report['max_abs_mean']:.3e}, report {out / 'report.json'}"
             )
         elif args.command == "eoc":
-            report = cmd_eoc(cfg, out, levels=args.levels, jn=args.jn)
+            report = cmd_eoc(cfg, out, levels=args.levels)
             print(f"eoc_v per pair: {report['eoc']['eoc_v']}")
             print(f"eoc_u per pair: {report['eoc']['eoc_u']}")
         elif args.command == "stability-map":

@@ -64,15 +64,15 @@ KEYS = (
     Key("initial", "amplitudes", _list_of(float)),  # hashed as the (amplitude, mode) pairs
     Key("initial", "modes", _list_of(int), attr="modes"),
     Key("initial", "I0", float, 0.0, "I0"),
-    Key("solver", "jn", int, SolverConfig.newton_iters, "jn"),
+    Key("solver", "jn", int, SolverConfig.newton_iters, "solver.newton_iters"),
     Key("solver", "v0_method", str, "analytic", "v0_method"),
-    Key("solver", "reference_tol", float, SolverConfig.reference_tol, "reference_tol"),
+    Key("solver", "reference_tol", float, SolverConfig.reference_tol, "solver.reference_tol"),
     Key("output", "dir", str, None),
     Key("output", "stride", int, 1, "stride"),
     Key("output", "emit", _list_of(str.strip), EMIT_CHOICES, "emit"),
 )
-# The section.key a container field is read from, for error messages.
-QUALIFIED = {key.name: f"{key.section}.{key.name}" for key in KEYS} | {"newton_iters": "solver.jn"}
+# A container field (the last part of a key's attr) to its section.key, for error messages.
+QUALIFIED = {key.attr.rpartition(".")[2]: f"{key.section}.{key.name}" for key in KEYS if key.attr}
 
 
 def checked(make: Callable, *args, **kwargs):
@@ -91,15 +91,11 @@ class RunConfig:
     tgrid: TimeGrid
     modes: tuple[tuple[float, int], ...]
     I0: float
-    jn: int
+    solver: SolverConfig
     v0_method: str
-    reference_tol: float
     out_dir: str | None
     stride: int
     emit: tuple[str, ...]
-
-    def solver_config(self, jn: int | None = None) -> SolverConfig:
-        return SolverConfig(newton_iters=jn if jn is not None else self.jn, reference_tol=self.reference_tol)
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -195,10 +191,9 @@ def load_config(path: str | Path) -> RunConfig:
             problems += e.problems
     if problems:
         raise ConfigError(problems)
-    params, grid, tgrid, _ = built
+    params, grid, tgrid, solver = built
 
     return RunConfig(
-        params=params, grid=grid, tgrid=tgrid, modes=tuple(zip(amplitudes, modes)), I0=v["I0"], jn=v["jn"],
-        v0_method=v["v0_method"], reference_tol=v["reference_tol"], out_dir=v["dir"], stride=v["stride"],
-        emit=tuple(v["emit"]),
+        params=params, grid=grid, tgrid=tgrid, modes=tuple(zip(amplitudes, modes)), I0=v["I0"], solver=solver,
+        v0_method=v["v0_method"], out_dir=v["dir"], stride=v["stride"], emit=tuple(v["emit"]),
     )

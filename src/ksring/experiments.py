@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, checked
 from .field import GridSpec, PeriodicField, norm_h, sample_cosine_sum_dsigma
 from .params import ModelParams, SolverConfig, TimeGrid
 from .radius import RadiusLaw
@@ -54,7 +54,7 @@ def _subsampled_err(fine: np.ndarray, coarse: np.ndarray, h_coarse: float) -> fl
     return math.sqrt(h_coarse * float(np.dot(d, d)))
 
 
-def eoc_ladder(cfg: RunConfig, levels: int = 3, jn: int | None = None) -> EocReport:
+def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
     """Self-convergence ladder: J doubles and k = T/J at every level, errors
     measured at T against a reference at eight times the finest grid."""
     if levels < 3:
@@ -69,14 +69,13 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3, jn: int | None = None) -> EocRep
     if not adm.passed:
         raise ConfigError([f"eoc: coarsest level J = {Js[0]} fails admissibility: {adm}"])
 
-    solver_cfg = cfg.solver_config(jn)
     solve_s: dict[tuple[int, str], float] = {}
 
     def one_run(J: int, method: str, stride: int) -> Trajectory:
         tg = TimeGrid.from_horizon(T, T / J)
         v0 = replace(cfg, grid=GridSpec(J)).initial_v()
         t0 = time.perf_counter()
-        traj = run(cfg.params, tg, GridSpec(J), solver_cfg, v0, law=law, method=method, store_stride=stride)
+        traj = run(cfg.params, tg, GridSpec(J), cfg.solver, v0, law=law, method=method, store_stride=stride)
         solve_s[J, method] = time.perf_counter() - t0
         return traj
 
@@ -127,6 +126,7 @@ def wavenumber_suite(
     unstable set at R0, and equals the argmax growth rate mode whenever that
     mode carries nonzero initial amplitude.
     """
+    solver = checked(SolverConfig, newton_iters=jn)
     rows = []
     for R0, mode_set in SUITE_MODE_SETS.items():
         params = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=R0)
@@ -134,7 +134,7 @@ def wavenumber_suite(
         grid = GridSpec(J)
         pairs = tuple((SUITE_AMPLITUDE, m) for m in mode_set)
         v0 = sample_cosine_sum_dsigma(grid, pairs)
-        traj = run(params, tgrid, grid, SolverConfig(newton_iters=jn), v0, store_stride=tgrid.N)
+        traj = run(params, tgrid, grid, solver, v0, store_stride=tgrid.N)
         u_T = reconstruct_u(traj, 0.0, tgrid.N)
         measured = measured_dominant_mode(u_T)
         rep0 = spectral_report(R0, params, SPECTRAL_M_MAX)

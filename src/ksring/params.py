@@ -71,6 +71,7 @@ class TimeGrid:
 
     def __post_init__(self):
         require(
+            finite(self.k, "k"),
             (self.k > 0, "k", f"must be > 0, got {self.k}"),
             (self.N >= 1, "N", f"must be >= 1, got {self.N}"),
         )

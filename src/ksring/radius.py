@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import ModelParams, TimeGrid
+from .params import ModelParams
 
 
 def radius_rate(R, params: ModelParams):
@@ -26,8 +26,8 @@ def radius_rate(R, params: ModelParams):
 
 def _times(ts) -> np.ndarray:
     t = np.array(ts, dtype=float)
-    if t.ndim != 1 or (t < 0).any():
-        raise ValueError(f"times must be a sequence of values >= 0, got {ts}")
+    if t.ndim != 1 or not (np.isfinite(t) & (t >= 0)).all():
+        raise ValueError(f"times must be a sequence of finite values >= 0, got {ts}")
     return t
 
 
@@ -81,12 +81,6 @@ class RadiusLaw:
 
     def rate_at(self, t: float) -> float:
         return self.rate(self.radius_at(t))
-
-    def half_step(self, n: int, grid: TimeGrid) -> float:
-        """R at the half time t^n + k/2, for 0 <= n <= N-1."""
-        if not (0 <= n <= grid.N - 1):
-            raise ValueError(f"step index {n} outside 0..{grid.N - 1}")
-        return self.radius_at((n + 0.5) * grid.k)
 
 
 class FrozenRadiusLaw(RadiusLaw):

@@ -109,20 +109,9 @@ def check_admissibility(params: ModelParams, tgrid: TimeGrid, law: RadiusLaw) ->
     )
 
 
-class StepRow(NamedTuple):
-    """What the step kernels read of one step."""
-
-    denom: np.ndarray     # 1/k + mu/2, complex128
-    numer: np.ndarray     # 1/k - mu/2, complex128
-    c_phi: float          # v_c / (6 h R^2)
-    c_psi: float          # v_c / (24 h R^2)
-
-
 class StepCoefficients(NamedTuple):
-    """Everything the step from t^n to t^{n+1} needs at the half-step radius."""
+    """What the step kernels read of the step from t^n to t^{n+1}; R = R_{n+1/2}."""
 
-    R_half: float
-    coeffs: LinearOperatorCoefficients
     denom: np.ndarray     # 1/k + mu/2, complex128
     numer: np.ndarray     # 1/k - mu/2, complex128
     c_phi: float          # v_c / (6 h R^2)
@@ -159,7 +148,7 @@ class SchemeContext:
         self.c_psi = params.v_c / (24.0 * grid.h * R * R)
 
     def rows(self, n0: int, n1: int):
-        """StepRow of steps n0..n1-1, each array operation serving a block of steps.
+        """StepCoefficients of steps n0..n1-1, each array operation serving a block of steps.
 
         The denominators are checked as reals; denom and numer are then cast
         to complex once per block, so dividing or multiplying a spectrum by
@@ -180,18 +169,12 @@ class SchemeContext:
                         f"step {n}; the time step violates the existence bound",
                         step=n,
                     )
-                yield StepRow(denom_c[i], numer_c[i], self.c_phi[n], self.c_psi[n])
-
-    def steps(self, n0: int, n1: int):
-        """StepCoefficients of steps n0..n1-1: rows() with the radius and operator coefficients."""
-        for n, row in zip(range(n0, n1), self.rows(n0, n1)):
-            coeffs = LinearOperatorCoefficients(self.c4[n], self.c2[n], self.c0[n])
-            yield StepCoefficients(self.R_half[n], coeffs, *row)
+                yield StepCoefficients(denom_c[i], numer_c[i], self.c_phi[n], self.c_psi[n])
 
     def step_coefficients(self, n: int) -> StepCoefficients:
         if not (0 <= n < self.tgrid.N):
             raise ValueError(f"step index {n} outside 0..{self.tgrid.N - 1}")
-        return next(self.steps(n, n + 1))
+        return next(self.rows(n, n + 1))
 
 
 class _Workspace:
@@ -219,7 +202,7 @@ class _Workspace:
 
 
 # Step kernels: state as values and rfft spectrum X in, the next (spectrum,
-# values) out, in ws.X_next and ws.v_next.  sc is a StepRow or a
+# values) out, in ws.X_next and ws.v_next, with sc the step's
 # StepCoefficients.  run() chains them on its own workspace; the public step
 # functions wrap them, each call on a fresh one.
 #
@@ -240,27 +223,25 @@ def _solve(base, nl, sc, ws: _Workspace):
     return X_next, _irfft(X_next, ws.inv_J, out=ws.v_next)
 
 
-def _first_step(pq, base, sc, ws: _Workspace | None = None):
+def _first_step(pq, base, sc, ws: _Workspace):
     """Linear step with the quadratic term frozen at vq, given as pq = _pad(vq).
 
     With vq = V^n this is the scheme's first step; the reference step repeats
     it with vq the midpoint of V^n and the current iterate.
     """
     vq = pq[1:-1]
-    ws = _Workspace(vq.size) if ws is None else ws
     nl = _phi_values(vq, vq, ws.rhs, ws.tmp, pq)
     nl *= sc.c_phi
     return _solve(base, nl, sc, ws)
 
 
-def _reference_step(vn, X, sc, h: float, tol: float, n: int, ws: _Workspace | None = None):
+def _reference_step(vn, X, sc, h: float, tol: float, n: int, ws: _Workspace):
     """Midpoint fixed point sweeps to relative update tolerance tol.
 
     Each sweep solves the circulant system with the quadratic term taken at
     the previous midpoint iterate; the contraction factor is of order
     k * v_c * |v| / R^2, far below one for admissible steps.
     """
-    ws = _Workspace(vn.size) if ws is None else ws
     base = np.multiply(sc.numer, X, out=ws.base)
     vq = ws.pw[1:-1]
     w = vn
@@ -300,9 +281,8 @@ def _newton_sweep(base, psi_b, phi_bb, w, vhat, sc, ws: _Workspace):
     return _solve(base, nl, sc, ws)
 
 
-def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace | None = None):
+def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace):
     """j_n sweeps from W^0 = Vhat = 2 V^n - V^{n-1}; psi(b, W^0 - Vhat) = 0 in the first."""
-    ws = _Workspace(vn.size) if ws is None else ws
     vhat = np.multiply(2.0, vn, out=ws.vhat)
     vhat -= v_prev
     base, psi_b, phi_bb = _newton_setup(vn, vhat, X, sc, ws)
@@ -315,37 +295,41 @@ def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace | None = None):
 def solve_linear_cn(rhs: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
     """Solves ((1/k) Id + (1/2) L^{n+1/2}) X = rhs by Fourier diagonalization."""
     sc = ctx.step_coefficients(n)
-    x = np.fft.irfft(np.fft.rfft(rhs.values) / sc.denom, n=ctx.grid.J)
-    return PeriodicField(x, ctx.grid.h)
+    ws = _Workspace(ctx.grid.J)
+    X = _rfft(rhs.values, 1.0, out=ws.X)
+    X /= sc.denom
+    return PeriodicField(_irfft(X, ws.inv_J, out=ws.v_next), ctx.grid.h)
 
 
 def cn_residual(Vn: PeriodicField, Vnp1: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
     """Pointwise defect of (Vn, Vnp1) in the Crank-Nicolson scheme."""
-    sc = ctx.step_coefficients(n)
+    coeffs = LinearOperatorCoefficients(ctx.c4[n], ctx.c2[n], ctx.c0[n])
     k = ctx.tgrid.k
     h = ctx.grid.h
     vmid = 0.5 * (Vn.values + Vnp1.values)
     res = (
         (Vnp1.values - Vn.values) / k
-        + _apply_L_values(sc.coeffs, vmid, h)
-        - sc.c_phi * _phi_values(vmid, vmid)
+        + _apply_L_values(coeffs, vmid, h)
+        - ctx.c_phi[n] * _phi_values(vmid, vmid)
     )
     return PeriodicField(res, h)
 
 
-def cn_step(Vn: PeriodicField, n: int, ctx: SchemeContext, tol: float | None = None) -> PeriodicField:
-    """Reference step: iterates the midpoint fixed point to convergence."""
-    if tol is None:
-        tol = ctx.config.reference_tol
+def cn_step(Vn: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
+    """Reference step: iterates the midpoint fixed point to ctx.config.reference_tol."""
     sc = ctx.step_coefficients(n)
-    _, w = _reference_step(Vn.values, np.fft.rfft(Vn.values), sc, ctx.grid.h, tol, n)
+    ws = _Workspace(ctx.grid.J)
+    X = _rfft(Vn.values, 1.0, out=ws.X)
+    _, w = _reference_step(Vn.values, X, sc, ctx.grid.h, ctx.config.reference_tol, n, ws)
     return PeriodicField(w, ctx.grid.h)
 
 
 def newton_first_step(v0: PeriodicField, ctx: SchemeContext) -> PeriodicField:
     """Linear first step: quadratic term evaluated at the initial data."""
     sc = ctx.step_coefficients(0)
-    _, w = _first_step(_pad(v0.values), sc.numer * np.fft.rfft(v0.values), sc)
+    ws = _Workspace(ctx.grid.J)
+    base = np.multiply(sc.numer, _rfft(v0.values, 1.0, out=ws.X), out=ws.base)
+    _, w = _first_step(_pad(v0.values, out=ws.pw), base, sc, ws)
     return PeriodicField(w, ctx.grid.h)
 
 
@@ -364,7 +348,8 @@ def newton_iterate(
     """One sweep of the predictor-anchored linearization."""
     sc = ctx.step_coefficients(n)
     ws = _Workspace(ctx.grid.J)
-    base, psi_b, phi_bb = _newton_setup(Vn.values, Vhat.values, np.fft.rfft(Vn.values), sc, ws)
+    X = _rfft(Vn.values, 1.0, out=ws.X)
+    base, psi_b, phi_bb = _newton_setup(Vn.values, Vhat.values, X, sc, ws)
     _, w = _newton_sweep(base, psi_b, phi_bb, Wj.values, Vhat.values, sc, ws)
     return PeriodicField(w, ctx.grid.h)
 

@@ -55,9 +55,8 @@ def ladder_result():
         tgrid=TimeGrid.from_horizon(1.0, 1.0 / 64),
         modes=((0.5, 2),),
         I0=0.0,
-        jn=3,
+        solver=SolverConfig(newton_iters=3, reference_tol=1e-13),
         v0_method="analytic",
-        reference_tol=1e-13,
         out_dir=None,
         stride=1,
         emit=("v",),
@@ -148,7 +147,7 @@ def test_criterion_2_mean_recursion():
     S_closed = traj.S[0]
     worst = 0.0
     for n in range(N):
-        S_closed *= mean_step_factor(k, law.half_step(n, tg), SLOW.alpha)
+        S_closed *= mean_step_factor(k, law.radius_at((n + 0.5) * k), SLOW.alpha)
         worst = max(worst, abs(traj.S[n + 1] - S_closed) / abs(S_closed))
     zero = run(SLOW, tg, g, SolverConfig(), base, law=law, store_stride=N)
     zero_max = float(np.max(np.abs(zero.S)))

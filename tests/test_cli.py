@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -53,7 +54,7 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.tgrid.N == 50
     assert cfg.modes == ((0.1, 2), (0.1, 3))
     assert cfg.I0 == 0.0
-    assert cfg.jn == 3
+    assert cfg.solver.newton_iters == 3
     assert cfg.stride == 25
     assert set(cfg.emit) == {"v", "u", "curve", "means", "spectrum"}
 
@@ -160,7 +161,7 @@ def test_run_report_contents(tmp_path):
 
     cfg = load_config(cfg_path)
     traj = lib_run(
-        cfg.params, cfg.tgrid, cfg.grid, cfg.solver_config(), cfg.initial_v(),
+        cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(),
         law=RadiusLaw(cfg.params), store_stride=cfg.stride,
     )
     R_T = float(traj.R_nodes[cfg.tgrid.N])
@@ -183,7 +184,7 @@ def test_run_csv_values_round_trip_doubles(tmp_path):
 
     law = RadiusLaw(cfg.params)
     traj = lib_run(
-        cfg.params, cfg.tgrid, cfg.grid, cfg.solver_config(), cfg.initial_v(),
+        cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(),
         law=law, store_stride=cfg.stride,
     )
     np.testing.assert_array_equal(parsed[:, 2], traj.S)
@@ -303,6 +304,53 @@ def test_bad_solver_values_are_config_errors(tmp_path, capsys, edit, extra, key)
     err = capsys.readouterr().err
     assert f"config error: {key}" in err
     assert "Traceback" not in err
+
+
+def test_run_jn_flag_is_recorded_and_hashed(tmp_path):
+    # --jn is the run's sweep count: report.json says so, and config_hash
+    # is that of a config setting the same jn
+    cfg_path = write_config(tmp_path)
+    plain = tmp_path / "plain"
+    assert main(["run", "--config", str(cfg_path), "--out", str(plain)]) == 0
+    assert json.loads((plain / "report.json").read_text())["config_hash"] == load_config(cfg_path).config_hash()
+    reports = {}
+    for jn in (1, 5):
+        out = tmp_path / f"jn{jn}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--jn", str(jn)]) == 0
+        reports[jn] = json.loads((out / "report.json").read_text())
+        assert reports[jn]["solver"]["jn"] == jn
+    assert reports[1]["config_hash"] != reports[5]["config_hash"]
+    in_file = write_config(tmp_path, GOOD_CONFIG + "[solver]\njn = 5\n", "jn5.ini")
+    assert main(["run", "--config", str(in_file), "--out", str(tmp_path / "file5")]) == 0
+    assert reports[5]["config_hash"] == load_config(in_file).config_hash()
+    snapshot = "snapshot_50.csv"
+    assert (tmp_path / "jn5" / snapshot).read_bytes() == (tmp_path / "file5" / snapshot).read_bytes()
+
+
+def test_eoc_jn_flag_changes_the_config_hash(tmp_path):
+    cfg_path = write_config(tmp_path, GOOD_CONFIG.replace("J = 64", "J = 16"))
+    hashes = {}
+    for extra in ([], ["--jn", "2"]):
+        out = tmp_path / f"eoc{len(extra)}"
+        assert main(["eoc", "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+        hashes[tuple(extra)] = json.loads((out / "eoc.json").read_text())["config_hash"]
+    assert hashes[()] == load_config(cfg_path).config_hash()
+    assert hashes[("--jn", "2")] != hashes[()]
+
+
+def test_wavenumber_suite_records_its_jn(tmp_path, monkeypatch, capsys):
+    import ksring.cli
+
+    monkeypatch.setattr(ksring.cli, "wavenumber_suite", functools.partial(wavenumber_suite, J=64, k=0.05, T=2.0))
+    for extra, jn in (([], 3), (["--jn", "2"], 2)):
+        out = tmp_path / f"suite{jn}"
+        assert main(["wavenumber-suite", "--out", str(out), *extra]) == 0
+        assert json.loads((out / "wavenumber_suite.json").read_text())["jn"] == jn
+    capsys.readouterr()
+    out = tmp_path / "suite0"
+    assert main(["wavenumber-suite", "--out", str(out), "--jn", "0"]) == 1
+    assert capsys.readouterr().err.startswith("config error: solver.jn:")
+    assert not out.exists()
 
 
 def test_unknown_sections_and_keys_are_config_errors(tmp_path, capsys):
@@ -468,7 +516,7 @@ def test_run_csv_files_round_trip_bitwise(tmp_path):
     cmd_run(cfg, out)
     law = RadiusLaw(cfg.params)
     traj = lib_run(
-        cfg.params, cfg.tgrid, cfg.grid, cfg.solver_config(), cfg.initial_v(),
+        cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(),
         law=law, store_stride=cfg.stride,
     )
 

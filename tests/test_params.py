@@ -44,3 +44,10 @@ def test_reference_tol_must_be_finite(tol):
     with pytest.raises(FieldErrors) as exc:
         SolverConfig(reference_tol=tol)
     assert exc.value.problems == [("reference_tol", f"must be finite, got {tol}")]
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan])
+def test_time_step_must_be_finite(k):
+    with pytest.raises(FieldErrors) as exc:
+        TimeGrid(k=k, N=1)
+    assert exc.value.problems == [("k", f"must be finite, got {k}")]

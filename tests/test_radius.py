@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ksring.field import GridSpec
 from ksring.params import ModelParams, TimeGrid
 from ksring.radius import FrozenRadiusLaw, RadiusLaw, radius_rate
+from ksring.solver import SchemeContext
 
 SLOW = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
 FAST = ModelParams(delta=4.0, alpha=1.28, v_c=0.1, R0=60.0)
@@ -88,37 +90,44 @@ def test_negative_time_rejected():
         RadiusLaw(SLOW).radius_at(-1.0)
 
 
+@pytest.mark.parametrize("law_type", [RadiusLaw, FrozenRadiusLaw])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda law: law.radius_at(math.nan),
+        lambda law: law.radii([1.0, math.nan, 2.0]),
+        lambda law: law.radius_at(math.inf),
+    ],
+    ids=["nan", "nan_among_finite", "inf"],
+)
+def test_non_finite_time_rejected(law_type, call):
+    # no silent R0 for NaN, and no 200 Newton iterations towards R(inf)
+    with pytest.raises(ValueError, match="finite"):
+        call(law_type(SLOW))
+
+
 def test_half_step_between_nodes():
     law = RadiusLaw(SLOW)
     tg = TimeGrid(k=0.25, N=40)
+    ctx = SchemeContext(SLOW, tg, GridSpec(16), law=law)
     for n in [0, 7, 39]:
-        mid = law.half_step(n, tg)
+        mid = ctx.R_half[n]
         assert law.radius_at(n * tg.k) < mid < law.radius_at((n + 1) * tg.k)
-        assert mid == pytest.approx(law.radius_at((n + 0.5) * tg.k), rel=1e-14)
+        assert mid == law.radius_at((n + 0.5) * tg.k)
 
 
 def test_half_step_taylor():
     # R(k/2) = R0 + (k/2) rate(R0) + O(k^2)
     law = RadiusLaw(SLOW)
     k = 1e-4
-    tg = TimeGrid(k=k, N=10)
-    mid = law.half_step(0, tg)
+    mid = law.radius_at(0.5 * k)
     assert mid == pytest.approx(SLOW.R0 + 0.5 * k * law.rate(SLOW.R0), abs=1e-9)
-
-
-def test_half_step_range_checked():
-    law = RadiusLaw(SLOW)
-    tg = TimeGrid(k=0.25, N=40)
-    with pytest.raises(ValueError):
-        law.half_step(-1, tg)
-    with pytest.raises(ValueError):
-        law.half_step(40, tg)
 
 
 def test_frozen_law_keeps_radius():
     law = FrozenRadiusLaw(SLOW)
     assert law.radius_at(50.0) == SLOW.R0
-    assert law.half_step(3, TimeGrid(k=0.5, N=10)) == SLOW.R0
+    assert SchemeContext(SLOW, TimeGrid(k=0.5, N=10), GridSpec(16), law=law).R_half[3] == SLOW.R0
     # the rate stays the formula so reconstruction denominators remain finite
     assert law.rate_at(50.0) == radius_rate(SLOW.R0, SLOW)
 

@@ -77,15 +77,19 @@ def loop_psi(values_v, values_w):
     )
 
 
+def step_operator(ctx, n):
+    # the operator coefficients of step n, from the context's tables
+    return LinearOperatorCoefficients(ctx.c4[n], ctx.c2[n], ctx.c0[n])
+
+
 def dense_cn_matrix(ctx, n):
     # (1/k) Id + (1/2) L assembled column by column from the loop stencil
-    sc = ctx.step_coefficients(n)
     J, h, k = ctx.grid.J, ctx.grid.h, ctx.tgrid.k
     A = np.zeros((J, J))
     for j in range(J):
         e = np.zeros(J)
         e[j] = 1.0
-        A[:, j] = 0.5 * loop_L(e, sc.coeffs, h)
+        A[:, j] = 0.5 * loop_L(e, step_operator(ctx, n), h)
     A += np.eye(J) / k
     return A
 
@@ -139,7 +143,7 @@ def test_cn_residual_matches_loop_assembly():
     mid = 0.5 * (Vn.values + Vnp1.values)
     expected = (
         (Vnp1.values - Vn.values) / ctx.tgrid.k
-        + loop_L(mid, sc.coeffs, ctx.grid.h)
+        + loop_L(mid, step_operator(ctx, 0), ctx.grid.h)
         - sc.c_phi * loop_phi(mid, mid)
     )
     got = cn_residual(Vn, Vnp1, 0, ctx).values
@@ -173,7 +177,7 @@ def test_first_step_matches_dense_solve():
     v0 = random_field(8, 3, scale=0.1)
     nl = sc.c_phi * loop_phi(v0.values, v0.values)
     nl -= nl.mean()  # the stepper drops the roundoff mean of the stencil
-    rhs = v0.values / ctx.tgrid.k - 0.5 * loop_L(v0.values, sc.coeffs, ctx.grid.h) + nl
+    rhs = v0.values / ctx.tgrid.k - 0.5 * loop_L(v0.values, step_operator(ctx, 0), ctx.grid.h) + nl
     expected = np.linalg.solve(dense_cn_matrix(ctx, 0), rhs)
     got = newton_first_step(v0, ctx).values
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
@@ -195,7 +199,7 @@ def test_newton_iterate_matches_dense_solve():
     b = Vn.values + Vhat.values
     nl = sc.c_psi * (loop_psi(b, Wj.values - Vhat.values) + loop_phi(b, b))
     nl -= nl.mean()
-    rhs = Vn.values / ctx.tgrid.k - 0.5 * loop_L(Vn.values, sc.coeffs, ctx.grid.h) + nl
+    rhs = Vn.values / ctx.tgrid.k - 0.5 * loop_L(Vn.values, step_operator(ctx, n), ctx.grid.h) + nl
     expected = np.linalg.solve(dense_cn_matrix(ctx, n), rhs)
     got = newton_iterate(Vn, Vhat, Wj, n, ctx).values
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
@@ -239,7 +243,7 @@ def test_mean_recursion_with_nonzero_start():
         traj = run(SLOW, TimeGrid(k=k, N=N), g, SolverConfig(), v0, law=law)
     S_expected = traj.S[0]
     for n in range(N):
-        R_half = law.half_step(n, traj.tgrid)
+        R_half = law.radius_at((n + 0.5) * k)
         S_expected *= mean_step_factor(k, R_half, SLOW.alpha)
         assert traj.S[n + 1] == pytest.approx(S_expected, rel=1e-12)
 
@@ -336,11 +340,20 @@ def test_context_rejects_sign_flipped_denominator():
 
 
 def test_step_coefficients_read_radius_tables():
+    # R_half is the one half-step radius, bitwise the law at (n + 1/2) k for
+    # every n, and each row's c_phi and c_psi derive from it.  At J = 1024 a
+    # block of rows() holds 3 steps, so the 40 steps span 14 blocks.
     law = RadiusLaw(SLOW)
     tg = TimeGrid(k=0.25, N=40)
-    ctx = SchemeContext(SLOW, tg, GridSpec(16), law=law)
-    for n in (0, 17, 39):
-        assert ctx.step_coefficients(n).R_half == law.half_step(n, tg)
+    g = GridSpec(1024)
+    ctx = SchemeContext(SLOW, tg, g, law=law)
+    rows = list(ctx.rows(0, tg.N))
+    assert len(rows) == tg.N
+    for n, sc in enumerate(rows):
+        R = law.radius_at((n + 0.5) * tg.k)
+        assert ctx.R_half[n] == R
+        assert sc.c_phi == SLOW.v_c / (6.0 * g.h * R * R)
+        assert sc.c_psi == SLOW.v_c / (24.0 * g.h * R * R)
     assert ctx.R_nodes[40] == law.radius_at(tg.T)
     for n in (-1, 40):
         with pytest.raises(ValueError):
@@ -352,12 +365,11 @@ def test_steps_match_step_coefficients_across_blocks():
     # a block holds a few steps, so 20 steps cross several block boundaries.
     tg = TimeGrid(k=0.01, N=20)
     ctx = SchemeContext(SLOW, tg, GridSpec(1024))
-    blocks = list(ctx.steps(0, tg.N))
+    blocks = list(ctx.rows(0, tg.N))
     assert len(blocks) == tg.N
     for n, sc in enumerate(blocks):
         one = ctx.step_coefficients(n)
-        assert sc.R_half == one.R_half == ctx.R_half[n]
-        assert sc.coeffs == one.coeffs and (sc.c_phi, sc.c_psi) == (one.c_phi, one.c_psi)
+        assert (sc.c_phi, sc.c_psi) == (one.c_phi, one.c_psi)
         for name in ("denom", "numer"):
             a, b = getattr(sc, name), getattr(one, name)
             assert a.shape == (513,) and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -533,7 +545,7 @@ def test_step_functions_return_arrays_later_calls_leave_alone():
     calls = (
         lambda a, b: cn_step(a, 3, ctx).values,
         lambda a, b: newton_iterate(a, b, b, 3, ctx).values,
-        lambda a, b: _newton_step(a.values, np.fft.rfft(a.values), b.values, sc, 3)[1],
+        lambda a, b: _newton_step(a.values, np.fft.rfft(a.values), b.values, sc, 3, _Workspace(16))[1],
     )
     for call in calls:
         first = call(U, V)
@@ -577,7 +589,7 @@ def test_run_fails_at_first_non_positive_denominator():
     s = (4.0 / g.h**2) * np.sin(m * g.h / 2.0) ** 2
 
     def min_denom(n):
-        R = law.half_step(n, tg)
+        R = law.radius_at((n + 0.5) * tg.k)
         mu = (p.delta / R**4) * s * s - ((a + p.delta / R**2) / R**2) * s + a / R**2
         return float(np.min(1.0 / tg.k + 0.5 * mu))
 
@@ -618,14 +630,14 @@ def test_psi_free_first_sweep_equals_generic_sweep():
 
     sc = ctx.step_coefficients(n)
     X = np.fft.rfft(Vn.values)
-    _, first = _newton_step(Vn.values, X, Vprev.values, sc, 1)
+    _, first = _newton_step(Vn.values, X, Vprev.values, sc, 1, _Workspace(16))
     assert np.array_equal(bits(first), bits(newton_iterate(Vn, Vhat, Vhat, n, ctx).values))
 
     # and the later sweeps are the public ones
     W = Vhat
     for _ in range(3):
         W = newton_iterate(Vn, Vhat, W, n, ctx)
-    _, last = _newton_step(Vn.values, X, Vprev.values, sc, 3)
+    _, last = _newton_step(Vn.values, X, Vprev.values, sc, 3, _Workspace(16))
     assert np.array_equal(bits(last), bits(W.values))
 
 
