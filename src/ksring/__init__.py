@@ -6,66 +6,36 @@ from .field import (
     GridSpec,
     PeriodicField,
     centered_difference,
-    inner_h,
     mode_amplitudes,
     norm_h,
     sample_cosine_sum,
     sample_cosine_sum_dsigma,
-    seminorm_1h,
-    seminorm_2h,
     zeros,
 )
-from .operators import (
-    LinearOperatorCoefficients,
-    apply_L,
-    bilaplacian_h,
-    laplacian_h,
-    modal_symbol,
-    phi,
-    psi,
-    symbol_array,
-)
+from .operators import LinearOperatorCoefficients, modal_symbol, phi, psi
 from .params import ModelParams, SolverConfig, TimeGrid
-from .radius import FrozenRadiusLaw, RadiusLaw, radius_rate
-from .reconstruct import (
-    curve_points,
-    cumulative_v,
-    interp_v,
-    mean_I,
-    mean_I_path,
-    reconstruct_u,
-    v_squared_integral,
-)
+from .radius import RadiusLaw, radius_rate
+from .reconstruct import curve_points, mean_I, mean_I_path, reconstruct_u
 from .solver import (
     AdmissibilityReport,
     SchemeContext,
     SolverError,
     Trajectory,
     check_admissibility,
-    cn_residual,
-    cn_step,
-    extrapolate,
-    mean_step_factor,
-    newton_first_step,
-    newton_iterate,
     run,
-    solve_linear_cn,
 )
 from .stability import (
     SpectralReport,
     critical_radius,
     galerkin_rhs,
-    integrate_modes,
     lambda_m,
     measured_dominant_mode,
-    modes_from_cosines,
     neutral_delta,
     spectral_report,
 )
 
 __all__ = [
     "AdmissibilityReport",
-    "FrozenRadiusLaw",
     "GridSpec",
     "LinearOperatorCoefficients",
     "ModelParams",
@@ -77,32 +47,18 @@ __all__ = [
     "SpectralReport",
     "TimeGrid",
     "Trajectory",
-    "apply_L",
-    "bilaplacian_h",
     "centered_difference",
     "check_admissibility",
-    "cn_residual",
-    "cn_step",
     "critical_radius",
-    "cumulative_v",
     "curve_points",
-    "extrapolate",
     "galerkin_rhs",
-    "inner_h",
-    "integrate_modes",
-    "interp_v",
     "lambda_m",
-    "laplacian_h",
     "mean_I",
     "mean_I_path",
-    "mean_step_factor",
     "measured_dominant_mode",
     "modal_symbol",
     "mode_amplitudes",
-    "modes_from_cosines",
     "neutral_delta",
-    "newton_first_step",
-    "newton_iterate",
     "norm_h",
     "phi",
     "psi",
@@ -111,12 +67,7 @@ __all__ = [
     "run",
     "sample_cosine_sum",
     "sample_cosine_sum_dsigma",
-    "seminorm_1h",
-    "seminorm_2h",
-    "solve_linear_cn",
     "spectral_report",
-    "symbol_array",
-    "v_squared_integral",
     "zeros",
 ]
 

@@ -70,11 +70,12 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        require(
-            finite(self.k, "k"),
-            (self.k > 0, "k", f"must be > 0, got {self.k}"),
-            (self.N >= 1, "N", f"must be >= 1, got {self.N}"),
-        )
+        require(*self._step_checks(self.k), (self.N >= 1, "N", f"must be >= 1, got {self.N}"))
+
+    @staticmethod
+    def _step_checks(k: float) -> tuple[tuple[bool, str, str], ...]:
+        """The require checks of the time step k."""
+        return finite(k, "k"), (k > 0, "k", f"must be > 0, got {k}")
 
     @property
     def T(self) -> float:
@@ -82,8 +83,11 @@ class TimeGrid:
 
     @classmethod
     def from_horizon(cls, T: float, k: float) -> "TimeGrid":
-        """The grid with N = T/k steps; T must be a positive multiple of k."""
-        require((T > 0, "T", f"must be > 0, got {T}"), (k > 0, "k", f"must be > 0, got {k}"))
+        """The grid with N = T/k steps; T must be a finite positive multiple of k.
+
+        k is held to the grid's own checks here, before N is derived, so a bad
+        k is named as such and never as a T that is no multiple of it."""
+        require(finite(T, "T"), (T > 0, "T", f"must be > 0, got {T}"), *cls._step_checks(k))
         N = round(T / k) if math.isfinite(T / k) else 0
         multiple = N >= 1 and abs(N * k - T) <= 1e-12 * max(1.0, T)
         require((multiple, "T", f"must be an integer multiple of k, got T={T}, k={k}"))

@@ -29,6 +29,11 @@ drivers are provided:
     psi(W, V-W) + phi(V-W, V-W) makes each sweep a Newton-type correction
     with the quadratic remainder anchored at the predictor.
 
+Step one, every reference sweep and the first Newton sweep (where
+psi(b, W^0 - Vhat) = 0) are one solve: the quadratic term frozen at
+b = V^n + w, as (v_c/(24 h R^2)) phi(b, b), with w = V^n, the current
+iterate or Vhat.
+
 All linear systems share the matrix (1/k) Id + (1/2) L, symmetric circulant,
 and are solved exactly by discrete Fourier diagonalization: mode m is divided
 by 1/k + mu_m/2 with mu_m the symbol of L.  Summing the scheme over the grid
@@ -52,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
-from .field import GridSpec, PeriodicField, _pad, _wrap, norm_h, pw_linear_square_integral
+from .field import GridSpec, PeriodicField, _wrap, norm_h, pw_linear_square_integral
 from .operators import (
     LinearOperatorCoefficients,
     _apply_L_values,
@@ -183,8 +188,8 @@ class _Workspace:
     run() makes one and every step and sweep reuses it, so a step allocates
     no array.  v_prev, vn and v_next hold V^{n-1}, V^n and V^{n+1}, X and
     X_next the rfft spectra of V^n and V^{n+1}; rotate() advances them a step.
-    pb holds b = V^n + Vhat and pw the sweep's stencil operand, each padded
-    by _pad.  inv_J is the irfft normalization 1/J.
+    pb holds the frozen sweep's b = V^n + w and pw the Newton sweep's
+    W^j - Vhat, each padded by _pad.  inv_J is the irfft normalization 1/J.
     """
 
     def __init__(self, J: int):
@@ -223,16 +228,20 @@ def _solve(base, nl, sc, ws: _Workspace):
     return X_next, _irfft(X_next, ws.inv_J, out=ws.v_next)
 
 
-def _first_step(pq, base, sc, ws: _Workspace):
-    """Linear step with the quadratic term frozen at vq, given as pq = _pad(vq).
+def _frozen_sweep(vn, w, base, sc, ws: _Workspace):
+    """Linear step with the quadratic term frozen at b = V^n + w:
+    c_psi phi(b, b), with b left padded in ws.pb and phi(b, b) in ws.phi_bb.
 
-    With vq = V^n this is the scheme's first step; the reference step repeats
-    it with vq the midpoint of V^n and the current iterate.
+    b is twice the midpoint (V^n + w)/2, phi(b, b) four times its phi and
+    c_psi a quarter of c_phi, each scaling by a power of two, so this is the
+    midpoint form c_phi phi(vq, vq) bit for bit unless an intermediate
+    underflows to a subnormal or overflows.  With w = V^n it is the scheme's
+    first step, with w the current iterate a reference sweep, and with
+    w = Vhat the first Newton sweep, where psi(b, W^0 - Vhat) = 0.
     """
-    vq = pq[1:-1]
-    nl = _phi_values(vq, vq, ws.rhs, ws.tmp, pq)
-    nl *= sc.c_phi
-    return _solve(base, nl, sc, ws)
+    b = np.add(vn, w, out=ws.pb[1:-1])
+    phi_bb = _phi_values(b, b, ws.phi_bb, ws.tmp, _wrap(ws.pb))
+    return _solve(base, np.multiply(sc.c_psi, phi_bb, out=ws.rhs), sc, ws)
 
 
 def _reference_step(vn, X, sc, h: float, tol: float, n: int, ws: _Workspace):
@@ -243,14 +252,11 @@ def _reference_step(vn, X, sc, h: float, tol: float, n: int, ws: _Workspace):
     k * v_c * |v| / R^2, far below one for admissible steps.
     """
     base = np.multiply(sc.numer, X, out=ws.base)
-    vq = ws.pw[1:-1]
     w = vn
     for _ in range(50):
-        np.add(vn, w, out=vq)
-        vq *= 0.5
         if w is ws.v_next:  # keep the iterate; this step reads no V^{n-1}, so sweep into its buffer
             ws.v_prev, ws.v_next = ws.v_next, ws.v_prev
-        X_next, w_next = _first_step(_wrap(ws.pw), base, sc, ws)
+        X_next, w_next = _frozen_sweep(vn, w, base, sc, ws)
         delta = np.subtract(w_next, w, out=ws.tmp)
         w = w_next
         if math.sqrt(h * float(np.dot(delta, delta))) <= tol * max(
@@ -258,18 +264,6 @@ def _reference_step(vn, X, sc, h: float, tol: float, n: int, ws: _Workspace):
         ):
             return X_next, w
     raise SolverError(f"reference step {n} did not converge in 50 sweeps", step=n)
-
-
-def _newton_setup(vn, vhat, X, sc, ws: _Workspace):
-    """base = numer * X, psi_coefficients(b) and phi(b, b) with b = V^n + Vhat,
-    fixed over the j_n sweeps of a step."""
-    b = np.add(vn, vhat, out=ws.pb[1:-1])
-    pb = _wrap(ws.pb)
-    return (
-        np.multiply(sc.numer, X, out=ws.base),
-        psi_coefficients(b, ws.psi_b, pb),
-        _phi_values(b, b, ws.phi_bb, ws.tmp, pb),
-    )
 
 
 def _newton_sweep(base, psi_b, phi_bb, w, vhat, sc, ws: _Workspace):
@@ -282,13 +276,17 @@ def _newton_sweep(base, psi_b, phi_bb, w, vhat, sc, ws: _Workspace):
 
 
 def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace):
-    """j_n sweeps from W^0 = Vhat = 2 V^n - V^{n-1}; psi(b, W^0 - Vhat) = 0 in the first."""
+    """j_n sweeps from W^0 = Vhat = 2 V^n - V^{n-1}, the first a frozen sweep.
+
+    With v_prev = V^n, Vhat = V^n exactly and one sweep is the first step."""
     vhat = np.multiply(2.0, vn, out=ws.vhat)
     vhat -= v_prev
-    base, psi_b, phi_bb = _newton_setup(vn, vhat, X, sc, ws)
-    X_next, w = _solve(base, np.multiply(sc.c_psi, phi_bb, out=ws.rhs), sc, ws)
-    for _ in range(j_n - 1):
-        X_next, w = _newton_sweep(base, psi_b, phi_bb, w, vhat, sc, ws)
+    base = np.multiply(sc.numer, X, out=ws.base)
+    X_next, w = _frozen_sweep(vn, vhat, base, sc, ws)
+    if j_n > 1:
+        psi_b = psi_coefficients(ws.pb[1:-1], ws.psi_b, ws.pb)
+        for _ in range(j_n - 1):
+            X_next, w = _newton_sweep(base, psi_b, ws.phi_bb, w, vhat, sc, ws)
     return X_next, w
 
 
@@ -328,8 +326,8 @@ def newton_first_step(v0: PeriodicField, ctx: SchemeContext) -> PeriodicField:
     """Linear first step: quadratic term evaluated at the initial data."""
     sc = ctx.step_coefficients(0)
     ws = _Workspace(ctx.grid.J)
-    base = np.multiply(sc.numer, _rfft(v0.values, 1.0, out=ws.X), out=ws.base)
-    _, w = _first_step(_pad(v0.values, out=ws.pw), base, sc, ws)
+    X = _rfft(v0.values, 1.0, out=ws.X)
+    _, w = _newton_step(v0.values, X, v0.values, sc, 1, ws)
     return PeriodicField(w, ctx.grid.h)
 
 
@@ -348,9 +346,10 @@ def newton_iterate(
     """One sweep of the predictor-anchored linearization."""
     sc = ctx.step_coefficients(n)
     ws = _Workspace(ctx.grid.J)
-    X = _rfft(Vn.values, 1.0, out=ws.X)
-    base, psi_b, phi_bb = _newton_setup(Vn.values, Vhat.values, X, sc, ws)
-    _, w = _newton_sweep(base, psi_b, phi_bb, Wj.values, Vhat.values, sc, ws)
+    base = np.multiply(sc.numer, _rfft(Vn.values, 1.0, out=ws.X), out=ws.base)
+    _frozen_sweep(Vn.values, Vhat.values, base, sc, ws)  # b and phi(b, b); its solve is the sweep from Vhat
+    psi_b = psi_coefficients(ws.pb[1:-1], ws.psi_b, ws.pb)
+    _, w = _newton_sweep(base, psi_b, ws.phi_bb, Wj.values, Vhat.values, sc, ws)
     return PeriodicField(w, ctx.grid.h)
 
 
@@ -444,6 +443,7 @@ def run(
 
     ws = _Workspace(grid.J)
     ws.vn[:] = v0.values
+    ws.v_prev[:] = v0.values  # Vhat = 2 V^0 - V^0 = V^0: the first step is one frozen sweep
     _rfft(ws.vn, 1.0, out=ws.X)
     S[0] = h * ws.X[0].real
     Q[0] = pw_linear_square_integral(ws.vn, h)
@@ -462,11 +462,8 @@ def run(
                 sc = next(rows)
                 if method == "reference":
                     X_next, v_next = _reference_step(ws.vn, ws.X, sc, h, tol, n, ws)
-                elif n == 0:
-                    base = np.multiply(sc.numer, ws.X, out=ws.base)
-                    X_next, v_next = _first_step(_pad(ws.vn, out=ws.pw), base, sc, ws)
                 else:
-                    X_next, v_next = _newton_step(ws.vn, ws.X, ws.v_prev, sc, j_n, ws)
+                    X_next, v_next = _newton_step(ws.vn, ws.X, ws.v_prev, sc, 1 if n == 0 else j_n, ws)
                 Q[m] = pw_linear_square_integral(v_next, h)
             except FloatingPointError as e:
                 raise SolverError(f"floating point failure: {e}", step=m) from e

@@ -727,6 +727,23 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, where, line, bad_l
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where, line, bad_line", [
+    ("grid.k", "k = 0.01", "k = inf"),
+    ("grid.k", "k = 0.01", "k = nan"),
+    ("grid.k", "k = 0.01", "k = -inf"),
+    ("grid.T", "T = 0.5", "T = inf"),
+    ("grid.T", "T = 0.5", "T = nan"),
+])
+def test_non_finite_time_grid_is_a_config_error(tmp_path, capsys, where, line, bad_line):
+    # a non-finite k is named as such, not as a T that is no multiple of it
+    out = tmp_path / "o"
+    path = write_config(tmp_path, GOOD_CONFIG.replace(line, bad_line))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {where}: must be finite, got ")
+    assert not out.exists()
+
+
 def test_emit_u_without_v_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "o"
     path = write_config(tmp_path, GOOD_CONFIG + "emit = u, means\n")

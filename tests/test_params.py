@@ -51,3 +51,24 @@ def test_time_step_must_be_finite(k):
     with pytest.raises(FieldErrors) as exc:
         TimeGrid(k=k, N=1)
     assert exc.value.problems == [("k", f"must be finite, got {k}")]
+
+
+@pytest.mark.parametrize("T, k, name, value", [
+    (0.5, math.inf, "k", math.inf),
+    (0.5, math.nan, "k", math.nan),
+    (0.5, -math.inf, "k", -math.inf),
+    (math.inf, 0.1, "T", math.inf),
+    (math.nan, 0.1, "T", math.nan),
+    (-math.inf, 0.1, "T", -math.inf),
+])
+def test_from_horizon_names_a_non_finite_field(T, k, name, value):
+    # k is held to TimeGrid's own checks before N = T/k is formed
+    with pytest.raises(FieldErrors) as exc:
+        TimeGrid.from_horizon(T, k)
+    assert exc.value.problems == [(name, f"must be finite, got {value}")]
+
+
+def test_from_horizon_names_both_fields_by_their_first_failing_check():
+    with pytest.raises(FieldErrors) as exc:
+        TimeGrid.from_horizon(math.nan, 0.0)
+    assert exc.value.problems == [("T", "must be finite, got nan"), ("k", "must be > 0, got 0.0")]

@@ -641,6 +641,57 @@ def test_psi_free_first_sweep_equals_generic_sweep():
     assert np.array_equal(bits(last), bits(W.values))
 
 
+def mirrored_values(J, rng):
+    """A field with V_{-i} = V_i and values in [-2, -1): phi(V, V) is -0.0 at i = 0 and J/2."""
+    half = -1.0 - rng.random(J // 2 + 1)
+    return np.concatenate((half, half[-2:0:-1]))
+
+
+@pytest.mark.parametrize("J", [16, 64, 256])
+def test_frozen_sweep_equals_midpoint_form_bitwise(J):
+    # c_psi phi(V^n + w, V^n + w) against c_phi phi(vq, vq), vq = (V^n + w)/2,
+    # for the first step (w = V^n), a reference sweep (w an iterate) and the
+    # first Newton sweep (w = Vhat), each solved by the np.fft formula
+    ctx = make_ctx(J=J, N=10, params=ModelParams(delta=0.1, alpha=1.5, v_c=1.0, R0=2.0))
+    n = 3
+    sc = ctx.step_coefficients(n)
+    denom, numer = real_rows(ctx, n)
+    rng = np.random.default_rng(J)
+    r0, r1 = rng.standard_normal(J), rng.standard_normal(J)
+    m0, m1 = mirrored_values(J, rng), mirrored_values(J, rng)
+    cases = [(r0, r0), (r0, r1), (r0, 2.0 * r0 - r1), (m0, m0), (m0, m1), (m0, 2.0 * m0 - m1)]
+    for i, (vn, w) in enumerate(cases):
+        ws = _Workspace(J)
+        X = np.fft.rfft(vn)
+        X_next, v_next = solver._frozen_sweep(vn, w, np.multiply(sc.numer, X, out=ws.base), sc, ws)
+
+        vq = 0.5 * (vn + w)
+        nl = ctx.c_phi[n] * roll_phi(vq, vq)
+        if i >= 3:
+            assert np.any((nl == 0.0) & np.signbit(nl))
+        assert np.array_equal(bits(ws.pb[1:-1]), bits(2.0 * vq))
+        assert np.array_equal(bits(ws.rhs), bits(nl))
+        nl_hat = np.fft.rfft(nl)
+        nl_hat[0] = 0.0
+        expected = (numer * X + nl_hat) / denom
+        assert np.array_equal(X_next.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(bits(v_next), bits(np.fft.irfft(expected, n=J)))
+
+
+@pytest.mark.parametrize("J", [64, 128, 256, 512, 1024, 2048, 4096])
+@pytest.mark.parametrize(
+    "params, T",
+    [(SLOW, 25.0), (ModelParams(delta=4.0, alpha=1.28, v_c=0.1, R0=60.0), 1.0)],
+    ids=["readme", "criterion-3"],
+)
+def test_psi_coefficient_is_a_quarter_of_phi_coefficient_bitwise(params, T, J):
+    # the frozen sweep's c_psi phi(2 vq, 2 vq) is c_phi phi(vq, vq) only if
+    # 4 c_psi == c_phi exactly; k = 0.01 on the README model, T/J on criterion 3
+    k = 0.01 if params is SLOW else T / J
+    ctx = SchemeContext(params, TimeGrid.from_horizon(T, k), GridSpec(J))
+    assert np.array_equal(bits(4.0 * ctx.c_psi), bits(ctx.c_phi))
+
+
 @pytest.mark.parametrize("stride", [0, -3])
 def test_run_rejects_store_stride_below_one(stride):
     g = GridSpec(16)
