@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, checked, load_config
 from .experiments import eoc_ladder, wavenumber_suite
-from .params import ModelParams
+from .params import ModelParams, SolverConfig
 from .radius import RadiusLaw
 from .reconstruct import mean_I_path, reconstruct_u, curve_points
 from .solver import AdmissibilityReport, SolverError, Trajectory, check_admissibility, run
@@ -111,15 +111,12 @@ def emit_run_outputs(
 
     width = len(str(N))
     sigma = traj.grid.sigma
-    final_u = None
+    u_field = None  # the stored steps are sorted and end at N, so u_field ends as u(T)
     for n in traj.stored_steps():
         tag = str(n).zfill(width)
-        u_field = None
         if "u" in emit or "curve" in emit:
             with timer("reconstruct_s"):
                 u_field = reconstruct_u(traj, cfg.I0, n)
-            if n == N:
-                final_u = u_field
         if "v" in emit:
             columns = (sigma, traj.v(n).values) + ((u_field.values,) if "u" in emit else ())
             with timer("write_s"):
@@ -141,10 +138,10 @@ def emit_run_outputs(
     }
     if "spectrum" in emit:
         R_T = float(traj.R_nodes[N])
-        if final_u is None:
+        if u_field is None:
             with timer("reconstruct_s"):
-                final_u = reconstruct_u(traj, cfg.I0, N)
-        rep = spectral_report(R_T, cfg.params, SPECTRAL_M_MAX, probe=final_u)
+                u_field = reconstruct_u(traj, cfg.I0, N)
+        rep = spectral_report(R_T, cfg.params, SPECTRAL_M_MAX, probe=u_field)
         rep0 = spectral_report(cfg.params.R0, cfg.params, SPECTRAL_M_MAX)
         report["spectral"] = {
             "R_star": rep.R_star,
@@ -175,7 +172,7 @@ def cmd_run(cfg: RunConfig, out: Path, force: bool = False) -> dict:
     return emit_run_outputs(cfg, traj, admissibility, out, solve_s)
 
 
-def cmd_eoc(cfg: RunConfig, out: Path, levels: int = 3) -> dict:
+def cmd_eoc(cfg: RunConfig, out: Path, levels: int) -> dict:
     t0 = time.perf_counter()
     ladder = eoc_ladder(cfg, levels=levels)
     wall = time.perf_counter() - t0
@@ -218,24 +215,21 @@ def cmd_stability_map(
     entries = []
     # Every row and entry is computed before the output directory is made, so
     # a radius whose curves or rates overflow leaves no partial map behind.
-    for R in np.linspace(r_min, r_max, samples).tolist():
+    # Each R is a NumPy scalar, so an overflow, a division by an underflowed
+    # R^4 or an inf - inf raises; its arithmetic gives the bits of a float's.
+    for R in np.linspace(r_min, r_max, samples):
         try:
-            deltas = [neutral_delta(m, R, params) if R > 0 else 0.0 for m in range(2, m_max + 1)]
-            rep = spectral_report(R, params, m_max) if R > 0 else None
-        except (OverflowError, ZeroDivisionError):
-            deltas, rep = [math.nan], None
-        if not (np.isfinite(deltas).all() and (rep is None or np.isfinite(rep.lam).all())):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                deltas = [neutral_delta(m, R, params) if R > 0 else 0.0 for m in range(2, m_max + 1)]
+                rep = spectral_report(R, params, m_max) if R > 0 else None
+        except FloatingPointError:
             raise ConfigError(
                 [f"stability-map: the neutral curves or growth rates are not finite at R = {R:g}"]
-            )
+            ) from None
         rows.append([R] + deltas)
         if rep is not None:
             entries.append(
-                {
-                    "R": R,
-                    "unstable_modes": rep.unstable_modes,
-                    "predicted_dominant": rep.predicted_dominant,
-                }
+                {"R": R, "unstable_modes": rep.unstable_modes, "predicted_dominant": rep.predicted_dominant}
             )
     report = {
         "params": {"delta": params.delta, "alpha": params.alpha, "v_c": params.v_c},
@@ -249,7 +243,7 @@ def cmd_stability_map(
     return report
 
 
-def cmd_wavenumber_suite(out: Path, jn: int = 3) -> dict:
+def cmd_wavenumber_suite(out: Path, jn: int) -> dict:
     t0 = time.perf_counter()
     rows = wavenumber_suite(jn=jn)
     wall = time.perf_counter() - t0
@@ -268,30 +262,24 @@ def cmd_wavenumber_suite(out: Path, jn: int = 3) -> dict:
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ksring", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
+    config, out, jn = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    config.add_argument("--config", required=True)
+    out.add_argument("--out", default=None)
+    jn.add_argument("--jn", type=int, default=None)  # None: the config's, else SolverConfig's
 
-    run_p = sub.add_parser("run", help="integrate one configuration")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--out", default=None)
+    run_p = sub.add_parser("run", parents=[config, out, jn], help="integrate one configuration")
     run_p.add_argument("--force", action="store_true", help="continue past admissibility failure")
-    run_p.add_argument("--jn", type=int, default=None)
 
-    eoc_p = sub.add_parser("eoc", help="self-convergence ladder")
-    eoc_p.add_argument("--config", required=True)
-    eoc_p.add_argument("--out", default=None)
+    eoc_p = sub.add_parser("eoc", parents=[config, out, jn], help="self-convergence ladder")
     eoc_p.add_argument("--levels", type=int, default=3)
-    eoc_p.add_argument("--jn", type=int, default=None)
 
-    map_p = sub.add_parser("stability-map", help="neutral curves and unstable sets")
-    map_p.add_argument("--config", required=True)
-    map_p.add_argument("--out", default=None)
+    map_p = sub.add_parser("stability-map", parents=[config, out], help="neutral curves and unstable sets")
     map_p.add_argument("--rmin", type=float, default=0.0)
     map_p.add_argument("--rmax", type=float, default=30.0)
     map_p.add_argument("--samples", type=int, default=121)
     map_p.add_argument("--mmax", type=int, default=5)
 
-    suite_p = sub.add_parser("wavenumber-suite", help="desk-scale mode selection runs")
-    suite_p.add_argument("--out", default=None)
-    suite_p.add_argument("--jn", type=int, default=3)
+    sub.add_parser("wavenumber-suite", parents=[out, jn], help="desk-scale mode selection runs")
     return p
 
 
@@ -303,13 +291,13 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         raise
     try:
-        if args.command == "wavenumber-suite":
-            cmd_wavenumber_suite(resolve_out_dir(args.out, None), jn=args.jn)
-            return 0
-        cfg = load_config(args.config)
+        cfg = load_config(args.config) if "config" in args else None
+        solver = cfg.solver if cfg else SolverConfig()
         if getattr(args, "jn", None) is not None:
-            cfg = replace(cfg, solver=checked(replace, cfg.solver, newton_iters=args.jn))
-        out = resolve_out_dir(args.out, cfg.out_dir)
+            solver = checked(replace, solver, newton_iters=args.jn)
+        out = resolve_out_dir(args.out, cfg.out_dir if cfg else None)
+        if cfg:
+            cfg = replace(cfg, solver=solver)
         if args.command == "run":
             report = cmd_run(cfg, out, force=args.force)
             print(
@@ -322,14 +310,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"eoc_u per pair: {report['eoc']['eoc_u']}")
         elif args.command == "stability-map":
             cmd_stability_map(
-                cfg.params,
-                out,
-                r_min=args.rmin,
-                r_max=args.rmax,
-                samples=args.samples,
-                m_max=args.mmax,
+                cfg.params, out, r_min=args.rmin, r_max=args.rmax, samples=args.samples, m_max=args.mmax
             )
             print(f"stability map written to {out}")
+        else:
+            cmd_wavenumber_suite(out, jn=solver.newton_iters)
         return 0
     except ConfigError as e:
         for problem in e.problems:

@@ -118,7 +118,8 @@ SUITE_AMPLITUDE = 0.1  # initial amplitude of every seeded mode
 
 
 def wavenumber_suite(
-    J: int = 256, k: float = 0.01, T: float = 100.0, jn: int = 3, keep_trajectories: bool = False
+    J: int = 256, k: float = 0.01, T: float = 100.0, jn: int = SolverConfig.newton_iters,
+    keep_trajectories: bool = False,
 ) -> list[dict]:
     """Runs the five expanding-circle selection experiments at desk scale.
 

@@ -1,4 +1,4 @@
-"""Model constants, time grid, and solver knobs shared across the package.
+"""Model constants, time grid, solver knobs and errors shared across the package.
 
 Each bound on a field is written once, in its container's constructor."""
 
@@ -14,6 +14,14 @@ class FieldErrors(ValueError):
     def __init__(self, problems: list[tuple[str, str]]):
         super().__init__("; ".join(f"{name}: {message}" for name, message in problems))
         self.problems = problems
+
+
+class SolverError(RuntimeError):
+    """Solver failure; `step` is the failing step's index, or None outside the step loop."""
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 def require(*checks: tuple[bool, str, str]) -> None:

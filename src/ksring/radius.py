@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, SolverError
 
 
 def radius_rate(R, params: ModelParams):
@@ -41,9 +41,10 @@ class RadiusLaw:
         return radius_rate(R, self.params)
 
     def _implicit(self, R: float, t: float) -> float:
-        # log[(v_c R + a)/(v_c R0 + a)] = log1p(v_c (R - R0)/(v_c R0 + a));
-        # the log1p form keeps the residual noise below the 1e-12 tolerance
-        # even when a/v_c^2 is large.
+        # log[(v_c R + a)/(v_c R0 + a)] = log1p(v_c (R - R0)/(v_c R0 + a)).
+        # The two terms of the bracket nearly cancel when v_c is small, so the
+        # residual carries rounding noise of about eps (R - R0)/v_c; once that
+        # passes the 1e-12 tolerance, radii() raises SolverError.
         p = self.params
         a = p.alpha - 1.0
         y = p.v_c * (R - p.R0) / (p.v_c * p.R0 + a)
@@ -77,7 +78,7 @@ class RadiusLaw:
             # f' = x / (v_c x + alpha - 1) > 0 on the bracket
             x_new = x - f * (p.v_c * x + p.alpha - 1.0) / x
             x = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
-        raise RuntimeError(f"radius solve did not converge at t={t[0]}")
+        raise SolverError(f"radius law did not converge at t = {float(t[0])} with v_c = {p.v_c}")
 
     def rate_at(self, t: float) -> float:
         return self.rate(self.radius_at(t))

@@ -67,16 +67,8 @@ from .operators import (
     psi_coefficients,
     second_difference_symbol,
 )
-from .params import ModelParams, SolverConfig, TimeGrid
+from .params import ModelParams, SolverConfig, SolverError, TimeGrid
 from .radius import RadiusLaw
-
-
-class SolverError(RuntimeError):
-    """Step level failure; carries the offending step index."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,19 @@ def _check_reality(modes: np.ndarray) -> int:
     return M
 
 
+def _frozen_rhs(M: int, R: float, params: ModelParams):
+    """The truncated system's right-hand side on modes -M..M at frozen R."""
+    ms = np.arange(-M, M + 1)
+    lam = np.array([_lambda_formula(m, R, params) for m in ms])
+    c = params.v_c / (2.0 * R * R)
+
+    def rhs(modes: np.ndarray) -> np.ndarray:
+        w = ms * modes
+        return lam * modes - c * np.convolve(w, w)[M : 3 * M + 1]
+
+    return rhs
+
+
 def galerkin_rhs(modes: np.ndarray, R: float, params: ModelParams) -> np.ndarray:
     """Right-hand side of the truncated system.
 
@@ -133,12 +146,7 @@ def galerkin_rhs(modes: np.ndarray, R: float, params: ModelParams) -> np.ndarray
     restriction automatic (w_0 = 0).
     """
     modes = np.asarray(modes, dtype=complex)
-    M = _check_reality(modes)
-    ms = np.arange(-M, M + 1)
-    lam = np.array([_lambda_formula(m, R, params) for m in ms])
-    w = ms * modes
-    conv = np.convolve(w, w)[M : 3 * M + 1]
-    return lam * modes - (params.v_c / (2.0 * R * R)) * conv
+    return _frozen_rhs(_check_reality(modes), R, params)(modes)
 
 
 def modes_from_cosines(pairs, m_max: int) -> np.ndarray:
@@ -163,18 +171,19 @@ def integrate_modes(
     """Classical fourth order Runge-Kutta on the truncated system at frozen R.
 
     Returns (times, path) where path[j] is the full spectrum at times[j];
-    the initial state is row 0 and the final time is always recorded.
+    the initial state is row 0 and the final time is always recorded.  Only
+    modes0 is checked for reality: the stages keep it to roundoff.
     """
     steps = TimeGrid.from_horizon(T, dt).N
     u = np.asarray(modes0, dtype=complex).copy()
-    _check_reality(u)
+    rhs = _frozen_rhs(_check_reality(u), R, params)
     times = [0.0]
     path = [u.copy()]
     for s in range(steps):
-        k1 = galerkin_rhs(u, R, params)
-        k2 = galerkin_rhs(u + 0.5 * dt * k1, R, params)
-        k3 = galerkin_rhs(u + 0.5 * dt * k2, R, params)
-        k4 = galerkin_rhs(u + dt * k3, R, params)
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (s + 1) % record_every == 0 or s + 1 == steps:
             times.append((s + 1) * dt)

@@ -17,7 +17,8 @@ from ksring.cli import (
     resolve_out_dir,
     wavenumber_suite,
 )
-from ksring.params import ModelParams
+from ksring.params import ModelParams, SolverConfig
+from ksring.stability import critical_radius, neutral_delta, spectral_report
 
 GOOD_CONFIG = """\
 [model]
@@ -350,6 +351,31 @@ def test_wavenumber_suite_records_its_jn(tmp_path, monkeypatch, capsys):
     out = tmp_path / "suite0"
     assert main(["wavenumber-suite", "--out", str(out), "--jn", "0"]) == 1
     assert capsys.readouterr().err.startswith("config error: solver.jn:")
+    assert not out.exists()
+
+
+def test_wavenumber_suite_without_jn_runs_the_solver_default(tmp_path, monkeypatch, capsys):
+    # the suite's j_n has no default of its own: it is SolverConfig's, as for run and eoc
+    import ksring.cli
+
+    monkeypatch.setattr(ksring.cli, "wavenumber_suite", functools.partial(wavenumber_suite, J=64, k=0.05, T=1.0))
+    monkeypatch.setattr(SolverConfig.__init__, "__defaults__", (2, SolverConfig.reference_tol))
+    assert SolverConfig().newton_iters == 2
+    out = tmp_path / "suite"
+    assert main(["wavenumber-suite", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "wavenumber_suite.json").read_text())["jn"] == 2
+
+
+@pytest.mark.parametrize("command", ["run", "eoc"])
+def test_unsolvable_radius_law_is_a_solver_failure(tmp_path, capsys, command):
+    # at v_c = 1e-6 the radius residual's rounding noise passes its tolerance
+    text = GOOD_CONFIG.replace("v_c = 0.001", "v_c = 1e-6").replace("T = 0.5", "T = 1.0")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: radius law did not converge at t = ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -778,6 +804,30 @@ def test_stability_map_rejects_radii_with_non_finite_curves(tmp_path, capsys, rm
     if rmax != "inf":
         assert "not finite at R = " in err
     assert not out.exists()
+
+
+def test_stability_map_equals_a_python_float_loop(tmp_path):
+    # the NumPy scalar radii of cmd_stability_map give the bits of Python floats
+    params = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
+    out = tmp_path / "map"
+    cmd_stability_map(params, out, r_min=0.0, r_max=30.0, samples=121, m_max=7)
+    lines = ["R," + ",".join(f"delta_m{m}" for m in range(2, 8))]
+    entries = []
+    for R in np.linspace(0.0, 30.0, 121).tolist():
+        deltas = [neutral_delta(m, R, params) if R > 0 else 0.0 for m in range(2, 8)]
+        lines.append(",".join(format(x, ".17g") for x in [R] + deltas))
+        if R > 0:
+            rep = spectral_report(R, params, 7)
+            entries.append({"R": R, "unstable_modes": rep.unstable_modes, "predicted_dominant": rep.predicted_dominant})
+    assert len(entries) == 120 and entries[0]["R"] == 0.25
+    assert (out / "neutral_curves.csv").read_text() == "\n".join(lines) + "\n"
+    expected = {
+        "params": {"delta": 4.0, "alpha": 1.5, "v_c": 0.001},
+        "R_star": critical_radius(params),
+        "m_max": 7,
+        "spectral": entries,
+    }
+    assert (out / "stability.json").read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_infinite_reference_tol_is_a_config_error(tmp_path, capsys):

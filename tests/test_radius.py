@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from ksring.field import GridSpec
 from ksring.params import ModelParams, TimeGrid
 from ksring.radius import FrozenRadiusLaw, RadiusLaw, radius_rate
-from ksring.solver import SchemeContext
+from ksring.solver import SchemeContext, SolverError
 
 SLOW = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
 FAST = ModelParams(delta=4.0, alpha=1.28, v_c=0.1, R0=60.0)
@@ -157,3 +158,11 @@ def test_radii_rejects_negative_time():
 
 def test_frozen_law_radii():
     np.testing.assert_array_equal(FrozenRadiusLaw(SLOW).radii([0.0, 0.5, 50.0]), np.full(3, SLOW.R0))
+
+
+def test_radius_law_beyond_its_tolerance_is_a_solver_error():
+    # the residual's rounding noise, about eps (R - R0)/v_c, passes the
+    # 1e-12 tolerance at v_c = 1e-6; the error names the law, t and v_c
+    with pytest.raises(SolverError, match=r"^radius law did not converge at t = 1\.0 with v_c = 1e-06$") as err:
+        RadiusLaw(replace(SLOW, v_c=1e-6)).radius_at(1.0)
+    assert err.value.step is None

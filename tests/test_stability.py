@@ -196,6 +196,25 @@ def test_integrate_preserves_reality_and_validates_dt():
         integrate_modes(modes, 9.0, PARAMS, T=1.0, dt=0.3)
 
 
+def test_integrate_modes_is_rk4_on_galerkin_rhs_bit_for_bit():
+    # the integrator checks reality and evaluates lambda once; its path is the
+    # one that calls the checked right-hand side at every stage
+    M, R, dt, steps, every = 16, 6.0, 1e-3, 200, 50
+    u = modes_from_cosines([(0.1, 2), (0.1, 3), (0.1, 4), (0.1, 5)], M)
+    times, path = integrate_modes(u, R, PARAMS, T=steps * dt, dt=dt, record_every=every)
+    expected = [u]
+    for s in range(steps):
+        k1 = galerkin_rhs(u, R, PARAMS)
+        k2 = galerkin_rhs(u + 0.5 * dt * k1, R, PARAMS)
+        k3 = galerkin_rhs(u + 0.5 * dt * k2, R, PARAMS)
+        k4 = galerkin_rhs(u + dt * k3, R, PARAMS)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (s + 1) % every == 0:
+            expected.append(u)
+    assert times.tolist() == [j * every * dt for j in range(steps // every + 1)]
+    np.testing.assert_array_equal(path.view(np.uint64), np.array(expected).view(np.uint64))
+
+
 def test_mode_energy_matches_gradient_integral():
     # int v^2 with v = u_sigma equals 2 pi sum m^2 |u_m|^2 for the cosine data
     pairs = [(0.12, 2), (0.07, 5)]
