@@ -10,7 +10,7 @@ Configs are flat INI files read by ksring.config.load_config; the README
 shows a complete example.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 solver
-failure, 3 I/O or unreadable config file.
+failure or out of memory, 3 I/O or unreadable config file.
 """
 
 from __future__ import annotations
@@ -326,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as e:
         step = f" at step {e.step}" if e.step is not None else ""
         print(f"solver failure{step}: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

@@ -12,7 +12,6 @@ data (I0, amplitudes).
 from __future__ import annotations
 
 import configparser
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +21,16 @@ from typing import Any, Callable, NamedTuple
 
 from .field import GridSpec, PeriodicField, centered_difference, sample_cosine_sum, sample_cosine_sum_dsigma
 from .params import FieldErrors, ModelParams, SolverConfig, TimeGrid, finite
+
+# CPython's built-in SHA-256, the digest hashlib gives: hashlib itself loads
+# OpenSSL's libcrypto, 3.6 MB of resident memory for one hash per process.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 EMIT_CHOICES = ("v", "u", "curve", "means", "spectrum")
 V0_METHODS = ("analytic", "centered")
@@ -106,7 +115,7 @@ class RunConfig:
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return sha256(blob).hexdigest()
 
     def initial_v(self) -> PeriodicField:
         if self.v0_method == "centered":

@@ -1,7 +1,11 @@
 import functools
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -671,6 +675,70 @@ def test_config_hash_records_T_as_N_times_k(tmp_path):
     cfg = load_config(write_config(tmp_path, text))
     assert cfg.to_dict()["grid"]["T"] == 3 * 0.1 != 0.3
     assert cfg.config_hash() == "efd61085f59849cde17da2e4ad1248ec955cdd0483f931db9f448db46aa4b403"
+
+
+# The criterion-3 convergence config: the eoc ladder of the acceptance tests.
+CRITERION_3_INI = """\
+[model]
+delta = 4.0
+alpha = 1.28
+v_c = 0.1
+
+[grid]
+J = 64
+k = 0.015625
+T = 1.0
+
+[initial]
+R0 = 60.0
+amplitudes = 0.5
+modes = 2
+"""
+
+EVERY_OPTIONAL_KEY_INI = functools.reduce(
+    lambda text, line: _edit_key(text, line.split("=")[0].strip(), line),
+    ["I0 = 0.25", "jn = 2", "v0_method = centered", "reference_tol = 1e-10", "dir = elsewhere", "stride = 7",
+     "emit = v, means"],
+    README_INI,
+)
+
+
+@pytest.mark.parametrize(
+    "text", [README_INI, CRITERION_3_INI, EVERY_OPTIONAL_KEY_INI], ids=["readme", "criterion_3", "every_optional_key"]
+)
+def test_config_hash_is_the_sha256_of_the_sorted_json(tmp_path, text):
+    # hashlib's SHA-256 (OpenSSL's, where Python has it) is the independent
+    # oracle of the built-in digest config_hash computes
+    cfg = load_config(write_config(tmp_path, text))
+    blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+    assert cfg.config_hash() == hashlib.sha256(blob).hexdigest()
+
+
+def test_cli_process_loads_no_openssl(tmp_path):
+    # A fresh interpreter: pytest's own process may have imported hashlib.
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+    code = (
+        "import json, sys\n"
+        "from ksring.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, sorted({'_hashlib', '_ssl'} & set(sys.modules))]))\n"
+    )
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
+def test_eoc_out_of_memory_exits_2(tmp_path, capsys):
+    # 40 levels put the reference grid at J = 8 * 64 * 2**39 = 2**48 points:
+    # NumPy refuses its 2 PiB sigma array at once, so nothing is allocated
+    out = tmp_path / "eoc"
+    argv = ["eoc", "--config", str(write_config(tmp_path, CRITERION_3_INI)), "--levels", "40", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_two_bad_fields_in_one_section_are_both_reported(tmp_path, capsys):
