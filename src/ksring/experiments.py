@@ -79,12 +79,13 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
         solve_s[J, method] = time.perf_counter() - t0
         return traj
 
-    ref = one_run(J_ref, "reference", J_ref)
-    ref_v = ref.final().values
-    ref_u = reconstruct_u(ref, cfg.I0, ref.tgrid.N).values
+    # Each trajectory lives only inside the function that takes its numbers,
+    # so no finished run holds memory while the next, larger one runs.
+    def reference_at_T() -> tuple[np.ndarray, np.ndarray]:
+        ref = one_run(J_ref, "reference", J_ref)
+        return ref.final().values, reconstruct_u(ref, cfg.I0, ref.tgrid.N).values
 
-    report = EocReport(reference_J=J_ref)
-    for J in Js:
+    def level(J: int) -> EocLevel:
         cn = one_run(J, "reference", 1)
         newton = one_run(J, "newton", 1)
         h = cn.grid.h
@@ -92,7 +93,10 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
         err_v = _subsampled_err(ref_v, cn.final().values, h)
         err_u = _subsampled_err(ref_u, reconstruct_u(cn, cfg.I0, cn.tgrid.N).values, h)
         err_vn = _subsampled_err(ref_v, newton.final().values, h)
-        report.levels.append(EocLevel(J, T / J, err_v, err_u, err_vn, gap))
+        return EocLevel(J, T / J, err_v, err_u, err_vn, gap)
+
+    ref_v, ref_u = reference_at_T()
+    report = EocReport(reference_J=J_ref, levels=[level(J) for J in Js])
     for a, b in zip(report.levels, report.levels[1:]):
         report.eoc_v.append(math.log2(a.err_v / b.err_v))
         report.eoc_u.append(math.log2(a.err_u / b.err_u))

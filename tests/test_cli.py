@@ -108,6 +108,17 @@ def test_resolve_out_dir_precedence(monkeypatch, tmp_path):
     assert resolve_out_dir(None, None).name == "out"
 
 
+def test_empty_out_environment_value_falls_through_to_out(monkeypatch, tmp_path):
+    # KSRING_OUT= (set but empty) is no directory, as an empty --out or dir = is not
+    monkeypatch.setenv("KSRING_OUT", "")
+    assert resolve_out_dir(None, None) == Path("out")
+    assert resolve_out_dir("", "") == Path("out")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+    assert (tmp_path / "out" / "report.json").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.ini"]
+
+
 def test_main_missing_config_exits_3(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.ini")]) == 3
     assert "i/o error" in capsys.readouterr().err
@@ -422,6 +433,31 @@ def test_eoc_command(tmp_path):
     assert list(table[:, 0]) == [64.0, 128.0, 256.0]
 
 
+def test_eoc_ladder_frees_each_finished_trajectory(tmp_path, monkeypatch):
+    # when a run starts, only the trajectories of its own level may be alive:
+    # the reference and every finished level's runs are already released
+    import weakref
+
+    import ksring.experiments
+
+    returned = []  # (J, weak reference) of every trajectory run returned
+    alive_at_start = []
+    real_run = ksring.experiments.run
+
+    def recording_run(params, tgrid, grid, *args, **kwargs):
+        alive_at_start.append((grid.J, [J for J, ref in returned if J != grid.J and ref() is not None]))
+        traj = real_run(params, tgrid, grid, *args, **kwargs)
+        returned.append((grid.J, weakref.ref(traj)))
+        return traj
+
+    monkeypatch.setattr(ksring.experiments, "run", recording_run)
+    cfg = load_config(write_config(tmp_path, GOOD_CONFIG.replace("J = 64", "J = 16")))
+    report = ksring.experiments.eoc_ladder(cfg, levels=3)
+    assert [J for J, _ in returned] == [512, 16, 16, 32, 32, 64, 64]
+    assert alive_at_start == [(J, []) for J, _ in returned]
+    assert [level.J for level in report.levels] == [16, 32, 64]
+
+
 def test_stability_map_command(tmp_path):
     text = GOOD_CONFIG.replace("alpha = 1.5", "alpha = 1.2")
     cfg_path = write_config(tmp_path, text)
@@ -527,6 +563,61 @@ def test_write_csv_bytes_match_per_value_formatter(tmp_path, form, n_rows):
     assert written.count(b"\n") == count + 1
     if count == 0:
         assert written == b"n,J,x,y\n"
+
+
+@pytest.mark.parametrize("n_rows", ["zero", "one", "block", "two_blocks_plus_one"])
+def test_write_csv_first_column_text_matches_per_value_formatter(tmp_path, n_rows):
+    # a first column passed as text writes the bytes of the same column passed as numbers
+    from ksring.cli import CSV_BLOCK_ROWS, write_csv
+
+    count = {"zero": 0, "one": 1, "block": CSV_BLOCK_ROWS, "two_blocks_plus_one": 2 * CSV_BLOCK_ROWS + 1}[n_rows]
+    table = _mixed_table(count)
+    header = ["x", "n", "J", "y"]
+    table = [[x, n, J, y] for n, J, x, y in table]  # the special values lead the rows
+    text = [format(row[0], ".17g") for row in table]
+    write_csv(tmp_path / "new.csv", header, np.array([row[1:] for row in table]).reshape(count, 3), first_column=text)
+    _per_value_csv(tmp_path / "old.csv", header, table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+SNAPSHOT_CASES = {
+    "J520_partial_block": (520, "v, u"),  # rows 0-511 and a partial block of 8
+    "J16_under_one_block": (16, "v, u"),
+    "J520_emit_v_alone": (520, "v"),  # two columns: sigma and v
+}
+
+
+@pytest.mark.parametrize("case", sorted(SNAPSHOT_CASES))
+def test_run_snapshot_bytes_match_per_value_formatter(tmp_path, case):
+    # the grid column is formatted once per run and written ahead of each
+    # snapshot's v and u; every file equals the per-value %.17g writer's
+    from ksring.cli import cmd_run
+    from ksring.radius import RadiusLaw
+    from ksring.reconstruct import reconstruct_u
+    from ksring.solver import run as lib_run
+
+    J, emit = SNAPSHOT_CASES[case]
+    text = (
+        GOOD_CONFIG.replace("J = 64", f"J = {J}").replace("T = 0.5", "T = 0.03").replace("stride = 25", "stride = 1")
+        + f"emit = {emit}\n"
+    )
+    cfg = load_config(write_config(tmp_path, text))
+    out = tmp_path / "snap"
+    cmd_run(cfg, out)
+    traj = lib_run(
+        cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(),
+        law=RadiusLaw(cfg.params), store_stride=cfg.stride,
+    )
+    sigma = traj.grid.sigma
+    assert any(format(s, ".16g") != format(s, ".17g") for s in sigma)  # %.16g would show
+    header = ["sigma", "v", "u"] if "u" in emit else ["sigma", "v"]
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [f"snapshot_{n}.csv" for n in range(4)]
+    for n in traj.stored_steps():
+        columns = [sigma, traj.snapshots[n]] + ([reconstruct_u(traj, cfg.I0, n).values] if "u" in emit else [])
+        _per_value_csv(tmp_path / "expected.csv", header, np.column_stack(columns))
+        written = (out / f"snapshot_{n}.csv").read_bytes()
+        assert written == (tmp_path / "expected.csv").read_bytes(), f"snapshot_{n}.csv"
+        assert written.count(b"\n") == J + 1
 
 
 def _bits(a):
