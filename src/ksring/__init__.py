@@ -22,6 +22,7 @@ from .solver import (
     SolverError,
     Trajectory,
     check_admissibility,
+    integrate,
     run,
 )
 from .stability import (
@@ -52,6 +53,7 @@ __all__ = [
     "critical_radius",
     "curve_points",
     "galerkin_rhs",
+    "integrate",
     "lambda_m",
     "mean_I",
     "mean_I_path",

@@ -33,12 +33,15 @@ from .experiments import eoc_ladder, wavenumber_suite
 from .params import ModelParams, SolverConfig
 from .radius import RadiusLaw
 from .reconstruct import mean_I_path, reconstruct_u, curve_points
-from .solver import AdmissibilityReport, SolverError, Trajectory, check_admissibility, run
+from .solver import AdmissibilityReport, SolverError, check_admissibility, run
 from .stability import SPECTRAL_M_MAX, critical_radius, neutral_delta, spectral_report
+from .trajectory import Trajectory
 
 ENV_OUT = "KSRING_OUT"
-# Rows per formatted write in write_csv: bounds the string built at once.
-CSV_BLOCK_ROWS = 512
+# Rows per formatted write in write_csv: bounds the bytes built at once.  A
+# bytes % format grows its buffer as it fills it, and at 512 rows the four
+# columns of means.csv raised a README run's peak RSS by about 0.1 MB.
+CSV_BLOCK_ROWS = 256
 
 
 def resolve_out_dir(flag_value: str | None, cfg_value: str | None) -> Path:
@@ -49,21 +52,24 @@ def resolve_out_dir(flag_value: str | None, cfg_value: str | None) -> Path:
     return Path(os.environ.get(ENV_OUT) or "out")
 
 
-def write_csv(path: Path, header: list[str], rows, first_column: list[str] | None = None) -> None:
+def write_csv(path: Path, header: list[str], rows, first_column: list[str] | list[bytes] | None = None) -> None:
     """Writes the header and the rows (a 2-D array or any iterable of rows),
     every value as %.17g, which round-trips a double exactly.  Each block of
-    CSV_BLOCK_ROWS rows is one `%` format, so no Python loop runs per value.
+    CSV_BLOCK_ROWS rows is one `%` format into bytes, written to a binary
+    file, so no Python loop runs per value and no text is encoded again.
 
     first_column, if given, is the first column already formatted, one
-    string per row, and rows hold only the other columns.  The snapshots
-    pass their grid column this way, formatted once per run."""
+    bytes (or str) entry per row, and rows hold only the other columns.  The
+    snapshots pass their grid column this way, formatted once per run."""
     data = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
-    cells = ["%.17g"] * len(header)
+    cells = [b"%.17g"] * len(header)
     if first_column is not None:
-        cells[0] = "%s"
-    line = ",".join(cells) + "\n"
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
+        cells[0] = b"%s"
+        if first_column and isinstance(first_column[0], str):
+            first_column = [text.encode() for text in first_column]
+    line = b",".join(cells) + b"\n"
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
         for start in range(0, len(data), CSV_BLOCK_ROWS):
             block = data[start : start + CSV_BLOCK_ROWS]
             if first_column is not None:
@@ -126,7 +132,7 @@ def emit_run_outputs(
 
     width = len(str(N))
     with timer("write_s"):  # the grid column is the same in every snapshot
-        sigma_text = ["%.17g" % s for s in traj.grid.sigma.tolist()] if "v" in emit else None
+        sigma_text = [b"%.17g" % s for s in traj.grid.sigma.tolist()] if "v" in emit else None
     u_field = None  # the stored steps are sorted and end at N, so u_field ends as u(T)
     for n in traj.stored_steps():
         tag = str(n).zfill(width)

@@ -10,12 +10,13 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .config import ConfigError, RunConfig, checked
-from .field import GridSpec, PeriodicField, norm_h, sample_cosine_sum_dsigma
+from .field import GridSpec, sample_cosine_sum_dsigma
 from .params import ModelParams, SolverConfig, TimeGrid
 from .radius import RadiusLaw
 from .reconstruct import reconstruct_u
-from .solver import Trajectory, check_admissibility, run
+from .solver import Integration, check_admissibility, integrate, run
 from .stability import SPECTRAL_M_MAX, measured_dominant_mode, spectral_report
+from .trajectory import Trajectory
 
 
 @dataclass
@@ -71,25 +72,45 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
 
     solve_s: dict[tuple[int, str], float] = {}
 
-    def one_run(J: int, method: str, stride: int) -> Trajectory:
+    def start(J: int, method: str, every: int) -> Integration:
         tg = TimeGrid.from_horizon(T, T / J)
         v0 = replace(cfg, grid=GridSpec(J)).initial_v()
         t0 = time.perf_counter()
-        traj = run(cfg.params, tg, GridSpec(J), cfg.solver, v0, law=law, method=method, store_stride=stride)
+        steps = integrate(cfg.params, tg, GridSpec(J), cfg.solver, v0, law=law, method=method, every=every)
         solve_s[J, method] = time.perf_counter() - t0
-        return traj
+        return steps
 
-    # Each trajectory lives only inside the function that takes its numbers,
+    def advance(steps: Integration) -> np.ndarray:
+        """The next V^m, the seconds of its step added to its run's solve time."""
+        t0 = time.perf_counter()
+        _, v = next(steps)
+        solve_s[steps.trajectory.grid.J, steps.trajectory.method] += time.perf_counter() - t0
+        return v
+
+    def at_T(steps: Integration, v: np.ndarray) -> Trajectory:
+        """The finished trajectory, with V^N as its one snapshot."""
+        steps.trajectory.snapshots[steps.trajectory.tgrid.N] = v.copy()
+        return steps.trajectory
+
+    # Each integration lives only inside the function that takes its numbers,
     # so no finished run holds memory while the next, larger one runs.
     def reference_at_T() -> tuple[np.ndarray, np.ndarray]:
-        ref = one_run(J_ref, "reference", J_ref)
-        return ref.final().values, reconstruct_u(ref, cfg.I0, ref.tgrid.N).values
+        ref = start(J_ref, "reference", J_ref)
+        advance(ref)  # V^0; with every = N the next step yielded is N
+        traj = at_T(ref, advance(ref))
+        return traj.final().values, reconstruct_u(traj, cfg.I0, traj.tgrid.N).values
 
     def level(J: int) -> EocLevel:
-        cn = one_run(J, "reference", 1)
-        newton = one_run(J, "newton", 1)
-        h = cn.grid.h
-        gap = max(norm_h(PeriodicField(newton.snapshots[n] - cn.snapshots[n], h)) for n in range(cn.tgrid.N + 1))
+        # The reference and Newton runs step together, so the gap over all
+        # N + 1 steps is taken as they go and neither stores its steps.
+        cn_steps, newton_steps = start(J, "reference", 1), start(J, "newton", 1)
+        h = GridSpec(J).h
+        gap, d = 0.0, np.empty(J)
+        for _ in range(cn_steps.trajectory.tgrid.N + 1):
+            v, w = advance(cn_steps), advance(newton_steps)
+            np.subtract(w, v, out=d)
+            gap = max(gap, math.sqrt(h * float(np.dot(d, d))))  # norm_h of W^m - V^m
+        cn, newton = at_T(cn_steps, v), at_T(newton_steps, w)
         err_v = _subsampled_err(ref_v, cn.final().values, h)
         err_u = _subsampled_err(ref_u, reconstruct_u(cn, cfg.I0, cn.tgrid.N).values, h)
         err_vn = _subsampled_err(ref_v, newton.final().values, h)

@@ -34,7 +34,7 @@ from .field import PeriodicField, _pad, pw_linear_square_integral
 from .params import TWO_PI
 
 if TYPE_CHECKING:
-    from .solver import Trajectory
+    from .trajectory import Trajectory
 
 
 def _cumulative_nodes(values: np.ndarray, nxt: np.ndarray, h: float) -> np.ndarray:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,6 +69,7 @@ from .operators import (
 )
 from .params import ModelParams, SolverConfig, SolverError, TimeGrid
 from .radius import RadiusLaw
+from .trajectory import Trajectory
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,10 @@ class SchemeContext:
 class _Workspace:
     """The arrays the step kernels write into at J grid points.
 
-    run() makes one and every step and sweep reuses it, so a step allocates
-    no array.  v_prev, vn and v_next hold V^{n-1}, V^n and V^{n+1}, X and
-    X_next the rfft spectra of V^n and V^{n+1}; rotate() advances them a step.
+    An integration makes one and every step and sweep reuses it, so a step
+    allocates no array.  v_prev, vn and v_next hold V^{n-1}, V^n and
+    V^{n+1}, X and X_next the rfft spectra of V^n and V^{n+1}; rotate()
+    advances them a step.
     pb holds the frozen sweep's b = V^n + w and pw the Newton sweep's
     W^j - Vhat, each padded by _pad.  inv_J is the irfft normalization 1/J.
     """
@@ -200,8 +202,8 @@ class _Workspace:
 
 # Step kernels: state as values and rfft spectrum X in, the next (spectrum,
 # values) out, in ws.X_next and ws.v_next, with sc the step's
-# StepCoefficients.  run() chains them on its own workspace; the public step
-# functions wrap them, each call on a fresh one.
+# StepCoefficients.  The step loop of integrate() chains them on its own
+# workspace; the public step functions wrap them, each call on a fresh one.
 #
 # _rfft and _irfft are the pocketfft ufuncs behind np.fft.rfft and irfft
 # (rfft_n_even, since GridSpec makes J even), called without np.fft's Python
@@ -351,44 +353,124 @@ def mean_step_factor(k: float, R_half: float, alpha: float) -> float:
     return (2.0 * R_half * R_half - a) / (2.0 * R_half * R_half + a)
 
 
-@dataclass
-class Trajectory:
-    """Output of a run: strided v snapshots plus per-step scalar paths.
+class Integration:
+    """One run as an iterator of (m, V^m) at m = 0, every, 2*every, ..., N.
 
-    S[n] is the discrete mean h*sum V^n, Q[n] the exact integral of the
-    squared piecewise linear interpolant of V^n, A[n] the trapezoid
-    accumulation of Q/(Rdot R^2) used by the mean height closed form, and
-    R_nodes[n] the radius at t^n.
+    Constructing it checks the arguments and admissibility and builds the
+    step tables; iterating it steps the scheme.  trajectory carries S, Q, A
+    and R_nodes, complete when step N is yielded (A is empty until then), so
+    a consumer that stops there (zip, say) holds a finished trajectory.  It
+    stores no snapshots: the consumer keeps the steps it needs.  A yielded
+    V^m is the workspace's own array, valid only until the next step.
     """
 
-    params: ModelParams
-    tgrid: TimeGrid
-    grid: GridSpec
-    law: RadiusLaw
-    method: str
-    S: np.ndarray
-    Q: np.ndarray
-    A: np.ndarray
-    R_nodes: np.ndarray
-    stride: int
-    snapshots: dict[int, np.ndarray] = dc_field(default_factory=dict)
+    def __init__(self, params, tgrid, grid, config, v0, law, method, every, require_admissible):
+        # integrate() and run() construct it; their signatures annotate the arguments
+        if method not in ("newton", "reference"):
+            raise ValueError(f"unknown method {method!r}")
+        if v0.J != grid.J:
+            raise ValueError(f"v0 has J={v0.J}, grid expects {grid.J}")
+        if every < 1:
+            raise ValueError(f"every (run's store_stride) must be >= 1, got {every}")
+        ctx = SchemeContext(params, tgrid, grid, law=law, config=config)
+        report = check_admissibility(params, tgrid, ctx.law)
+        if require_admissible and not report.passed:
+            raise SolverError(f"admissibility failed: {report}")
 
-    def has(self, n: int) -> bool:
-        return n in self.snapshots
+        h = grid.h
+        mean0 = float(np.sum(v0.values)) * h
+        if abs(mean0) > 1e-10 * max(1.0, norm_h(v0)):
+            warnings.warn(  # level 3: the caller of run() or integrate(), which construct this
+                f"initial mean {mean0:.3e} is nonzero; it decays geometrically",
+                stacklevel=3,
+            )
 
-    def v(self, n: int) -> PeriodicField:
-        try:
-            return PeriodicField(self.snapshots[n], self.grid.h)
-        except KeyError:
-            raise KeyError(
-                f"no snapshot stored for step {n} (stride {self.stride})"
-            ) from None
+        N = tgrid.N
+        traj = Trajectory(
+            params=params,
+            tgrid=tgrid,
+            grid=grid,
+            law=ctx.law,
+            method=method,
+            S=np.full(N + 1, np.nan),
+            Q=np.full(N + 1, np.nan),
+            A=np.empty(0),  # set at step N, so a run holds no third N + 1 array while it steps
+            R_nodes=ctx.R_nodes,
+            stride=every,
+        )
+        ws = _Workspace(grid.J)
+        ws.vn[:] = v0.values
+        ws.v_prev[:] = v0.values  # Vhat = 2 V^0 - V^0 = V^0: the first step is one frozen sweep
+        _rfft(ws.vn, 1.0, out=ws.X)
+        traj.S[0] = h * ws.X[0].real
+        traj.Q[0] = pw_linear_square_integral(ws.vn, h)
+        self.trajectory = traj
+        # The generator holds ctx, ws and traj but not self, so dropping an
+        # unfinished integration frees it at once, without a reference cycle.
+        self._steps = _steps(ctx, ws, traj, every)
 
-    def stored_steps(self) -> list[int]:
-        return sorted(self.snapshots)
+    def __iter__(self):
+        return self
 
-    def final(self) -> PeriodicField:
-        return self.v(self.tgrid.N)
+    def __next__(self) -> tuple[int, np.ndarray]:
+        return next(self._steps)
+
+
+def _steps(ctx: SchemeContext, ws: _Workspace, traj: Trajectory, every: int):
+    """The one step loop: yields (m, ws.vn) at m = 0, every, ..., N."""
+    h = ctx.grid.h
+    N = ctx.tgrid.N
+    S, Q = traj.S, traj.Q
+    j_n = ctx.config.newton_iters
+    tol = ctx.config.reference_tol
+    reference = traj.method == "reference"
+    rows = ctx.rows(0, N)
+    m = 0
+    while True:
+        if m == N:
+            g = Q / (ctx.law.rate(ctx.R_nodes) * ctx.R_nodes**2)
+            traj.A = np.concatenate(([0.0], np.cumsum(0.5 * ctx.tgrid.k * (g[:-1] + g[1:]))))
+        yield m, ws.vn
+        if m == N:
+            return
+        # Overflow or an invalid operation anywhere in a step fails the run at
+        # that step instead of carrying inf or NaN forward.  The error state
+        # is entered and left between two yields, never across one: blocks
+        # left open by interleaved integrations would be restored out of order.
+        with np.errstate(over="raise", invalid="raise"):
+            for n in range(m, min(m + every, N)):
+                m = n + 1
+                try:
+                    sc = next(rows)
+                    if reference:
+                        X_next, v_next = _reference_step(ws.vn, ws.X, sc, h, tol, n, ws)
+                    else:
+                        X_next, v_next = _newton_step(ws.vn, ws.X, ws.v_prev, sc, 1 if n == 0 else j_n, ws)
+                    Q[m] = pw_linear_square_integral(v_next, h)
+                except FloatingPointError as e:
+                    raise SolverError(f"floating point failure: {e}", step=m) from e
+                if not math.isfinite(Q[m]):
+                    raise SolverError(f"the solution is no longer finite (Q = {Q[m]})", step=m)
+                S[m] = h * X_next[0].real
+                ws.rotate()
+
+
+def integrate(
+    params: ModelParams,
+    tgrid: TimeGrid,
+    grid: GridSpec,
+    config: SolverConfig,
+    v0: PeriodicField,
+    *,
+    law: RadiusLaw | None = None,
+    method: str = "newton",
+    every: int = 1,
+    require_admissible: bool = True,
+) -> Integration:
+    """The steps of a run from v0, as an iterator of (m, V^m) at m = 0,
+    every, 2*every, ..., N; see Integration.  Bad arguments and a failed
+    admissibility check raise here, not at the first step."""
+    return Integration(params, tgrid, grid, config, v0, law, method, every, require_admissible)
 
 
 def run(
@@ -407,78 +489,11 @@ def run(
 
     method "newton" uses the linear first step plus j_n linearization sweeps
     per step; method "reference" solves every step to convergence.  Snapshots
-    are stored every store_stride steps (steps 0 and N always).
+    are stored every store_stride steps (steps 0 and N always): a copy of
+    each step the integration yields.
     """
-    if method not in ("newton", "reference"):
-        raise ValueError(f"unknown method {method!r}")
-    if v0.J != grid.J:
-        raise ValueError(f"v0 has J={v0.J}, grid expects {grid.J}")
-    if store_stride < 1:
-        raise ValueError(f"store_stride must be >= 1, got {store_stride}")
-    ctx = SchemeContext(params, tgrid, grid, law=law, config=config)
-    report = check_admissibility(params, tgrid, ctx.law)
-    if require_admissible and not report.passed:
-        raise SolverError(f"admissibility failed: {report}")
-
-    h = grid.h
-    k = tgrid.k
-    N = tgrid.N
-    mean0 = float(np.sum(v0.values)) * h
-    if abs(mean0) > 1e-10 * max(1.0, norm_h(v0)):
-        warnings.warn(
-            f"initial mean {mean0:.3e} is nonzero; it decays geometrically",
-            stacklevel=2,
-        )
-
-    S = np.empty(N + 1)
-    Q = np.empty(N + 1)
-
-    ws = _Workspace(grid.J)
-    ws.vn[:] = v0.values
-    ws.v_prev[:] = v0.values  # Vhat = 2 V^0 - V^0 = V^0: the first step is one frozen sweep
-    _rfft(ws.vn, 1.0, out=ws.X)
-    S[0] = h * ws.X[0].real
-    Q[0] = pw_linear_square_integral(ws.vn, h)
-
-    snapshots: dict[int, np.ndarray] = {0: ws.vn.copy()}
-    j_n = ctx.config.newton_iters
-    tol = ctx.config.reference_tol
-
-    rows = ctx.rows(0, N)
-    # Overflow or an invalid operation anywhere in a step fails the run at
-    # that step instead of carrying inf or NaN forward.
-    with np.errstate(over="raise", invalid="raise"):
-        for n in range(N):
-            m = n + 1
-            try:
-                sc = next(rows)
-                if method == "reference":
-                    X_next, v_next = _reference_step(ws.vn, ws.X, sc, h, tol, n, ws)
-                else:
-                    X_next, v_next = _newton_step(ws.vn, ws.X, ws.v_prev, sc, 1 if n == 0 else j_n, ws)
-                Q[m] = pw_linear_square_integral(v_next, h)
-            except FloatingPointError as e:
-                raise SolverError(f"floating point failure: {e}", step=m) from e
-            if not math.isfinite(Q[m]):
-                raise SolverError(f"the solution is no longer finite (Q = {Q[m]})", step=m)
-            S[m] = h * X_next[0].real
-            if m % store_stride == 0 or m == N:
-                snapshots[m] = v_next.copy()
-            ws.rotate()
-
-    g = Q / (ctx.law.rate(ctx.R_nodes) * ctx.R_nodes**2)
-    A = np.concatenate(([0.0], np.cumsum(0.5 * k * (g[:-1] + g[1:]))))
-
-    return Trajectory(
-        params=params,
-        tgrid=tgrid,
-        grid=grid,
-        law=ctx.law,
-        method=method,
-        S=S,
-        Q=Q,
-        A=A,
-        R_nodes=ctx.R_nodes,
-        stride=store_stride,
-        snapshots=snapshots,
-    )
+    steps = Integration(params, tgrid, grid, config, v0, law, method, store_stride, require_admissible)
+    snapshots = steps.trajectory.snapshots
+    for m, v in steps:
+        snapshots[m] = v.copy()
+    return steps.trajectory

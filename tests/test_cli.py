@@ -442,7 +442,7 @@ def test_eoc_ladder_frees_each_finished_trajectory(tmp_path, monkeypatch):
 
     returned = []  # (J, weak reference) of every trajectory run returned
     alive_at_start = []
-    real_run = ksring.experiments.run
+    real_run = ksring.experiments.integrate
 
     def recording_run(params, tgrid, grid, *args, **kwargs):
         alive_at_start.append((grid.J, [J for J, ref in returned if J != grid.J and ref() is not None]))
@@ -450,12 +450,47 @@ def test_eoc_ladder_frees_each_finished_trajectory(tmp_path, monkeypatch):
         returned.append((grid.J, weakref.ref(traj)))
         return traj
 
-    monkeypatch.setattr(ksring.experiments, "run", recording_run)
+    monkeypatch.setattr(ksring.experiments, "integrate", recording_run)
     cfg = load_config(write_config(tmp_path, GOOD_CONFIG.replace("J = 64", "J = 16")))
     report = ksring.experiments.eoc_ladder(cfg, levels=3)
     assert [J for J, _ in returned] == [512, 16, 16, 32, 32, 64, 64]
     assert alive_at_start == [(J, []) for J, _ in returned]
     assert [level.J for level in report.levels] == [16, 32, 64]
+
+
+def test_eoc_newton_gap_matches_two_stored_runs(tmp_path, monkeypatch):
+    # the lockstep gap equals, bit for bit, the largest norm_h difference of
+    # two whole stride-1 trajectories, and the ladder stores no step but N
+    import ksring.experiments
+    from ksring.field import GridSpec, PeriodicField, norm_h
+    from ksring.params import TimeGrid
+    from ksring.radius import RadiusLaw
+    from ksring.solver import run as lib_run
+
+    started = []
+    real_integrate = ksring.experiments.integrate
+
+    def recording_integrate(*args, **kwargs):
+        started.append(real_integrate(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(ksring.experiments, "integrate", recording_integrate)
+    cfg = load_config(write_config(tmp_path, GOOD_CONFIG.replace("J = 64", "J = 16")))
+    report = ksring.experiments.eoc_ladder(cfg, levels=3)
+    law = RadiusLaw(cfg.params)
+    for level in report.levels:
+        J, T = level.J, cfg.tgrid.T
+        tg, grid = TimeGrid.from_horizon(T, T / J), GridSpec(J)
+        v0 = replace(cfg, grid=grid).initial_v()
+        cn, newton = (
+            lib_run(cfg.params, tg, grid, cfg.solver, v0, law=law, method=method, store_stride=1)
+            for method in ("reference", "newton")
+        )
+        gap = max(norm_h(PeriodicField(newton.snapshots[n] - cn.snapshots[n], grid.h)) for n in range(tg.N + 1))
+        assert level.newton_gap > 0.0 and level.newton_gap.hex() == gap.hex(), J
+    assert [steps.trajectory.grid.J for steps in started] == [512, 16, 16, 32, 32, 64, 64]
+    for steps in started:
+        assert set(steps.trajectory.snapshots) <= {0, steps.trajectory.tgrid.N}
 
 
 def test_stability_map_command(tmp_path):

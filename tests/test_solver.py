@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ksring.solver import (
     cn_residual,
     cn_step,
     extrapolate,
+    integrate,
     mean_step_factor,
     newton_first_step,
     newton_iterate,
@@ -833,3 +835,108 @@ def test_rows_check_real_denominators_before_the_cast():
     with pytest.raises(SolverError, match=f"at mode {mode}, step {n0};") as err:
         next(rows)
     assert err.value.step == n0
+
+
+# The step iterator: integrate() yields (m, V^m) and run() consumes it.
+
+DIVERGING = ModelParams(delta=0.1, alpha=1.5, v_c=5.0, R0=1.0)  # admissible; overflows in a few steps
+
+
+def test_integrate_keeps_numpy_error_state():
+    # each integration enters np.errstate between its yields, never across
+    # one: blocks open across yields of interleaved runs would be restored
+    # out of order and leave overflow raising after both runs are gone
+    import gc
+
+    g, tg = GridSpec(32), TimeGrid(k=0.01, N=12)
+    v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
+    before = np.geterr()
+    a = integrate(SLOW, tg, g, SolverConfig(), v0)
+    b = integrate(SLOW, tg, g, SolverConfig(), v0, method="reference")
+    assert [m for (m, _), _ in zip(a, b)] == list(range(tg.N + 1))
+    assert next(b, None) is None  # zip stopped at a's end; b ends after it
+    assert np.geterr() == before
+
+    c = integrate(SLOW, tg, g, SolverConfig(), v0, every=5)
+    assert next(c)[0] == 0 and next(c)[0] == 5
+    del c
+    gc.collect()
+    assert np.geterr() == before
+
+    gd = GridSpec(64)
+    d = integrate(DIVERGING, TimeGrid(k=0.05, N=1000), gd, SolverConfig(),
+                  sample_cosine_sum_dsigma(gd, [(3.0, 2), (3.0, 3)]))
+    with pytest.raises(SolverError) as err:
+        for _ in d:
+            pass
+    assert err.value.step is not None
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("method", ["newton", "reference"])
+@pytest.mark.parametrize("every", [1, 4, 7])
+def test_integrate_yields_the_steps_run_stores(method, every):
+    # the one step loop: the yielded steps are run()'s snapshots, and S, Q,
+    # A and R_nodes are complete, with run()'s bits, when step N is yielded
+    g, tg = GridSpec(32), TimeGrid(k=0.01, N=20)
+    v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
+    traj = run(SLOW, tg, g, SolverConfig(), v0, method=method, store_stride=every)
+    steps = integrate(SLOW, tg, g, SolverConfig(), v0, method=method, every=every)
+    seen = []
+    for m, v in steps:
+        assert np.array_equal(bits(v), bits(traj.snapshots[m]))
+        seen.append(m)
+        if m == tg.N:
+            break
+    assert seen == traj.stored_steps()
+    out = steps.trajectory
+    assert out.snapshots == {} and out.stride == every and out.method == method
+    for name in ("S", "Q", "A", "R_nodes"):
+        assert np.array_equal(bits(getattr(out, name)), bits(getattr(traj, name))), name
+
+
+def test_integrate_failures_keep_their_step_index(monkeypatch):
+    # an overflow reports m = n + 1, as through run()
+    calls = []
+
+    def overflowing(x, fct, out):
+        calls.append(1)
+        if len(calls) == 6:
+            x = np.full_like(x, 1e308)
+        return _rfft(x, fct, out=out)
+
+    monkeypatch.setattr(solver, "_rfft", overflowing)
+    g = GridSpec(32)
+    steps = integrate(SLOW, TimeGrid(k=0.01, N=6), g, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.01, 2)]))
+    assert [next(steps)[0] for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(SolverError, match="floating point failure") as err:
+        next(steps)
+    assert err.value.step == 3
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"method": "euler"}, ValueError),
+        ({"v0": sample_cosine_sum_dsigma(GridSpec(32), [(0.01, 2)])}, ValueError),
+        ({"every": 0}, ValueError),
+        ({"every": -2}, ValueError),
+        ({"params": replace(SLOW, R0=2.0)}, SolverError),  # R0 below sqrt(delta/(alpha-1))
+    ],
+)
+def test_integrate_rejects_bad_arguments_when_called(change, error):
+    # checked by integrate() itself, before any step is asked for
+    g = GridSpec(16)
+    kwargs = dict(params=SLOW, v0=sample_cosine_sum_dsigma(g, [(0.01, 2)])) | change
+    params, v0 = kwargs.pop("params"), kwargs.pop("v0")
+    with pytest.raises(error):
+        integrate(params, TimeGrid(k=0.01, N=5), g, SolverConfig(), v0, **kwargs)
+
+
+@pytest.mark.parametrize("entry", ["run", "integrate"])
+def test_nonzero_mean_warning_names_the_callers_file(entry):
+    g = GridSpec(16)
+    v0 = PeriodicField(0.01 * np.cos(2 * g.sigma) + 1.0, g.h)
+    with pytest.warns(UserWarning, match="initial mean") as caught:
+        (run if entry == "run" else integrate)(SLOW, TimeGrid(k=0.01, N=3), g, SolverConfig(), v0)
+    assert [w.filename for w in caught] == [__file__]
