@@ -103,11 +103,10 @@ def emit_run_outputs(
     traj: Trajectory,
     admissibility: AdmissibilityReport,
     out: Path,
-    solve_s: float,
 ) -> dict:
-    """Writes the CSV files and report.json of one run; each stored step's
-    height is reconstructed once and shared by its snapshot, its curve and,
-    at step N, the spectral report."""
+    """Writes the CSV files and report.json of one run, with traj.solve_s as
+    its solve time; each stored step's height is reconstructed once and
+    shared by its snapshot, its curve and, at step N, the spectral report."""
     out.mkdir(parents=True, exist_ok=True)
     N = traj.tgrid.N
     emit = set(cfg.emit)
@@ -160,7 +159,7 @@ def emit_run_outputs(
         "solver": {"method": traj.method, "jn": cfg.solver.newton_iters, "v0_method": cfg.v0_method},
         "admissibility": _admissibility_dict(admissibility),
         "max_abs_mean": float(np.max(np.abs(traj.S))),
-        "wall_time_seconds": solve_s,
+        "wall_time_seconds": traj.solve_s,
         "config_hash": cfg.config_hash(),
     }
     if "spectrum" in emit:
@@ -178,7 +177,7 @@ def emit_run_outputs(
             "unstable_at_R_T": rep.unstable_modes,
             "measured_dominant": rep.measured_dominant,
         }
-    report["timing"] = {"solve_s": solve_s} | seconds
+    report["timing"] = {"solve_s": traj.solve_s} | seconds
     _write_json(out / "report.json", report)
     return report
 
@@ -190,13 +189,11 @@ def cmd_run(cfg: RunConfig, out: Path, force: bool = False) -> dict:
         if not force:
             raise ConfigError([f"admissibility: {admissibility}"])
         print("warning: admissibility failed, continuing because of --force", file=sys.stderr)
-    t0 = time.perf_counter()
     traj = run(
         cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(),
         law=law, method="newton", store_stride=cfg.stride, require_admissible=not force,
     )
-    solve_s = time.perf_counter() - t0
-    return emit_run_outputs(cfg, traj, admissibility, out, solve_s)
+    return emit_run_outputs(cfg, traj, admissibility, out)
 
 
 def cmd_eoc(cfg: RunConfig, out: Path, levels: int) -> dict:

@@ -159,12 +159,16 @@ def load_config(path: str | Path) -> RunConfig:
     """Parses and validates a run configuration.
 
     Raises OSError if the file is missing, configparser.Error if it is not
-    INI at all, and ConfigError listing every field level problem.
+    UTF-8 INI text, and ConfigError listing every field level problem.
     """
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise configparser.Error(f"{path} is not UTF-8 text: {e}") from None
     # No interpolation: a value such as dir = a%b is taken as written.
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    cp.read_string(path.read_text(), source=str(path))
+    cp.read_string(text, source=str(path))
     v = _read_keys(cp)
 
     J, modes, amplitudes = v["J"], v["modes"], v["amplitudes"]

@@ -4,13 +4,12 @@ wavenumber selection suite."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, checked
-from .field import GridSpec, sample_cosine_sum_dsigma
+from .field import GridSpec, _norm_values, sample_cosine_sum_dsigma
 from .params import ModelParams, SolverConfig, TimeGrid
 from .radius import RadiusLaw
 from .reconstruct import reconstruct_u
@@ -50,9 +49,7 @@ class EocReport:
 
 
 def _subsampled_err(fine: np.ndarray, coarse: np.ndarray, h_coarse: float) -> float:
-    stride = fine.size // coarse.size
-    d = coarse - fine[::stride]
-    return math.sqrt(h_coarse * float(np.dot(d, d)))
+    return _norm_values(coarse - fine[:: fine.size // coarse.size], h_coarse)
 
 
 def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
@@ -70,22 +67,12 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
     if not adm.passed:
         raise ConfigError([f"eoc: coarsest level J = {Js[0]} fails admissibility: {adm}"])
 
-    solve_s: dict[tuple[int, str], float] = {}
+    timing: dict = {"levels": []}  # each run's Trajectory.solve_s
 
     def start(J: int, method: str, every: int) -> Integration:
         tg = TimeGrid.from_horizon(T, T / J)
         v0 = replace(cfg, grid=GridSpec(J)).initial_v()
-        t0 = time.perf_counter()
-        steps = integrate(cfg.params, tg, GridSpec(J), cfg.solver, v0, law=law, method=method, every=every)
-        solve_s[J, method] = time.perf_counter() - t0
-        return steps
-
-    def advance(steps: Integration) -> np.ndarray:
-        """The next V^m, the seconds of its step added to its run's solve time."""
-        t0 = time.perf_counter()
-        _, v = next(steps)
-        solve_s[steps.trajectory.grid.J, steps.trajectory.method] += time.perf_counter() - t0
-        return v
+        return integrate(cfg.params, tg, GridSpec(J), cfg.solver, v0, law=law, method=method, every=every)
 
     def at_T(steps: Integration, v: np.ndarray) -> Trajectory:
         """The finished trajectory, with V^N as its one snapshot."""
@@ -96,8 +83,9 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
     # so no finished run holds memory while the next, larger one runs.
     def reference_at_T() -> tuple[np.ndarray, np.ndarray]:
         ref = start(J_ref, "reference", J_ref)
-        advance(ref)  # V^0; with every = N the next step yielded is N
-        traj = at_T(ref, advance(ref))
+        next(ref)  # V^0; with every = N the next step yielded is N
+        traj = at_T(ref, next(ref)[1])
+        timing["reference_solve_s"] = traj.solve_s
         return traj.final().values, reconstruct_u(traj, cfg.I0, traj.tgrid.N).values
 
     def level(J: int) -> EocLevel:
@@ -106,29 +94,21 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
         cn_steps, newton_steps = start(J, "reference", 1), start(J, "newton", 1)
         h = GridSpec(J).h
         gap, d = 0.0, np.empty(J)
-        for _ in range(cn_steps.trajectory.tgrid.N + 1):
-            v, w = advance(cn_steps), advance(newton_steps)
-            np.subtract(w, v, out=d)
-            gap = max(gap, math.sqrt(h * float(np.dot(d, d))))  # norm_h of W^m - V^m
+        for (_, v), (_, w) in zip(cn_steps, newton_steps):
+            gap = max(gap, _norm_values(np.subtract(w, v, out=d), h))  # norm_h of W^m - V^m
         cn, newton = at_T(cn_steps, v), at_T(newton_steps, w)
+        timing["levels"].append({"J": J, "reference_solve_s": cn.solve_s, "newton_solve_s": newton.solve_s})
         err_v = _subsampled_err(ref_v, cn.final().values, h)
         err_u = _subsampled_err(ref_u, reconstruct_u(cn, cfg.I0, cn.tgrid.N).values, h)
         err_vn = _subsampled_err(ref_v, newton.final().values, h)
         return EocLevel(J, T / J, err_v, err_u, err_vn, gap)
 
     ref_v, ref_u = reference_at_T()
-    report = EocReport(reference_J=J_ref, levels=[level(J) for J in Js])
+    report = EocReport(reference_J=J_ref, levels=[level(J) for J in Js], timing=timing)
     for a, b in zip(report.levels, report.levels[1:]):
         report.eoc_v.append(math.log2(a.err_v / b.err_v))
         report.eoc_u.append(math.log2(a.err_u / b.err_u))
         report.eoc_v_newton.append(math.log2(a.err_v_newton / b.err_v_newton))
-    report.timing = {
-        "reference_solve_s": solve_s[J_ref, "reference"],
-        "levels": [
-            {"J": J, "reference_solve_s": solve_s[J, "reference"], "newton_solve_s": solve_s[J, "newton"]}
-            for J in Js
-        ],
-    }
     return report
 
 

@@ -4,7 +4,8 @@ A field is J real samples V_0..V_{J-1} on the uniform grid sigma_i = i*h,
 h = 2*pi/J, identified periodically (V_{i+J} = V_i).  The discrete L2 norm
 is ||V||_h = (h*sum V_i^2)^(1/2); first and second difference seminorms and
 the h-weighted inner product follow the same convention.  The periodic shift
-(_pad) and the second difference (_lap_values) every stencil uses live here.
+(_pad) and second difference (_lap_values) of every stencil and the norm of
+every ||.||_h (_norm_values, on a values array) live here.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ def _lap_values(v: np.ndarray, h: float) -> np.ndarray:
     return (p[:-2] - 2.0 * v + p[2:]) / h**2
 
 
+def _norm_values(v: np.ndarray, h: float) -> float:
+    """(h sum v_i^2)^(1/2), the discrete L2 norm of the values v."""
+    return math.sqrt(h * float(np.dot(v, v)))
+
+
 def zeros(grid: GridSpec) -> PeriodicField:
     return PeriodicField(np.zeros(grid.J), grid.h)
 
@@ -102,8 +108,7 @@ def _check_same_grid(V: PeriodicField, W: PeriodicField):
 
 
 def norm_h(V: PeriodicField) -> float:
-    v = V.values
-    return math.sqrt(V.h * float(np.dot(v, v)))
+    return _norm_values(V.values, V.h)
 
 
 def inner_h(V: PeriodicField, W: PeriodicField) -> float:
@@ -113,14 +118,12 @@ def inner_h(V: PeriodicField, W: PeriodicField) -> float:
 
 def seminorm_1h(V: PeriodicField) -> float:
     # |V|_{1,h}^2 = h * sum ((V_i - V_{i-1})/h)^2
-    d = (V.values - _pad(V.values)[:-2]) / V.h
-    return math.sqrt(V.h * float(np.dot(d, d)))
+    return _norm_values((V.values - _pad(V.values)[:-2]) / V.h, V.h)
 
 
 def seminorm_2h(V: PeriodicField) -> float:
     # |V|_{2,h}^2 = h * sum (D_h V)_i^2
-    lap = _lap_values(V.values, V.h)
-    return math.sqrt(V.h * float(np.dot(lap, lap)))
+    return _norm_values(_lap_values(V.values, V.h), V.h)
 
 
 def mode_amplitudes(V: PeriodicField) -> np.ndarray:

@@ -52,12 +52,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
-from .field import GridSpec, PeriodicField, _wrap, norm_h, pw_linear_square_integral
+from .field import GridSpec, PeriodicField, _norm_values, _wrap, norm_h, pw_linear_square_integral
 from .operators import (
     LinearOperatorCoefficients,
     _apply_L_values,
@@ -253,9 +255,7 @@ def _reference_step(vn, X, sc, h: float, tol: float, n: int, ws: _Workspace):
         X_next, w_next = _frozen_sweep(vn, w, base, sc, ws)
         delta = np.subtract(w_next, w, out=ws.tmp)
         w = w_next
-        if math.sqrt(h * float(np.dot(delta, delta))) <= tol * max(
-            1.0, math.sqrt(h * float(np.dot(w, w)))
-        ):
+        if _norm_values(delta, h) <= tol * max(1.0, _norm_values(w, h)):
             return X_next, w
     raise SolverError(f"reference step {n} did not converge in 50 sweeps", step=n)
 
@@ -356,16 +356,18 @@ def mean_step_factor(k: float, R_half: float, alpha: float) -> float:
 class Integration:
     """One run as an iterator of (m, V^m) at m = 0, every, 2*every, ..., N.
 
-    Constructing it checks the arguments and admissibility and builds the
-    step tables; iterating it steps the scheme.  trajectory carries S, Q, A
-    and R_nodes, complete when step N is yielded (A is empty until then), so
-    a consumer that stops there (zip, say) holds a finished trajectory.  It
-    stores no snapshots: the consumer keeps the steps it needs.  A yielded
-    V^m is the workspace's own array, valid only until the next step.
+    Constructing it checks the arguments and admissibility, builds the step
+    tables and records V^0; iterating it steps the scheme.  trajectory
+    carries S, Q, A, R_nodes and solve_s (the seconds of construction and
+    stepping), complete when step N is yielded, so a consumer that stops
+    there (zip, say) holds a finished trajectory.  It stores no snapshots:
+    the consumer keeps the steps it needs.  A yielded V^m is the
+    workspace's own array, valid only until the next step.
     """
 
     def __init__(self, params, tgrid, grid, config, v0, law, method, every, require_admissible):
         # integrate() and run() construct it; their signatures annotate the arguments
+        t0 = perf_counter()
         if method not in ("newton", "reference"):
             raise ValueError(f"unknown method {method!r}")
         if v0.J != grid.J:
@@ -377,47 +379,41 @@ class Integration:
         if require_admissible and not report.passed:
             raise SolverError(f"admissibility failed: {report}")
 
-        h = grid.h
-        mean0 = float(np.sum(v0.values)) * h
-        if abs(mean0) > 1e-10 * max(1.0, norm_h(v0)):
-            warnings.warn(  # level 3: the caller of run() or integrate(), which construct this
-                f"initial mean {mean0:.3e} is nonzero; it decays geometrically",
-                stacklevel=3,
-            )
-
-        N = tgrid.N
         traj = Trajectory(
-            params=params,
-            tgrid=tgrid,
-            grid=grid,
-            law=ctx.law,
-            method=method,
-            S=np.full(N + 1, np.nan),
-            Q=np.full(N + 1, np.nan),
+            params=params, tgrid=tgrid, grid=grid, law=ctx.law, method=method,
+            S=np.full(tgrid.N + 1, np.nan), Q=np.full(tgrid.N + 1, np.nan),
             A=np.empty(0),  # set at step N, so a run holds no third N + 1 array while it steps
-            R_nodes=ctx.R_nodes,
-            stride=every,
+            R_nodes=ctx.R_nodes, stride=every,
         )
         ws = _Workspace(grid.J)
-        ws.vn[:] = v0.values
-        ws.v_prev[:] = v0.values  # Vhat = 2 V^0 - V^0 = V^0: the first step is one frozen sweep
-        _rfft(ws.vn, 1.0, out=ws.X)
-        traj.S[0] = h * ws.X[0].real
-        traj.Q[0] = pw_linear_square_integral(ws.vn, h)
-        self.trajectory = traj
+        # V^0 enters the loop where a step leaves V^{n+1}; rotating it in makes
+        # V^{-1} = V^0, so Vhat = 2 V^0 - V^0 = V^0 and the first step is one frozen sweep.
+        ws.vn[:] = ws.v_next[:] = v0.values
         # The generator holds ctx, ws and traj but not self, so dropping an
         # unfinished integration frees it at once, without a reference cycle.
-        self._steps = _steps(ctx, ws, traj, every)
+        steps = _steps(ctx, ws, traj, every)
+        self._steps = chain((next(steps),), steps)  # V^0 recorded, or SolverError at step 0
+        if abs(traj.S[0]) > 1e-10 * max(1.0, norm_h(v0)):
+            warnings.warn(  # level 3: the caller of run() or integrate(), which construct this
+                f"initial mean {traj.S[0]:.3e} is nonzero; it decays geometrically",
+                stacklevel=3,
+            )
+        self.trajectory = traj
+        traj.solve_s = perf_counter() - t0
 
     def __iter__(self):
         return self
 
     def __next__(self) -> tuple[int, np.ndarray]:
-        return next(self._steps)
+        t0 = perf_counter()
+        step = next(self._steps)
+        self.trajectory.solve_s += perf_counter() - t0
+        return step
 
 
 def _steps(ctx: SchemeContext, ws: _Workspace, traj: Trajectory, every: int):
-    """The one step loop: yields (m, ws.vn) at m = 0, every, ..., N."""
+    """The one step loop: yields (m, ws.vn) at m = 0, every, ..., N, having
+    recorded S^m, Q^m and the finiteness of each V^m, V^0 included."""
     h = ctx.grid.h
     N = ctx.tgrid.N
     S, Q = traj.S, traj.Q
@@ -425,34 +421,35 @@ def _steps(ctx: SchemeContext, ws: _Workspace, traj: Trajectory, every: int):
     tol = ctx.config.reference_tol
     reference = traj.method == "reference"
     rows = ctx.rows(0, N)
-    m = 0
+    first = last = 0
     while True:
-        if m == N:
-            g = Q / (ctx.law.rate(ctx.R_nodes) * ctx.R_nodes**2)
-            traj.A = np.concatenate(([0.0], np.cumsum(0.5 * ctx.tgrid.k * (g[:-1] + g[1:]))))
-        yield m, ws.vn
-        if m == N:
-            return
         # Overflow or an invalid operation anywhere in a step fails the run at
         # that step instead of carrying inf or NaN forward.  The error state
         # is entered and left between two yields, never across one: blocks
         # left open by interleaved integrations would be restored out of order.
         with np.errstate(over="raise", invalid="raise"):
-            for n in range(m, min(m + every, N)):
-                m = n + 1
+            for m in range(first, last + 1):
                 try:
-                    sc = next(rows)
-                    if reference:
-                        X_next, v_next = _reference_step(ws.vn, ws.X, sc, h, tol, n, ws)
+                    if m == 0:
+                        X_next, v_next = _rfft(ws.v_next, 1.0, out=ws.X_next), ws.v_next
+                    elif reference:
+                        X_next, v_next = _reference_step(ws.vn, ws.X, next(rows), h, tol, m - 1, ws)
                     else:
-                        X_next, v_next = _newton_step(ws.vn, ws.X, ws.v_prev, sc, 1 if n == 0 else j_n, ws)
+                        X_next, v_next = _newton_step(ws.vn, ws.X, ws.v_prev, next(rows), 1 if m == 1 else j_n, ws)
                     Q[m] = pw_linear_square_integral(v_next, h)
                 except FloatingPointError as e:
                     raise SolverError(f"floating point failure: {e}", step=m) from e
                 if not math.isfinite(Q[m]):
-                    raise SolverError(f"the solution is no longer finite (Q = {Q[m]})", step=m)
+                    raise SolverError(f"the solution is not finite (Q = {Q[m]})", step=m)
                 S[m] = h * X_next[0].real
                 ws.rotate()
+        if last == N:
+            g = Q / (ctx.law.rate(ctx.R_nodes) * ctx.R_nodes**2)
+            traj.A = np.concatenate(([0.0], np.cumsum(0.5 * ctx.tgrid.k * (g[:-1] + g[1:]))))
+        yield last, ws.vn
+        if last == N:
+            return
+        first, last = last + 1, min(last + every, N)
 
 
 def integrate(

@@ -17,8 +17,9 @@ class Trajectory:
 
     S[n] is the discrete mean h*sum V^n, Q[n] the exact integral of the
     squared piecewise linear interpolant of V^n, A[n] the trapezoid
-    accumulation of Q/(Rdot R^2) used by the mean height closed form, and
-    R_nodes[n] the radius at t^n.
+    accumulation of Q/(Rdot R^2) used by the mean height closed form,
+    R_nodes[n] the radius at t^n, and solve_s the seconds the run's
+    Integration spent constructing itself and stepping.
     """
 
     params: ModelParams
@@ -31,6 +32,7 @@ class Trajectory:
     A: np.ndarray
     R_nodes: np.ndarray
     stride: int
+    solve_s: float = 0.0
     snapshots: dict[int, np.ndarray] = dc_field(default_factory=dict)
 
     def has(self, n: int) -> bool:

@@ -1059,3 +1059,57 @@ def test_run_with_centered_v0(tmp_path):
     assert report["solver"]["v0_method"] == "centered"
     assert report["config_hash"] == load_config(path).config_hash()
     assert report["config_hash"] != load_config(write_config(tmp_path, name="analytic.ini")).config_hash()
+
+
+def test_non_utf8_config_is_a_parse_error(tmp_path, capsys):
+    # read as UTF-8 whatever the locale: a 0xff byte is an unreadable config
+    path = tmp_path / "latin.ini"
+    path.write_bytes(GOOD_CONFIG.replace("[model]", "[model]\n; caf\xe9").encode("latin-1") + b"\xff\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config parse error: ") and "UTF-8" in err
+    assert not out.exists()
+
+
+def test_overflowing_initial_data_fails_at_step_0_without_warnings(tmp_path, capsys):
+    # V^0 is checked under the step loop's error state before any step runs
+    text = GOOD_CONFIG.replace("amplitudes = 0.1, 0.1", "amplitudes = 1e200").replace("modes = 2, 3", "modes = 5")
+    out = tmp_path / "huge"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)])
+    assert code == 2
+    assert "solver failure at step 0: " in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
+
+
+def test_eoc_needs_three_levels(tmp_path, capsys):
+    out = tmp_path / "eoc"
+    assert main(["eoc", "--config", str(write_config(tmp_path)), "--levels", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: eoc.levels: must be >= 3\n"
+    assert not out.exists()
+
+
+def test_spectrum_only_run_reports_the_spectral_block_of_a_full_run(tmp_path):
+    # with no snapshot, curve or mean, u(T) is reconstructed for the spectrum alone
+    reports = {}
+    for name, extra in (("full", ""), ("spectrum", "emit = spectrum\n")):
+        out = tmp_path / name
+        assert main(["run", "--config", str(write_config(tmp_path, GOOD_CONFIG + extra)), "--out", str(out)]) == 0
+        reports[name] = json.loads((out / "report.json").read_text())
+    assert sorted(p.name for p in (tmp_path / "spectrum").iterdir()) == ["report.json"]
+    assert reports["spectrum"]["spectral"] == reports["full"]["spectral"]
+
+
+def test_eoc_solve_seconds_fit_in_its_wall_time(tmp_path):
+    out = tmp_path / "eoc"
+    cfg_path = write_config(tmp_path, GOOD_CONFIG.replace("J = 64", "J = 16"))
+    assert main(["eoc", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "eoc.json").read_text())
+    timing = report["timing"]
+    seconds = [timing["reference_solve_s"]]
+    seconds += [level[key] for level in timing["levels"] for key in ("reference_solve_s", "newton_solve_s")]
+    assert all(s > 0 for s in seconds)
+    assert sum(seconds) <= report["wall_time_seconds"]

@@ -940,3 +940,62 @@ def test_nonzero_mean_warning_names_the_callers_file(entry):
     with pytest.warns(UserWarning, match="initial mean") as caught:
         (run if entry == "run" else integrate)(SLOW, TimeGrid(k=0.01, N=3), g, SolverConfig(), v0)
     assert [w.filename for w in caught] == [__file__]
+
+
+# V^0 and the safety paths of the step loop.
+
+
+@pytest.mark.parametrize("entry", ["run", "integrate"])
+def test_nan_initial_data_fails_at_step_0(entry):
+    # V^0 is recorded by the loop's own checks: a NaN fails it when called
+    g = GridSpec(16)
+    values = sample_cosine_sum_dsigma(g, [(0.01, 2)]).values.copy()
+    values[3] = np.nan
+    with pytest.raises(SolverError, match="not finite") as err:
+        (run if entry == "run" else integrate)(SLOW, TimeGrid(k=0.01, N=3), g, SolverConfig(),
+                                               PeriodicField(values, g.h))
+    assert err.value.step == 0
+
+
+def test_reference_step_that_does_not_converge_fails_at_its_step():
+    # the diverging model at amplitude 1: the first reference step's fixed
+    # point sweeps do not settle within 50 sweeps
+    g = GridSpec(64)
+    v0 = sample_cosine_sum_dsigma(g, [(1.0, 2), (1.0, 3)])
+    with pytest.raises(SolverError, match="did not converge in 50 sweeps") as err:
+        run(DIVERGING, TimeGrid(k=0.05, N=4), g, SolverConfig(), v0, method="reference")
+    assert err.value.step == 0
+
+
+def test_non_finite_step_without_a_floating_point_error_fails_at_its_step(monkeypatch):
+    # a transform that writes NaN raises no FloatingPointError; the loop's
+    # finiteness check of Q stops the run at the step that made it
+    def nan_irfft(X, fct, out):
+        out[:] = np.nan
+        return out
+
+    g = GridSpec(32)
+    steps = integrate(SLOW, TimeGrid(k=0.01, N=4), g, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.01, 2)]))
+    assert next(steps)[0] == 0
+    monkeypatch.setattr(solver, "_irfft", nan_irfft)
+    with pytest.raises(SolverError, match="not finite") as err:
+        next(steps)
+    assert err.value.step == 1
+
+
+@pytest.mark.parametrize("method", ["newton", "reference"])
+@pytest.mark.parametrize("entry", ["run", "integrate"])
+def test_runs_time_themselves(entry, method):
+    # Trajectory.solve_s: the seconds of construction and of every step
+    g, tg = GridSpec(32), TimeGrid(k=0.01, N=5)
+    args = (SLOW, tg, g, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.01, 2)]))
+    if entry == "run":
+        traj = run(*args, method=method)
+    else:
+        steps = integrate(*args, method=method)
+        constructed = steps.trajectory.solve_s
+        assert constructed > 0
+        assert [m for m, _ in steps] == list(range(tg.N + 1))
+        traj = steps.trajectory
+        assert traj.solve_s > constructed
+    assert traj.solve_s > 0 and math.isfinite(traj.solve_s)
