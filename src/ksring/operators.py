@@ -63,10 +63,6 @@ def _psi_apply(coeffs, w: np.ndarray, out=None, tmp=None, pw=None) -> np.ndarray
     return out
 
 
-def _psi_values(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return _psi_apply(psi_coefficients(v), w)
-
-
 def laplacian_h(V: PeriodicField) -> PeriodicField:
     return PeriodicField(_lap_values(V.values, V.h), V.h)
 
@@ -82,7 +78,7 @@ def phi(V: PeriodicField, W: PeriodicField) -> PeriodicField:
 
 def psi(V: PeriodicField, W: PeriodicField) -> PeriodicField:
     _check_same_grid(V, W)
-    return PeriodicField(_psi_values(V.values, W.values), V.h)
+    return PeriodicField(_psi_apply(psi_coefficients(V.values), W.values), V.h)
 
 
 class LinearOperatorCoefficients(NamedTuple):

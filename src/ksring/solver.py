@@ -205,7 +205,7 @@ class _Workspace:
 # Step kernels: state as values and rfft spectrum X in, the next (spectrum,
 # values) out, in ws.X_next and ws.v_next, with sc the step's
 # StepCoefficients.  The step loop of integrate() chains them on its own
-# workspace; the public step functions wrap them, each call on a fresh one.
+# workspace; the public step functions wrap them, each on a fresh one (_fresh_step).
 #
 # _rfft and _irfft are the pocketfft ufuncs behind np.fft.rfft and irfft
 # (rfft_n_even, since GridSpec makes J even), called without np.fft's Python
@@ -255,7 +255,8 @@ def _reference_step(vn, X, sc, h: float, tol: float, n: int, ws: _Workspace):
         X_next, w_next = _frozen_sweep(vn, w, base, sc, ws)
         delta = np.subtract(w_next, w, out=ws.tmp)
         w = w_next
-        if _norm_values(delta, h) <= tol * max(1.0, _norm_values(w, h)):
+        # "not >" stops a NaN sweep too, which the step loop then reports as not finite
+        if not _norm_values(delta, h) > tol * max(1.0, _norm_values(w, h)):
             return X_next, w
     raise SolverError(f"reference step {n} did not converge in 50 sweeps", step=n)
 
@@ -284,11 +285,16 @@ def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace):
     return X_next, w
 
 
-def solve_linear_cn(rhs: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
-    """Solves ((1/k) Id + (1/2) L^{n+1/2}) X = rhs by Fourier diagonalization."""
+def _fresh_step(ctx: SchemeContext, n: int, values: np.ndarray):
+    """Step n's coefficients, a fresh workspace and the rfft of values in its ws.X."""
     sc = ctx.step_coefficients(n)
     ws = _Workspace(ctx.grid.J)
-    X = _rfft(rhs.values, 1.0, out=ws.X)
+    return sc, ws, _rfft(values, 1.0, out=ws.X)
+
+
+def solve_linear_cn(rhs: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
+    """Solves ((1/k) Id + (1/2) L^{n+1/2}) X = rhs by Fourier diagonalization."""
+    sc, ws, X = _fresh_step(ctx, n, rhs.values)
     X /= sc.denom
     return PeriodicField(_irfft(X, ws.inv_J, out=ws.v_next), ctx.grid.h)
 
@@ -309,18 +315,14 @@ def cn_residual(Vn: PeriodicField, Vnp1: PeriodicField, n: int, ctx: SchemeConte
 
 def cn_step(Vn: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
     """Reference step: iterates the midpoint fixed point to ctx.config.reference_tol."""
-    sc = ctx.step_coefficients(n)
-    ws = _Workspace(ctx.grid.J)
-    X = _rfft(Vn.values, 1.0, out=ws.X)
+    sc, ws, X = _fresh_step(ctx, n, Vn.values)
     _, w = _reference_step(Vn.values, X, sc, ctx.grid.h, ctx.config.reference_tol, n, ws)
     return PeriodicField(w, ctx.grid.h)
 
 
 def newton_first_step(v0: PeriodicField, ctx: SchemeContext) -> PeriodicField:
     """Linear first step: quadratic term evaluated at the initial data."""
-    sc = ctx.step_coefficients(0)
-    ws = _Workspace(ctx.grid.J)
-    X = _rfft(v0.values, 1.0, out=ws.X)
+    sc, ws, X = _fresh_step(ctx, 0, v0.values)
     _, w = _newton_step(v0.values, X, v0.values, sc, 1, ws)
     return PeriodicField(w, ctx.grid.h)
 
@@ -338,9 +340,8 @@ def newton_iterate(
     ctx: SchemeContext,
 ) -> PeriodicField:
     """One sweep of the predictor-anchored linearization."""
-    sc = ctx.step_coefficients(n)
-    ws = _Workspace(ctx.grid.J)
-    base = np.multiply(sc.numer, _rfft(Vn.values, 1.0, out=ws.X), out=ws.base)
+    sc, ws, X = _fresh_step(ctx, n, Vn.values)
+    base = np.multiply(sc.numer, X, out=ws.base)
     _frozen_sweep(Vn.values, Vhat.values, base, sc, ws)  # b and phi(b, b); its solve is the sweep from Vhat
     psi_b = psi_coefficients(ws.pb[1:-1], ws.psi_b, ws.pb)
     _, w = _newton_sweep(base, psi_b, ws.phi_bb, Wj.values, Vhat.values, sc, ws)
@@ -356,13 +357,13 @@ def mean_step_factor(k: float, R_half: float, alpha: float) -> float:
 class Integration:
     """One run as an iterator of (m, V^m) at m = 0, every, 2*every, ..., N.
 
-    Constructing it checks the arguments and admissibility, builds the step
-    tables and records V^0; iterating it steps the scheme.  trajectory
-    carries S, Q, A, R_nodes and solve_s (the seconds of construction and
-    stepping), complete when step N is yielded, so a consumer that stops
-    there (zip, say) holds a finished trajectory.  It stores no snapshots:
-    the consumer keeps the steps it needs.  A yielded V^m is the
-    workspace's own array, valid only until the next step.
+    Constructing it checks the arguments (and admissibility if required),
+    builds the step tables and records V^0; iterating it steps the scheme.
+    trajectory carries S, Q, A, R_nodes and solve_s (the seconds of
+    construction and stepping), complete when step N is yielded, so a
+    consumer that stops there (zip, say) holds a finished trajectory.  It
+    stores no snapshots: the consumer keeps the steps it needs.  A yielded
+    V^m is the workspace's own array, valid only until the next step.
     """
 
     def __init__(self, params, tgrid, grid, config, v0, law, method, every, require_admissible):
@@ -375,8 +376,7 @@ class Integration:
         if every < 1:
             raise ValueError(f"every (run's store_stride) must be >= 1, got {every}")
         ctx = SchemeContext(params, tgrid, grid, law=law, config=config)
-        report = check_admissibility(params, tgrid, ctx.law)
-        if require_admissible and not report.passed:
+        if require_admissible and not (report := check_admissibility(params, tgrid, ctx.law)).passed:
             raise SolverError(f"admissibility failed: {report}")
 
         traj = Trajectory(

@@ -30,11 +30,11 @@ from .params import ModelParams, TimeGrid
 SPECTRAL_M_MAX = 32
 
 
-def _lambda_formula(m: float, R: float, params: ModelParams) -> float:
-    # Grouped so the neutral curve cancellation is exact to roundoff; also
-    # valid at m = 0, where it reduces to -(alpha - 1)/R^2.
+def _lambda_formula(m: float | np.ndarray, R: float, params: ModelParams) -> float | np.ndarray:
+    # Grouped so the neutral curve cancellation is exact to roundoff, and to +0.0
+    # at m = 1; at m = 0 it is -(alpha - 1)/R^2.  m may be an array of modes.
     a = params.alpha - 1.0
-    m2 = float(m) * float(m)
+    m2 = m * m
     aR2 = a * R * R
     t_growth = m2 * aR2 - params.delta * m2 * m2
     t_rest = m2 * params.delta - aR2
@@ -47,8 +47,6 @@ def lambda_m(m: int, R: float, params: ModelParams) -> float:
         raise ValueError(f"mode index must be >= 1, got {m}")
     if not (R > 0):
         raise ValueError(f"R must be > 0, got {R}")
-    if m == 1:
-        return 0.0
     return _lambda_formula(m, R, params)
 
 
@@ -84,10 +82,7 @@ class SpectralReport:
     def predicted_dominant(self) -> int:
         # Ties within 1e-12 resolve to the smaller mode.
         top = float(np.max(self.lam))
-        for m in range(1, self.m_max + 1):
-            if self.lam[m - 1] >= top - 1e-12 * max(1.0, abs(top)):
-                return m
-        return 1
+        return 1 + int(np.argmax(self.lam >= top - 1e-12 * max(1.0, abs(top))))
 
 
 def measured_dominant_mode(probe: PeriodicField) -> int:
@@ -104,7 +99,9 @@ def spectral_report(
 ) -> SpectralReport:
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
-    lam = np.array([lambda_m(m, R, params) for m in range(1, m_max + 1)])
+    if not (R > 0):
+        raise ValueError(f"R must be > 0, got {R}")
+    lam = _lambda_formula(np.arange(1.0, m_max + 1), R, params)  # float modes: m * m cannot wrap
     measured = measured_dominant_mode(probe) if probe is not None else None
     return SpectralReport(
         R=R,
@@ -128,7 +125,7 @@ def _check_reality(modes: np.ndarray) -> int:
 def _frozen_rhs(M: int, R: float, params: ModelParams):
     """The truncated system's right-hand side on modes -M..M at frozen R."""
     ms = np.arange(-M, M + 1)
-    lam = np.array([_lambda_formula(m, R, params) for m in ms])
+    lam = _lambda_formula(ms, R, params)
     c = params.v_c / (2.0 * R * R)
 
     def rhs(modes: np.ndarray) -> np.ndarray:

@@ -1113,3 +1113,41 @@ def test_eoc_solve_seconds_fit_in_its_wall_time(tmp_path):
     seconds += [level[key] for level in timing["levels"] for key in ("reference_solve_s", "newton_solve_s")]
     assert all(s > 0 for s in seconds)
     assert sum(seconds) <= report["wall_time_seconds"]
+
+
+def _count_admissibility_checks(monkeypatch):
+    # one counter behind every module's name for the check
+    import ksring.cli
+    import ksring.experiments
+    import ksring.solver
+
+    calls = []
+    check = ksring.solver.check_admissibility
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    for module in (ksring.cli, ksring.experiments, ksring.solver):
+        monkeypatch.setattr(module, "check_admissibility", counted)
+    return calls
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_run_checks_admissibility_once(tmp_path, monkeypatch, forced):
+    # cmd_run checks before the run starts; the run itself does not check again
+    text = GOOD_CONFIG.replace("R0 = 6.0", "R0 = 2.0").replace("T = 0.5", "T = 0.1") if forced else GOOD_CONFIG
+    calls = _count_admissibility_checks(monkeypatch)
+    force = ["--force"] if forced else []
+    assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "o"), *force]) == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["admissibility"]["pass"] is not forced
+
+
+def test_eoc_checks_admissibility_once(tmp_path, monkeypatch):
+    # the coarsest level's check covers every level and the reference
+    calls = _count_admissibility_checks(monkeypatch)
+    cfg_path = write_config(tmp_path, GOOD_CONFIG.replace("J = 64", "J = 16"))
+    assert main(["eoc", "--config", str(cfg_path), "--levels", "3", "--out", str(tmp_path / "eoc")]) == 0
+    assert len(calls) == 1
+    assert calls[0][1].k == 0.5 / 16

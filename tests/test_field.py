@@ -161,3 +161,13 @@ def test_pw_linear_square_integral_random_vs_quadrature():
         total += np.trapezoid(seg**2, dx=h / panels)
     # trapezoid on the squared interpolant is itself O((h/panels)^2) accurate
     assert pw_linear_square_integral(vals, h) == pytest.approx(total, rel=1e-7)
+
+
+def test_periodic_field_rejects_two_dimensional_values():
+    with pytest.raises(ValueError, match="one dimensional"):
+        PeriodicField(np.zeros((2, 8)))
+
+
+def test_periodic_field_spacing_defaults_to_the_grid():
+    assert PeriodicField(np.zeros(16)).h == TWO_PI / 16
+    assert PeriodicField(np.zeros(16)).h == GridSpec(16).h

@@ -263,3 +263,9 @@ def test_young_bound(J, eta):
         lhs = seminorm_1h(V) ** 2
         rhs = eta * seminorm_2h(V) ** 2 + norm_h(V) ** 2 / (4 * eta)
         assert lhs <= rhs * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("R", [0.0, -6.0, math.nan, np.array([6.0, -6.0])])
+def test_coefficients_reject_nonpositive_radii(R):
+    with pytest.raises(ValueError, match="R must be > 0"):
+        LinearOperatorCoefficients.at_radius(PARAMS, R)

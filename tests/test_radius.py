@@ -166,3 +166,9 @@ def test_radius_law_beyond_its_tolerance_is_a_solver_error():
     with pytest.raises(SolverError, match=r"^radius law did not converge at t = 1\.0 with v_c = 1e-06$") as err:
         RadiusLaw(replace(SLOW, v_c=1e-6)).radius_at(1.0)
     assert err.value.step is None
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, np.array([1.0, 0.0])])
+def test_radius_rate_rejects_nonpositive_radii(R):
+    with pytest.raises(ValueError, match="R must be > 0"):
+        radius_rate(R, SLOW)

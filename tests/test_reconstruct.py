@@ -277,3 +277,10 @@ def test_curve_radii_follow_reconstruction():
     pts = curve_points(traj, 10)
     radii = np.hypot(pts[:-1, 0], pts[:-1, 1])
     np.testing.assert_allclose(radii, traj.R_nodes[10] + u.values, rtol=1e-12)
+
+
+def test_mean_I_rejects_steps_outside_the_run():
+    traj, _ = zero_run(N=10)
+    for n in (-1, 11):
+        with pytest.raises(ValueError, match=r"outside 0\.\.10"):
+            mean_I(traj, 0.0, n)

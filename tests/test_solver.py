@@ -999,3 +999,20 @@ def test_runs_time_themselves(entry, method):
         traj = steps.trajectory
         assert traj.solve_s > constructed
     assert traj.solve_s > 0 and math.isfinite(traj.solve_s)
+
+
+def test_non_finite_reference_step_without_a_floating_point_error_fails_at_its_step(monkeypatch):
+    # a NaN sweep ends the reference sweeps, so the loop reports the step as
+    # not finite instead of running 50 sweeps and reporting non-convergence
+    def nan_irfft(X, fct, out):
+        out[:] = np.nan
+        return out
+
+    g = GridSpec(32)
+    v0 = sample_cosine_sum_dsigma(g, [(0.01, 2)])
+    steps = integrate(SLOW, TimeGrid(k=0.01, N=4), g, SolverConfig(), v0, method="reference")
+    assert next(steps)[0] == 0
+    monkeypatch.setattr(solver, "_irfft", nan_irfft)
+    with pytest.raises(SolverError, match="not finite") as err:
+        next(steps)
+    assert err.value.step == 1

@@ -227,3 +227,65 @@ def test_mode_energy_matches_gradient_integral():
     assert pw_linear_square_integral(v.values, g.h) == pytest.approx(spectral, rel=1e-3)
     exact = math.pi * sum(p * p * m * m for p, m in pairs)
     assert spectral == pytest.approx(exact, rel=1e-14)
+
+
+CRITERION_3 = ModelParams(delta=4.0, alpha=1.28, v_c=0.1, R0=60.0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("params, T", [(PARAMS, 100.0), (CRITERION_3, 1.0)])
+def test_spectral_report_rates_are_lambda_m_bit_for_bit(params, T):
+    # the report tabulates the modes in one array call; each entry has the
+    # bits of the scalar lambda_m, the sign of lambda_1 = +0.0 included
+    from ksring.radius import RadiusLaw
+
+    R_T = RadiusLaw(params).radius_at(T)
+    neutral = [m * math.sqrt(params.delta / (params.alpha - 1.0)) for m in range(2, 33)]
+    for R in [params.R0, R_T, *neutral, np.float64(R_T)]:
+        rep = spectral_report(R, params, 32)
+        expected = [lambda_m(m, R, params) for m in range(1, 33)]
+        np.testing.assert_array_equal(_bits(rep.lam), _bits(expected))
+        assert _bits(rep.lam)[0] == 0  # +0.0
+
+
+def _first_top_mode(lam):
+    # the rule predicted_dominant had as a loop: the first mode within 1e-12 of the top
+    top = float(np.max(lam))
+    for m in range(1, len(lam) + 1):
+        if lam[m - 1] >= top - 1e-12 * max(1.0, abs(top)):
+            return m
+    return 1
+
+
+def test_predicted_dominant_matches_the_first_mode_rule():
+    a = PARAMS.alpha - 1.0
+    # lambda_m = lambda_{m+1} where R^2 = delta (m^2 + (m+1)^2 - 1) / (alpha - 1)
+    ties = [math.sqrt(PARAMS.delta * (m * m + (m + 1) ** 2 - 1) / a) for m in range(2, 12)]
+    for R in [*np.linspace(0.5, 60.0, 239), *ties]:
+        rep = spectral_report(float(R), PARAMS, 32)
+        assert rep.predicted_dominant == _first_top_mode(rep.lam)
+    exact = [[0.0, 0.5, 0.5], [-1.0, -1.0, -1.0], [0.0, 0.0, 0.0], [2.0, 2.0 - 1e-13, 3.0, 3.0], [1.0, math.nan]]
+    for lam in exact:
+        rep = SpectralReport(R=1.0, m_max=len(lam), lam=np.array(lam), R_star=1.0)
+        assert rep.predicted_dominant == _first_top_mode(rep.lam)
+
+
+def test_neutral_delta_rejects_bad_inputs():
+    for m in (1, 0, -2):
+        with pytest.raises(ValueError, match="m >= 2"):
+            neutral_delta(m, 6.0, PARAMS)
+    for R in (0.0, -6.0, math.nan):
+        with pytest.raises(ValueError, match="R must be > 0"):
+            neutral_delta(2, R, PARAMS)
+
+
+def test_spectral_report_rejects_bad_inputs():
+    for m_max in (1, 0):
+        with pytest.raises(ValueError, match="m_max must be >= 2"):
+            spectral_report(6.0, PARAMS, m_max)
+    for R in (0.0, -6.0, math.nan):
+        with pytest.raises(ValueError, match="R must be > 0"):
+            spectral_report(R, PARAMS, 8)
