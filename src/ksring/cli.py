@@ -33,9 +33,8 @@ from .experiments import eoc_ladder, wavenumber_suite
 from .params import ModelParams, SolverConfig
 from .radius import RadiusLaw
 from .reconstruct import mean_I_path, reconstruct_u, curve_points
-from .solver import AdmissibilityReport, SolverError, check_admissibility, run
+from .solver import AdmissibilityReport, Integration, SolverError, check_admissibility, integrate
 from .stability import SPECTRAL_M_MAX, critical_radius, neutral_delta, spectral_report
-from .trajectory import Trajectory
 
 ENV_OUT = "KSRING_OUT"
 # Rows per formatted write in write_csv: bounds the bytes built at once.  A
@@ -100,13 +99,14 @@ def _admissibility_dict(report) -> dict:
 
 def emit_run_outputs(
     cfg: RunConfig,
-    traj: Trajectory,
+    steps: Integration,
     admissibility: AdmissibilityReport,
     out: Path,
 ) -> dict:
-    """Writes the CSV files and report.json of one run, with traj.solve_s as
-    its solve time; each stored step's height is reconstructed once and
-    shared by its snapshot, its curve and, at step N, the spectral report."""
+    """Steps the run, writing each stored step's snapshot and curve as it is
+    yielded, then means.csv and report.json (solve time traj.solve_s); a
+    step's height is reconstructed once for its files and, at N, the spectrum."""
+    traj = steps.trajectory
     out.mkdir(parents=True, exist_ok=True)
     N = traj.tgrid.N
     emit = set(cfg.emit)
@@ -118,28 +118,18 @@ def emit_run_outputs(
         yield
         seconds[phase] += time.perf_counter() - t0
 
-    if "means" in emit:
-        with timer("reconstruct_s"):
-            I_path = mean_I_path(traj, cfg.I0)
-        with timer("write_s"):
-            steps = np.arange(N + 1)
-            write_csv(
-                out / "means.csv",
-                ["n", "t", "S_n", "I_tilde"],
-                np.column_stack((steps, steps * traj.tgrid.k, traj.S, I_path)),
-            )
-
     width = len(str(N))
     with timer("write_s"):  # the grid column is the same in every snapshot
         sigma_text = [b"%.17g" % s for s in traj.grid.sigma.tolist()] if "v" in emit else None
-    u_field = None  # the stored steps are sorted and end at N, so u_field ends as u(T)
-    for n in traj.stored_steps():
+    u_field = None  # the steps come in order and end at N, so u_field ends as u(T)
+    for n, v in steps:
+        traj.snapshots = {n: v}  # A is final up to n; v is valid until the next step
         tag = str(n).zfill(width)
         if "u" in emit or "curve" in emit:
             with timer("reconstruct_s"):
                 u_field = reconstruct_u(traj, cfg.I0, n)
         if "v" in emit:
-            columns = (traj.snapshots[n],) + ((u_field.values,) if "u" in emit else ())
+            columns = (v,) + ((u_field.values,) if "u" in emit else ())
             with timer("write_s"):
                 write_csv(
                     out / f"snapshot_{tag}.csv",
@@ -152,6 +142,17 @@ def emit_run_outputs(
                 pts = curve_points(traj, n, cfg.I0, u=u_field)
             with timer("write_s"):
                 write_csv(out / f"curve_{tag}.csv", ["x", "y"], pts)
+
+    if "means" in emit:
+        with timer("reconstruct_s"):
+            I_path = mean_I_path(traj, cfg.I0)
+        with timer("write_s"):
+            nodes = np.arange(N + 1)
+            write_csv(
+                out / "means.csv",
+                ["n", "t", "S_n", "I_tilde"],
+                np.column_stack((nodes, nodes * traj.tgrid.k, traj.S, I_path)),
+            )
 
     report = {
         "params": cfg.to_dict()["model"] | {"R0": cfg.params.R0},
@@ -189,11 +190,12 @@ def cmd_run(cfg: RunConfig, out: Path, force: bool = False) -> dict:
         if not force:
             raise ConfigError([f"admissibility: {admissibility}"])
         print("warning: admissibility failed, continuing because of --force", file=sys.stderr)
-    traj = run(
+    # integrate() records V^0, so a step-0 failure makes no directory
+    steps = integrate(
         cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(),
-        law=law, method="newton", store_stride=cfg.stride, require_admissible=False,
+        law=law, method="newton", every=cfg.stride, require_admissible=False,
     )
-    return emit_run_outputs(cfg, traj, admissibility, out)
+    return emit_run_outputs(cfg, steps, admissibility, out)
 
 
 def cmd_eoc(cfg: RunConfig, out: Path, levels: int) -> dict:

@@ -360,10 +360,10 @@ class Integration:
     Constructing it checks the arguments (and admissibility if required),
     builds the step tables and records V^0; iterating it steps the scheme.
     trajectory carries S, Q, A, R_nodes and solve_s (the seconds of
-    construction and stepping), complete when step N is yielded, so a
-    consumer that stops there (zip, say) holds a finished trajectory.  It
-    stores no snapshots: the consumer keeps the steps it needs.  A yielded
-    V^m is the workspace's own array, valid only until the next step.
+    construction and stepping); S, Q and A are final up to each yielded
+    step, so a consumer that stops at N (zip, say) holds a finished
+    trajectory.  It stores no snapshots: the consumer keeps the steps it
+    needs.  A yielded V^m is the workspace's array, valid until the next step.
     """
 
     def __init__(self, params, tgrid, grid, config, v0, law, method, every, require_admissible):
@@ -381,8 +381,7 @@ class Integration:
 
         traj = Trajectory(
             params=params, tgrid=tgrid, grid=grid, law=ctx.law, method=method,
-            S=np.full(tgrid.N + 1, np.nan), Q=np.full(tgrid.N + 1, np.nan),
-            A=np.empty(0),  # set at step N, so a run holds no third N + 1 array while it steps
+            S=np.full(tgrid.N + 1, np.nan), Q=np.full(tgrid.N + 1, np.nan), A=np.full(tgrid.N + 1, np.nan),
             R_nodes=ctx.R_nodes, stride=every,
         )
         ws = _Workspace(grid.J)
@@ -413,10 +412,13 @@ class Integration:
 
 def _steps(ctx: SchemeContext, ws: _Workspace, traj: Trajectory, every: int):
     """The one step loop: yields (m, ws.vn) at m = 0, every, ..., N, having
-    recorded S^m, Q^m and the finiteness of each V^m, V^0 included."""
+    recorded S^m, Q^m, A^m and the finiteness of each V^m, V^0 included.
+    A adds a trapezoid term of g = Q/(Rdot R^2) a step, in np.cumsum's order."""
     h = ctx.grid.h
     N = ctx.tgrid.N
-    S, Q = traj.S, traj.Q
+    S, Q, A = traj.S, traj.Q, traj.A
+    rdot_R2 = ctx.law.rate(ctx.R_nodes) * (ctx.R_nodes * ctx.R_nodes)
+    half_k = 0.5 * ctx.tgrid.k
     j_n = ctx.config.newton_iters
     tol = ctx.config.reference_tol
     reference = traj.method == "reference"
@@ -437,15 +439,15 @@ def _steps(ctx: SchemeContext, ws: _Workspace, traj: Trajectory, every: int):
                     else:
                         X_next, v_next = _newton_step(ws.vn, ws.X, ws.v_prev, next(rows), 1 if m == 1 else j_n, ws)
                     Q[m] = pw_linear_square_integral(v_next, h)
+                    g_next = Q[m] / rdot_R2[m]
+                    A[m] = A[m - 1] + half_k * (g + g_next) if m else 0.0
+                    g = g_next
                 except FloatingPointError as e:
                     raise SolverError(f"floating point failure: {e}", step=m) from e
                 if not math.isfinite(Q[m]):
                     raise SolverError(f"the solution is not finite (Q = {Q[m]})", step=m)
                 S[m] = h * X_next[0].real
                 ws.rotate()
-        if last == N:
-            g = Q / (ctx.law.rate(ctx.R_nodes) * ctx.R_nodes**2)
-            traj.A = np.concatenate(([0.0], np.cumsum(0.5 * ctx.tgrid.k * (g[:-1] + g[1:]))))
         yield last, ws.vn
         if last == N:
             return

@@ -306,6 +306,71 @@ def test_diverging_run_fails_without_floating_point_warnings(tmp_path, capsys):
     assert not (out / "means.csv").exists()
 
 
+def test_failed_run_keeps_the_files_of_the_steps_before_it(tmp_path, capsys):
+    # the divergence repro with every step stored: it fails at step 5, and
+    # the snapshots and curves of steps 0 to 4, written as they were
+    # computed, stay with integrate()'s values; means.csv and report.json,
+    # written after step N, do not exist
+    from ksring.reconstruct import curve_points, reconstruct_u
+    from ksring.solver import integrate
+
+    text = (
+        GOOD_CONFIG.replace("delta = 4.0", "delta = 0.1")
+        .replace("v_c = 0.001", "v_c = 5")
+        .replace("k = 0.01", "k = 0.05")
+        .replace("T = 0.5", "T = 50")
+        .replace("R0 = 6.0", "R0 = 1")
+        .replace("amplitudes = 0.1, 0.1", "amplitudes = 3, 3")
+        .replace("stride = 25", "stride = 1")
+    )
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "diverged"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "solver failure at step 5: " in capsys.readouterr().err
+    tags = [f"{n:04d}" for n in range(5)]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"snapshot_{t}.csv" for t in tags] + [f"curve_{t}.csv" for t in tags]
+    )
+
+    cfg = load_config(cfg_path)
+    steps = integrate(cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v())
+    traj = steps.trajectory
+    for m, v in steps:
+        traj.snapshots[m] = v.copy()
+        u = reconstruct_u(traj, cfg.I0, m)
+        snap = _parsed(out / f"snapshot_{m:04d}.csv")
+        np.testing.assert_array_equal(_bits(snap[:, 0]), _bits(cfg.grid.sigma))
+        np.testing.assert_array_equal(_bits(snap[:, 1]), _bits(v))
+        np.testing.assert_array_equal(_bits(snap[:, 2]), _bits(u.values))
+        curve = _parsed(out / f"curve_{m:04d}.csv")
+        np.testing.assert_array_equal(_bits(curve), _bits(curve_points(traj, m, cfg.I0, u=u)))
+        if m == 4:
+            break
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_run_writes_each_stored_step_before_computing_the_next(tmp_path, monkeypatch, stride):
+    # when a step's height is reconstructed for its files, the trajectory
+    # holds that step as its one snapshot and no later step has a Q yet
+    import ksring.cli
+    from ksring.reconstruct import reconstruct_u
+
+    seen = []
+
+    def reconstruct_in_hand(traj, I0, n):
+        assert list(traj.snapshots) == [n]
+        assert np.isfinite(traj.Q[: n + 1]).all() and np.isnan(traj.Q[n + 1 :]).all()
+        seen.append(n)
+        return reconstruct_u(traj, I0, n)
+
+    monkeypatch.setattr(ksring.cli, "reconstruct_u", reconstruct_in_hand)
+    text = GOOD_CONFIG.replace("T = 0.5", "T = 0.2").replace("stride = 25", f"stride = {stride}")
+    out = tmp_path / "o"
+    ksring.cli.cmd_run(load_config(write_config(tmp_path, text)), out)
+    assert seen == list(range(0, 20, stride)) + [20]
+    assert (out / "report.json").exists() and (out / "means.csv").exists()
+
+
 @pytest.mark.parametrize(
     "edit, extra, key",
     [
@@ -657,6 +722,12 @@ def test_run_snapshot_bytes_match_per_value_formatter(tmp_path, case):
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _parsed(path):
+    """The values of a written CSV file, header dropped."""
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(x) for x in line.split(",")] for line in lines])
 
 
 def test_run_csv_files_round_trip_bitwise(tmp_path):

@@ -1016,3 +1016,62 @@ def test_non_finite_reference_step_without_a_floating_point_error_fails_at_its_s
     with pytest.raises(SolverError, match="not finite") as err:
         next(steps)
     assert err.value.step == 1
+
+
+CRITERION_3 = ModelParams(delta=4.0, alpha=1.28, v_c=0.1, R0=60.0)
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("method", ["newton", "reference"])
+@pytest.mark.parametrize(
+    "params, k, N, pairs",
+    [
+        (SLOW, 0.01, 60, [(0.1, m) for m in (2, 3, 4, 5)]),
+        (CRITERION_3, 1.0 / 64, 64, [(0.5, 2)]),
+    ],
+    ids=["README", "criterion 3"],
+)
+def test_integrate_accumulates_A_up_to_each_yielded_step(params, k, N, pairs, method, every):
+    # A[:m+1] is final when V^m is yielded: the running sum has the bits of
+    # the closed formula over the finished run, a cumulative trapezoid sum
+    g, tg = GridSpec(64), TimeGrid(k=k, N=N)
+    steps = integrate(params, tg, g, SolverConfig(), sample_cosine_sum_dsigma(g, pairs), method=method, every=every)
+    traj = steps.trajectory
+    prefixes = {m: traj.A[: m + 1].copy() for m, _ in steps}
+    assert list(prefixes) == list(range(0, N, every)) + [N]
+    q = traj.Q / (traj.law.rate(traj.R_nodes) * traj.R_nodes**2)
+    A = np.concatenate(([0.0], np.cumsum(0.5 * k * (q[:-1] + q[1:]))))
+    for m, prefix in prefixes.items():
+        assert np.array_equal(bits(prefix), bits(A[: m + 1])), m
+
+
+def test_linear_first_step_sets_the_newton_gap():
+    # On the v_c = 1 config the Newton run's distance from the converged
+    # reference at T is the linear first step's error: j_n = 2 and 3 give
+    # the same gap, and a first step solved to convergence (the reference
+    # step), followed by the same j_n sweeps, lowers it by far more than 100x.
+    params = ModelParams(delta=4.0, alpha=1.5, v_c=1.0, R0=6.0)
+    J, T = 256, 5.0
+    g, tg = GridSpec(J), TimeGrid.from_horizon(T, T / (4 * J))
+    law = RadiusLaw(params)
+    v0 = sample_cosine_sum_dsigma(g, [(0.5, 2), (0.5, 3)])
+    truth = run(params, tg, g, SolverConfig(), v0, law=law, method="reference", store_stride=tg.N).final()
+
+    def gap(v):
+        return norm_h(PeriodicField(v.values - truth.values, g.h))
+
+    paper, converged = {}, {}
+    for jn in (2, 3):
+        cfg = SolverConfig(newton_iters=jn)
+        paper[jn] = gap(run(params, tg, g, cfg, v0, law=law, store_stride=tg.N).final())
+        ctx = SchemeContext(params, tg, g, law=law, config=cfg)
+        prev, vn = v0, cn_step(v0, 0, ctx)
+        for n in range(1, tg.N):
+            vhat = w = extrapolate(vn, prev)
+            for _ in range(jn):
+                w = newton_iterate(vn, vhat, w, n, ctx)
+            prev, vn = vn, w
+        converged[jn] = gap(vn)
+    assert abs(paper[2] - paper[3]) <= 0.01 * paper[3], paper
+    for jn in (2, 3):
+        assert converged[jn] * 100 <= paper[jn], (jn, paper, converged)
