@@ -35,7 +35,7 @@ class EocReport:
     eoc_u: list[float] = dc_field(default_factory=list)
     eoc_v_newton: list[float] = dc_field(default_factory=list)
     reference_J: int = 0
-    # Solve seconds of every run, kept out of to_dict(): they vary between runs.
+    # Solve seconds and reference sweeps of every run, kept out of to_dict().
     timing: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -67,7 +67,7 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
     if not adm.passed:
         raise ConfigError([f"eoc: coarsest level J = {Js[0]} fails admissibility: {adm}"])
 
-    timing: dict = {"levels": []}  # each run's Trajectory.solve_s
+    timing: dict = {"levels": []}  # each run's solve_s and reference_sweeps
 
     def start(J: int, method: str, every: int) -> Integration:
         grid, tg = GridSpec(J), TimeGrid.from_horizon(T, T / J)
@@ -87,7 +87,7 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
         ref = start(J_ref, "reference", J_ref)
         next(ref)  # V^0; with every = N the next step yielded is N
         traj = at_T(ref, next(ref)[1])
-        timing["reference_solve_s"] = traj.solve_s
+        timing["reference_solve_s"], timing["reference_sweeps"] = traj.solve_s, traj.reference_sweeps
         return traj.snapshots[traj.tgrid.N], reconstruct_u(traj, cfg.I0, traj.tgrid.N).values
 
     def level(J: int) -> EocLevel:
@@ -100,7 +100,10 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
             gap = max(gap, _norm_values(np.subtract(w, v, out=d), h))  # norm_h of W^m - V^m
         # v and w are V^N and W^N: both runs are finished, so nothing overwrites them.
         cn, newton = at_T(cn_steps, v), newton_steps.trajectory
-        timing["levels"].append({"J": J, "reference_solve_s": cn.solve_s, "newton_solve_s": newton.solve_s})
+        timing["levels"].append(
+            {"J": J, "reference_solve_s": cn.solve_s, "newton_solve_s": newton.solve_s,
+             "reference_sweeps": cn.reference_sweeps}
+        )
         err_v = _subsampled_err(ref_v, v, h)
         err_u = _subsampled_err(ref_u, reconstruct_u(cn, cfg.I0, cn.tgrid.N).values, h)
         err_vn = _subsampled_err(ref_v, w, h)
@@ -108,6 +111,9 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
 
     ref_v, ref_u = reference_at_T()
     report = EocReport(reference_J=J_ref, levels=[level(J) for J in Js], timing=timing)
+    for l in report.levels:
+        if zero := [name for name in ("err_v", "err_u", "err_v_newton") if getattr(l, name) == 0.0]:
+            raise ConfigError([f"eoc: level J = {l.J} has {', '.join(zero)} = 0, so its order is undefined"])
     for a, b in zip(report.levels, report.levels[1:]):
         report.eoc_v.append(math.log2(a.err_v / b.err_v))
         report.eoc_u.append(math.log2(a.err_u / b.err_u))

@@ -14,7 +14,8 @@ half-step radius, and phi the 3 point quadrature of 6h v v_s.  Two step
 drivers are provided:
 
   * the reference driver solves each nonlinear step to convergence by fixed
-    point sweeps on the midpoint form (each sweep is one circulant solve);
+    point sweeps on the midpoint form (each sweep is one circulant solve),
+    started at the predictor 3 (V^n - V^{n-1}) + V^{n-2};
   * the production driver performs one linear solve for step one,
 
         (W^1 - v^0)/k + (1/2) L^{1/2} (v^0 + W^1) = (v_c/(6 h R_{1/2}^2)) phi(v^0, v^0),
@@ -181,15 +182,15 @@ class _Workspace:
     """The arrays the step kernels write into at J grid points.
 
     An integration makes one and every step and sweep reuses it, so a step
-    allocates no array.  v_prev, vn and v_next hold V^{n-1}, V^n and
+    allocates no array.  v_prev2, v_prev, vn and v_next hold V^{n-2} to
     V^{n+1}, X and X_next the rfft spectra of V^n and V^{n+1}; rotate()
-    advances them a step.
+    advances them a step.  A step writes its predictor over V^{n-2}.
     pb holds the frozen sweep's b = V^n + w and pw the Newton sweep's
     W^j - Vhat, each padded by _pad.  inv_J is the irfft normalization 1/J.
     """
 
     def __init__(self, J: int):
-        self.v_prev, self.vn, self.v_next, self.vhat, self.phi_bb, self.rhs, self.tmp = (
+        self.v_prev2, self.v_prev, self.vn, self.v_next, self.phi_bb, self.rhs, self.tmp = (
             np.empty(J) for _ in range(7)
         )
         self.psi_b = (np.empty(J), np.empty(J), np.empty(J))
@@ -198,7 +199,7 @@ class _Workspace:
         self.inv_J = 1.0 / J
 
     def rotate(self):
-        self.v_prev, self.vn, self.v_next = self.vn, self.v_next, self.v_prev
+        self.v_prev2, self.v_prev, self.vn, self.v_next = self.v_prev, self.vn, self.v_next, self.v_prev2
         self.X, self.X_next = self.X_next, self.X
 
 
@@ -240,24 +241,31 @@ def _frozen_sweep(vn, w, base, sc, ws: _Workspace):
     return _solve(base, np.multiply(sc.c_psi, phi_bb, out=ws.rhs), sc, ws)
 
 
-def _reference_step(vn, X, sc, h: float, tol: float, n: int, ws: _Workspace):
-    """Midpoint fixed point sweeps to relative update tolerance tol.
+def _quadratic_predictor(ws: _Workspace):
+    """W^0 = 3 (V^n - V^{n-1}) + V^{n-2}, O(k^3) off V^{n+1}, over V^{n-2}."""
+    d = np.subtract(ws.vn, ws.v_prev, out=ws.tmp)
+    d *= 3.0
+    return np.add(d, ws.v_prev2, out=ws.v_prev2)
+
+
+def _reference_step(vn, w, X, sc, h: float, tol: float, n: int, ws: _Workspace):
+    """Midpoint fixed point sweeps from w to relative update tolerance tol;
+    returns (spectrum, values, sweeps).
 
     Each sweep solves the circulant system with the quadratic term taken at
     the previous midpoint iterate; the contraction factor is of order
     k * v_c * |v| / R^2, far below one for admissible steps.
     """
     base = np.multiply(sc.numer, X, out=ws.base)
-    w = vn
-    for _ in range(50):
-        if w is ws.v_next:  # keep the iterate; this step reads no V^{n-1}, so sweep into its buffer
-            ws.v_prev, ws.v_next = ws.v_next, ws.v_prev
+    for sweeps in range(1, 51):
+        if w is ws.v_next:  # keep the iterate: sweep into v_prev2, whose predictor is spent
+            ws.v_prev2, ws.v_next = ws.v_next, ws.v_prev2
         X_next, w_next = _frozen_sweep(vn, w, base, sc, ws)
         delta = np.subtract(w_next, w, out=ws.tmp)
         w = w_next
         # "not >" stops a NaN sweep too, which the step loop then reports as not finite
         if not _norm_values(delta, h) > tol * max(1.0, _norm_values(w, h)):
-            return X_next, w
+            return X_next, w, sweeps
     raise SolverError(f"reference step {n} did not converge in 50 sweeps", step=n)
 
 
@@ -274,7 +282,7 @@ def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace):
     """j_n sweeps from W^0 = Vhat = 2 V^n - V^{n-1}, the first a frozen sweep.
 
     With v_prev = V^n, Vhat = V^n exactly and one sweep is the first step."""
-    vhat = np.multiply(2.0, vn, out=ws.vhat)
+    vhat = np.multiply(2.0, vn, out=ws.v_prev2)
     vhat -= v_prev
     base = np.multiply(sc.numer, X, out=ws.base)
     X_next, w = _frozen_sweep(vn, vhat, base, sc, ws)
@@ -316,7 +324,7 @@ def cn_residual(Vn: PeriodicField, Vnp1: PeriodicField, n: int, ctx: SchemeConte
 def cn_step(Vn: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
     """Reference step: iterates the midpoint fixed point to ctx.config.reference_tol."""
     sc, ws, X = _fresh_step(ctx, n, Vn.values)
-    _, w = _reference_step(Vn.values, X, sc, ctx.grid.h, ctx.config.reference_tol, n, ws)
+    _, w, _ = _reference_step(Vn.values, Vn.values, X, sc, ctx.grid.h, ctx.config.reference_tol, n, ws)
     return PeriodicField(w, ctx.grid.h)
 
 
@@ -386,8 +394,9 @@ class Integration:
         )
         ws = _Workspace(grid.J)
         # V^0 enters the loop where a step leaves V^{n+1}; rotating it in makes
-        # V^{-1} = V^0, so Vhat = 2 V^0 - V^0 = V^0 and the first step is one frozen sweep.
-        ws.vn[:] = ws.v_next[:] = v0.values
+        # V^{-1} = V^{-2} = V^0, so both predictors are V^0 at the first step,
+        # and a Newton first step is one frozen sweep.
+        ws.v_prev[:] = ws.vn[:] = ws.v_next[:] = v0.values
         # The generator holds ctx, ws and traj but not self, so dropping an
         # unfinished integration frees it at once, without a reference cycle.
         steps = _steps(ctx, ws, traj, every)
@@ -435,7 +444,10 @@ def _steps(ctx: SchemeContext, ws: _Workspace, traj: Trajectory, every: int):
                     if m == 0:
                         X_next, v_next = _rfft(ws.v_next, 1.0, out=ws.X_next), ws.v_next
                     elif reference:
-                        X_next, v_next = _reference_step(ws.vn, ws.X, next(rows), h, tol, m - 1, ws)
+                        X_next, v_next, sweeps = _reference_step(
+                            ws.vn, _quadratic_predictor(ws), ws.X, next(rows), h, tol, m - 1, ws
+                        )
+                        traj.reference_sweeps += sweeps
                     else:
                         X_next, v_next = _newton_step(ws.vn, ws.X, ws.v_prev, next(rows), 1 if m == 1 else j_n, ws)
                     Q[m] = pw_linear_square_integral(v_next, h)

@@ -18,8 +18,9 @@ class Trajectory:
     S[n] is the discrete mean h*sum V^n, Q[n] the exact integral of the
     squared piecewise linear interpolant of V^n, A[n] the trapezoid
     accumulation of Q/(Rdot R^2) used by the mean height closed form,
-    R_nodes[n] the radius at t^n, and solve_s the seconds the run's
-    Integration spent constructing itself and stepping.
+    R_nodes[n] the radius at t^n, solve_s the seconds the run's
+    Integration spent constructing itself and stepping, and
+    reference_sweeps the fixed point sweeps of a reference run.
     """
 
     params: ModelParams
@@ -34,6 +35,7 @@ class Trajectory:
     stride: int
     solve_s: float = 0.0
     snapshots: dict[int, np.ndarray] = dc_field(default_factory=dict)
+    reference_sweeps: int = 0
 
     def has(self, n: int) -> bool:
         return n in self.snapshots

@@ -813,13 +813,16 @@ def test_eoc_report_timing_block(tmp_path):
     assert main(["eoc", "--config", str(cfg_path), "--out", str(out)]) == 0
     report = json.loads((out / "eoc.json").read_text())
     timing = report["timing"]
-    assert set(timing) == {"reference_solve_s", "levels"}
+    assert set(timing) == {"reference_solve_s", "reference_sweeps", "levels"}
     assert [level["J"] for level in timing["levels"]] == [16, 32, 64]
     seconds = [timing["reference_solve_s"]]
     for level in timing["levels"]:
-        assert set(level) == {"J", "reference_solve_s", "newton_solve_s"}
+        assert set(level) == {"J", "reference_solve_s", "newton_solve_s", "reference_sweeps"}
         seconds += [level["reference_solve_s"], level["newton_solve_s"]]
     assert all(math.isfinite(s) and s >= 0 for s in seconds)
+    # each run takes N = J steps (k = T/J) and at least one sweep a step
+    for J, sweeps in [(512, timing["reference_sweeps"])] + [(l["J"], l["reference_sweeps"]) for l in timing["levels"]]:
+        assert type(sweeps) is int and J <= sweeps <= 50 * J, (J, sweeps)
     # the timing block lies outside the ladder's results and the hashed configuration
     assert "timing" not in report["eoc"]
     assert report["config_hash"] == load_config(cfg_path).config_hash()
@@ -1153,6 +1156,28 @@ def test_overflowing_initial_data_fails_at_step_0_without_warnings(tmp_path, cap
     assert code == 2
     assert "solver failure at step 0: " in capsys.readouterr().err
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
+
+
+def test_eoc_converged_reference_takes_one_sweep_a_step(tmp_path):
+    # the quadratic predictor is within reference_tol of each step on the
+    # criterion-3 ladder, so its J = 2048 reference confirms it in one sweep
+    # (two a step when the sweeps started at V^n)
+    out = tmp_path / "eoc"
+    assert main(["eoc", "--config", str(write_config(tmp_path, CRITERION_3_INI)), "--out", str(out)]) == 0
+    report = json.loads((out / "eoc.json").read_text())
+    N = report["eoc"]["reference_J"]  # k = T/J with T = 1
+    assert N == 2048 and report["timing"]["reference_sweeps"] <= 1.01 * N
+
+
+def test_eoc_with_zero_initial_data_is_a_config_error(tmp_path, capsys):
+    # every error of the ladder is 0, so no order is defined
+    text = GOOD_CONFIG.replace("J = 64", "J = 16").replace("k = 0.01", "k = 0.0625").replace("T = 0.5", "T = 1")
+    text = text.replace("amplitudes = 0.1, 0.1", "amplitudes = 0.0").replace("modes = 2, 3", "modes = 2")
+    out = tmp_path / "eoc"
+    assert main(["eoc", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: eoc: level J = 16 has err_v, err_u, err_v_newton = 0, so its order is undefined\n"
     assert not out.exists()
 
 

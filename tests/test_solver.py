@@ -443,7 +443,7 @@ def step_loop_oracle(p, tg, g, cfg, v0, law, method):
     X = np.fft.rfft(v0.values)
     vn = v0.values.copy()
     S, Q, snaps = [h * X[0].real], [pw_linear_square_integral(vn, h)], [vn.copy()]
-    v_prev = None
+    v_prev = v_prev2 = vn  # V^{-1} = V^{-2} = V^0
     for n in range(N):
         R = float(R_half[n])
         R2 = R * R
@@ -456,7 +456,7 @@ def step_loop_oracle(p, tg, g, cfg, v0, law, method):
         c_phi = p.v_c / (6.0 * h * R * R)
         c_psi = p.v_c / (24.0 * h * R * R)
         if method == "reference":
-            w = vn
+            w = 3.0 * (vn - v_prev) + v_prev2  # the quadratic predictor
             for _ in range(50):
                 vq = 0.5 * (vn + w)
                 X_next = (numer * X + nl_rfft(c_phi * roll_phi(vq, vq))) / denom
@@ -486,7 +486,7 @@ def step_loop_oracle(p, tg, g, cfg, v0, law, method):
         Q.append(pw_linear_square_integral(v_next, h))
         S.append(h * X_next[0].real)
         snaps.append(v_next.copy())
-        X, vn, v_prev = X_next, v_next, vn
+        X, vn, v_prev, v_prev2 = X_next, v_next, vn, v_prev
 
     Q = np.array(Q)
     g_ = Q / (law.rate(R_nodes) * R_nodes**2)
@@ -523,8 +523,9 @@ def test_run_buffer_rotation_matches_step_loop_oracle_bitwise(method, jn):
     # run() rotates V^{n-1}, V^n, V^{n+1} and two spectra through one
     # workspace; odd and even j_n and a store stride that does not divide N
     # show a buffer read out of turn.  SLOW is the README model.  (The
-    # reference sweeps alternate between two buffers; the J = 256 case of
-    # test_run_matches_step_loop_oracle_bitwise takes 7 or 8 sweeps a step.)
+    # reference sweeps alternate between two buffers and read V^{n-2}; the
+    # J = 256 case of test_run_matches_step_loop_oracle_bitwise takes 5.8
+    # sweeps a step.)
     g = GridSpec(256)
     tg = TimeGrid(k=0.01, N=120)
     law = RadiusLaw(SLOW)
@@ -1075,3 +1076,57 @@ def test_linear_first_step_sets_the_newton_gap():
     assert abs(paper[2] - paper[3]) <= 0.01 * paper[3], paper
     for jn in (2, 3):
         assert converged[jn] * 100 <= paper[jn], (jn, paper, converged)
+
+
+def _count_frozen_sweeps(monkeypatch):
+    calls = []
+    sweep = solver._frozen_sweep
+
+    def counted(*args):
+        calls.append(None)
+        return sweep(*args)
+
+    monkeypatch.setattr(solver, "_frozen_sweep", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["newton", "reference"])
+def test_reference_sweeps_count_every_frozen_sweep_of_a_reference_run(monkeypatch, method):
+    calls = _count_frozen_sweeps(monkeypatch)
+    g, tg = GridSpec(64), TimeGrid(k=0.01, N=40)
+    traj = run(SLOW, tg, g, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)]), method=method)
+    if method == "reference":
+        assert tg.N <= traj.reference_sweeps == len(calls)
+    else:
+        assert traj.reference_sweeps == 0 and len(calls) == tg.N  # a Newton step's first sweep is frozen
+
+
+V_C_1 = ModelParams(delta=4.0, alpha=1.5, v_c=1.0, R0=6.0)
+
+
+@pytest.mark.parametrize(
+    "params, J, k, T, pairs",
+    [
+        (SLOW, 256, 0.01, 5.0, [(0.1, m) for m in (2, 3, 4, 5)]),
+        (V_C_1, 256, 5.0 / 1024, 5.0, [(0.5, 2), (0.5, 3)]),
+        (CRITERION_3, 256, 1.0 / 256, 1.0, [(0.5, 2)]),
+    ],
+    ids=["README", "v_c = 1", "criterion 3"],
+)
+def test_predictor_started_reference_matches_the_vn_started_one(monkeypatch, params, J, k, T, pairs):
+    # The old reference run, kept here: every step's sweeps start at V^n, as
+    # cn_step's do.  Started at the quadratic predictor instead, the reference
+    # run stays within 10 reference_tol of it at every step, in fewer sweeps.
+    g, tg, cfg = GridSpec(J), TimeGrid.from_horizon(T, k), SolverConfig()
+    ctx = SchemeContext(params, tg, g, config=cfg)
+    v0 = sample_cosine_sum_dsigma(g, pairs)
+    calls = _count_frozen_sweeps(monkeypatch)
+    old = [v0]
+    for n in range(tg.N):
+        old.append(cn_step(old[n], n, ctx))
+    old_sweeps = len(calls)
+    steps = integrate(params, tg, g, cfg, v0, method="reference")
+    for m, v in steps:
+        gap = norm_h(PeriodicField(v - old[m].values, g.h))
+        assert gap <= 10 * cfg.reference_tol * max(1.0, norm_h(PeriodicField(v, g.h))), m
+    assert steps.trajectory.reference_sweeps == len(calls) - old_sweeps < old_sweeps
