@@ -10,9 +10,8 @@ from .field import (
     norm_h,
     sample_cosine_sum,
     sample_cosine_sum_dsigma,
-    zeros,
 )
-from .operators import LinearOperatorCoefficients, modal_symbol, phi, psi
+from .operators import LinearOperatorCoefficients
 from .params import ModelParams, SolverConfig, TimeGrid
 from .radius import RadiusLaw, radius_rate
 from .reconstruct import curve_points, mean_I, mean_I_path, reconstruct_u
@@ -28,8 +27,6 @@ from .solver import (
 from .stability import (
     SpectralReport,
     critical_radius,
-    galerkin_rhs,
-    lambda_m,
     measured_dominant_mode,
     neutral_delta,
     spectral_report,
@@ -52,25 +49,19 @@ __all__ = [
     "check_admissibility",
     "critical_radius",
     "curve_points",
-    "galerkin_rhs",
     "integrate",
-    "lambda_m",
     "mean_I",
     "mean_I_path",
     "measured_dominant_mode",
-    "modal_symbol",
     "mode_amplitudes",
     "neutral_delta",
     "norm_h",
-    "phi",
-    "psi",
     "radius_rate",
     "reconstruct_u",
     "run",
     "sample_cosine_sum",
     "sample_cosine_sum_dsigma",
     "spectral_report",
-    "zeros",
 ]
 
 __version__ = "0.1.0"

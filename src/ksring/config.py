@@ -187,6 +187,7 @@ def load_config(path: str | Path) -> RunConfig:
         (v["v0_method"] in V0_METHODS, "solver.v0_method", f"must be analytic or centered, got {v['v0_method']!r}"),
         (v["stride"] >= 1, "output.stride", f"must be >= 1, got {v['stride']}"),
         ("v" in v["emit"] or "u" not in v["emit"], "output.emit", "u needs v: u is a column of snapshot_<n>.csv"),
+        (len(set(v["emit"])) == len(v["emit"]), "output.emit", f"artifacts must be distinct, got {v['emit']}"),
     ]
     checks += [(e in EMIT_CHOICES, "output.emit", f"unknown artifact {e!r}") for e in v["emit"]]
     problems = [f"{where}: {message}" for ok, where, message in checks if not ok]

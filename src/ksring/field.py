@@ -1,11 +1,10 @@
-"""Periodic grid vectors on the circle and their discrete norms.
+"""Periodic grid vectors on the circle and their discrete L2 norm.
 
 A field is J real samples V_0..V_{J-1} on the uniform grid sigma_i = i*h,
 h = 2*pi/J, identified periodically (V_{i+J} = V_i).  The discrete L2 norm
-is ||V||_h = (h*sum V_i^2)^(1/2); first and second difference seminorms and
-the h-weighted inner product follow the same convention.  The periodic shift
-(_pad) and second difference (_lap_values) of every stencil and the norm of
-every ||.||_h (_norm_values, on a values array) live here.
+is ||V||_h = (h*sum V_i^2)^(1/2).  The periodic shift of every stencil
+(_pad, _wrap) and the norm of every ||.||_h (_norm_values, on a values
+array) live here.
 """
 
 from __future__ import annotations
@@ -71,11 +70,10 @@ class PeriodicField:
         return float(self.values[i % self.values.size])
 
 
-def _pad(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """v between its periodic neighbours, [v_{J-1}, v, v_0], written into out
-    (J + 2 entries) when given; p[:-2] and p[2:] are v shifted by one."""
-    if out is None:
-        out = np.empty(v.size + 2)
+def _pad(v: np.ndarray) -> np.ndarray:
+    """v between its periodic neighbours, [v_{J-1}, v, v_0];
+    p[:-2] and p[2:] are v shifted by one."""
+    out = np.empty(v.size + 2)
     out[1:-1] = v
     return _wrap(out)
 
@@ -87,43 +85,13 @@ def _wrap(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _lap_values(v: np.ndarray, h: float) -> np.ndarray:
-    """(v_{i-1} - 2 v_i + v_{i+1}) / h^2, the second difference D_h v."""
-    p = _pad(v)
-    return (p[:-2] - 2.0 * v + p[2:]) / h**2
-
-
 def _norm_values(v: np.ndarray, h: float) -> float:
     """(h sum v_i^2)^(1/2), the discrete L2 norm of the values v."""
     return math.sqrt(h * float(np.dot(v, v)))
 
 
-def zeros(grid: GridSpec) -> PeriodicField:
-    return PeriodicField(np.zeros(grid.J), grid.h)
-
-
-def _check_same_grid(V: PeriodicField, W: PeriodicField):
-    if V.J != W.J:
-        raise ValueError(f"grid size mismatch: {V.J} vs {W.J}")
-
-
 def norm_h(V: PeriodicField) -> float:
     return _norm_values(V.values, V.h)
-
-
-def inner_h(V: PeriodicField, W: PeriodicField) -> float:
-    _check_same_grid(V, W)
-    return V.h * float(np.dot(V.values, W.values))
-
-
-def seminorm_1h(V: PeriodicField) -> float:
-    # |V|_{1,h}^2 = h * sum ((V_i - V_{i-1})/h)^2
-    return _norm_values((V.values - _pad(V.values)[:-2]) / V.h, V.h)
-
-
-def seminorm_2h(V: PeriodicField) -> float:
-    # |V|_{2,h}^2 = h * sum (D_h V)_i^2
-    return _norm_values(_lap_values(V.values, V.h), V.h)
 
 
 def mode_amplitudes(V: PeriodicField) -> np.ndarray:

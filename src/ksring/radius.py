@@ -79,13 +79,3 @@ class RadiusLaw:
             x_new = x - f * (p.v_c * x + p.alpha - 1.0) / x
             x = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
         raise SolverError(f"radius law did not converge at t = {float(t[0])} with v_c = {p.v_c}")
-
-    def rate_at(self, t: float) -> float:
-        return self.rate(self.radius_at(t))
-
-
-class FrozenRadiusLaw(RadiusLaw):
-    """Radius pinned at R0; a diagnostic device for fixed-radius comparisons."""
-
-    def radii(self, ts) -> np.ndarray:
-        return np.full(_times(ts).shape, self.params.R0)

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .field import PeriodicField, _pad, pw_linear_square_integral
+from .field import PeriodicField, _pad
 from .params import TWO_PI
 
 if TYPE_CHECKING:
@@ -56,39 +56,6 @@ def _mean_of_cumulative(values: np.ndarray, nxt: np.ndarray, c: np.ndarray, h: f
     """
     cells = h * c[:-1] + h * h * (2.0 * values + nxt) / 6.0
     return float(np.sum(cells)) / TWO_PI
-
-
-def interp_v(traj: "Trajectory", sigma: float, t: float) -> float:
-    """Bilinear value of Vtilde at (sigma, t); needs both bracketing snapshots."""
-    T = traj.tgrid.T
-    if not (0.0 <= t <= T):
-        raise ValueError(f"t={t} outside [0, {T}]")
-    k = traj.tgrid.k
-    n = min(int(t / k), traj.tgrid.N - 1)
-    eta = (t - n * k) / k
-    h = traj.grid.h
-    s = sigma % TWO_PI
-    i = min(int(s / h), traj.grid.J - 1)
-    theta = (s - i * h) / h
-    vn = traj.v(n)
-    vp = traj.v(n + 1)
-    lo = (1.0 - theta) * vn[i] + theta * vn[i + 1]
-    hi = (1.0 - theta) * vp[i] + theta * vp[i + 1]
-    return (1.0 - eta) * lo + eta * hi
-
-
-def cumulative_v(traj: "Trajectory", i: int, n: int) -> float:
-    """int_0^{sigma_i} Vtilde(., t^n) for node index 0 <= i <= J."""
-    v = traj.v(n)
-    if not (0 <= i <= v.J):
-        raise ValueError(f"node index {i} outside 0..{v.J}")
-    return float(_cumulative_nodes(v.values, _pad(v.values)[2:], v.h)[i])
-
-
-def v_squared_integral(traj: "Trajectory", n: int) -> float:
-    """int_0^{2pi} Vtilde(., t^n)^2, exact for the interpolant."""
-    v = traj.v(n)
-    return pw_linear_square_integral(v.values, v.h)
 
 
 def _mean_I(traj: "Trajectory", I0: float, at):

@@ -63,7 +63,6 @@ from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 from .field import GridSpec, PeriodicField, _norm_values, _wrap, norm_h, pw_linear_square_integral
 from .operators import (
     LinearOperatorCoefficients,
-    _apply_L_values,
     _phi_values,
     _psi_apply,
     _symbol,
@@ -172,11 +171,6 @@ class SchemeContext:
                     )
                 yield StepCoefficients(denom_c[i], numer_c[i], self.c_phi[n], self.c_psi[n])
 
-    def step_coefficients(self, n: int) -> StepCoefficients:
-        if not (0 <= n < self.tgrid.N):
-            raise ValueError(f"step index {n} outside 0..{self.tgrid.N - 1}")
-        return next(self.rows(n, n + 1))
-
 
 class _Workspace:
     """The arrays the step kernels write into at J grid points.
@@ -206,7 +200,7 @@ class _Workspace:
 # Step kernels: state as values and rfft spectrum X in, the next (spectrum,
 # values) out, in ws.X_next and ws.v_next, with sc the step's
 # StepCoefficients.  The step loop of integrate() chains them on its own
-# workspace; the public step functions wrap them, each on a fresh one (_fresh_step).
+# workspace.
 #
 # _rfft and _irfft are the pocketfft ufuncs behind np.fft.rfft and irfft
 # (rfft_n_even, since GridSpec makes J even), called without np.fft's Python
@@ -291,75 +285,6 @@ def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace):
         for _ in range(j_n - 1):
             X_next, w = _newton_sweep(base, psi_b, ws.phi_bb, w, vhat, sc, ws)
     return X_next, w
-
-
-def _fresh_step(ctx: SchemeContext, n: int, values: np.ndarray):
-    """Step n's coefficients, a fresh workspace and the rfft of values in its ws.X."""
-    sc = ctx.step_coefficients(n)
-    ws = _Workspace(ctx.grid.J)
-    return sc, ws, _rfft(values, 1.0, out=ws.X)
-
-
-def solve_linear_cn(rhs: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
-    """Solves ((1/k) Id + (1/2) L^{n+1/2}) X = rhs by Fourier diagonalization."""
-    sc, ws, X = _fresh_step(ctx, n, rhs.values)
-    X /= sc.denom
-    return PeriodicField(_irfft(X, ws.inv_J, out=ws.v_next), ctx.grid.h)
-
-
-def cn_residual(Vn: PeriodicField, Vnp1: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
-    """Pointwise defect of (Vn, Vnp1) in the Crank-Nicolson scheme."""
-    coeffs = LinearOperatorCoefficients(ctx.c4[n], ctx.c2[n], ctx.c0[n])
-    k = ctx.tgrid.k
-    h = ctx.grid.h
-    vmid = 0.5 * (Vn.values + Vnp1.values)
-    res = (
-        (Vnp1.values - Vn.values) / k
-        + _apply_L_values(coeffs, vmid, h)
-        - ctx.c_phi[n] * _phi_values(vmid, vmid)
-    )
-    return PeriodicField(res, h)
-
-
-def cn_step(Vn: PeriodicField, n: int, ctx: SchemeContext) -> PeriodicField:
-    """Reference step: iterates the midpoint fixed point to ctx.config.reference_tol."""
-    sc, ws, X = _fresh_step(ctx, n, Vn.values)
-    _, w, _ = _reference_step(Vn.values, Vn.values, X, sc, ctx.grid.h, ctx.config.reference_tol, n, ws)
-    return PeriodicField(w, ctx.grid.h)
-
-
-def newton_first_step(v0: PeriodicField, ctx: SchemeContext) -> PeriodicField:
-    """Linear first step: quadratic term evaluated at the initial data."""
-    sc, ws, X = _fresh_step(ctx, 0, v0.values)
-    _, w = _newton_step(v0.values, X, v0.values, sc, 1, ws)
-    return PeriodicField(w, ctx.grid.h)
-
-
-def extrapolate(Vn: PeriodicField, Vnm1: PeriodicField) -> PeriodicField:
-    """Second order predictor 2 V^n - V^{n-1}."""
-    return PeriodicField(2.0 * Vn.values - Vnm1.values, Vn.h)
-
-
-def newton_iterate(
-    Vn: PeriodicField,
-    Vhat: PeriodicField,
-    Wj: PeriodicField,
-    n: int,
-    ctx: SchemeContext,
-) -> PeriodicField:
-    """One sweep of the predictor-anchored linearization."""
-    sc, ws, X = _fresh_step(ctx, n, Vn.values)
-    base = np.multiply(sc.numer, X, out=ws.base)
-    _frozen_sweep(Vn.values, Vhat.values, base, sc, ws)  # b and phi(b, b); its solve is the sweep from Vhat
-    psi_b = psi_coefficients(ws.pb[1:-1], ws.psi_b, ws.pb)
-    _, w = _newton_sweep(base, psi_b, ws.phi_bb, Wj.values, Vhat.values, sc, ws)
-    return PeriodicField(w, ctx.grid.h)
-
-
-def mean_step_factor(k: float, R_half: float, alpha: float) -> float:
-    """Exact one step multiplier of the discrete mean S^n."""
-    a = k * (alpha - 1.0)
-    return (2.0 * R_half * R_half - a) / (2.0 * R_half * R_half + a)
 
 
 class Integration:

@@ -37,9 +37,6 @@ class Trajectory:
     snapshots: dict[int, np.ndarray] = dc_field(default_factory=dict)
     reference_sweeps: int = 0
 
-    def has(self, n: int) -> bool:
-        return n in self.snapshots
-
     def v(self, n: int) -> PeriodicField:
         try:
             return PeriodicField(self.snapshots[n], self.grid.h)
@@ -47,9 +44,3 @@ class Trajectory:
             raise KeyError(
                 f"no snapshot stored for step {n} (stride {self.stride})"
             ) from None
-
-    def stored_steps(self) -> list[int]:
-        return sorted(self.snapshots)
-
-    def final(self) -> PeriodicField:
-        return self.v(self.tgrid.N)

@@ -15,25 +15,25 @@ import pytest
 
 from ksring.config import RunConfig
 from ksring.experiments import eoc_ladder, wavenumber_suite
-from ksring.field import (
-    GridSpec,
-    PeriodicField,
-    inner_h,
-    norm_h,
-    sample_cosine_sum_dsigma,
-    seminorm_1h,
-    seminorm_2h,
-)
-from ksring.operators import bilaplacian_h, laplacian_h, phi, psi
+from ksring.field import GridSpec, PeriodicField, norm_h, sample_cosine_sum_dsigma
 from ksring.params import ModelParams, SolverConfig, TimeGrid
-from ksring.radius import FrozenRadiusLaw, RadiusLaw
+from ksring.radius import RadiusLaw
 from ksring.reconstruct import mean_I_path
-from ksring.solver import mean_step_factor, run
-from ksring.stability import (
-    critical_radius,
+from ksring.solver import run
+from ksring.stability import critical_radius
+from oracles import (
+    FrozenRadiusLaw,
+    bilaplacian_h,
+    inner_h,
     integrate_modes,
     lambda_m,
+    laplacian_h,
+    mean_step_factor,
     modes_from_cosines,
+    phi,
+    psi,
+    seminorm_1h,
+    seminorm_2h,
 )
 
 TWO_PI = 2.0 * math.pi

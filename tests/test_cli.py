@@ -23,6 +23,7 @@ from ksring.cli import (
 )
 from ksring.params import ModelParams, SolverConfig
 from ksring.stability import critical_radius, neutral_delta, spectral_report
+from oracles import stored_steps
 
 GOOD_CONFIG = """\
 [model]
@@ -712,7 +713,7 @@ def test_run_snapshot_bytes_match_per_value_formatter(tmp_path, case):
     assert any(format(s, ".16g") != format(s, ".17g") for s in sigma)  # %.16g would show
     header = ["sigma", "v", "u"] if "u" in emit else ["sigma", "v"]
     assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [f"snapshot_{n}.csv" for n in range(4)]
-    for n in traj.stored_steps():
+    for n in stored_steps(traj):
         columns = [sigma, traj.snapshots[n]] + ([reconstruct_u(traj, cfg.I0, n).values] if "u" in emit else [])
         _per_value_csv(tmp_path / "expected.csv", header, np.column_stack(columns))
         written = (out / f"snapshot_{n}.csv").read_bytes()
@@ -752,8 +753,8 @@ def test_run_csv_files_round_trip_bitwise(tmp_path):
         return np.array([[float(x) for x in line.split(",")] for line in lines])
 
     N = cfg.tgrid.N
-    assert traj.stored_steps() == list(range(N + 1))
-    for n in traj.stored_steps():
+    assert stored_steps(traj) == list(range(N + 1))
+    for n in stored_steps(traj):
         snap = parsed(f"snapshot_{n}.csv")
         np.testing.assert_array_equal(_bits(snap[:, 0]), _bits(traj.grid.sigma))
         np.testing.assert_array_equal(_bits(snap[:, 1]), _bits(traj.snapshots[n]))
@@ -1043,6 +1044,16 @@ def test_emit_u_without_v_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, GOOD_CONFIG + "emit = u, means\n")
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error: output.emit: u needs v")
+    assert not out.exists()
+
+
+def test_duplicate_emit_entries_are_a_config_error(tmp_path, capsys):
+    # a repeated artifact changed config_hash and nothing else, as repeated modes would
+    out = tmp_path / "o"
+    path = write_config(tmp_path, GOOD_CONFIG + "emit = v, v, u, curve, means, spectrum\n")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: output.emit: artifacts must be distinct, got ['v', 'v', 'u', 'curve', 'means', 'spectrum']"]
     assert not out.exists()
 
 

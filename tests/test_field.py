@@ -7,16 +7,13 @@ from ksring.field import (
     GridSpec,
     PeriodicField,
     centered_difference,
-    inner_h,
     mode_amplitudes,
     norm_h,
     pw_linear_square_integral,
     sample_cosine_sum,
     sample_cosine_sum_dsigma,
-    seminorm_1h,
-    seminorm_2h,
-    zeros,
 )
+from oracles import inner_h, seminorm_1h, seminorm_2h, zeros
 
 TWO_PI = 2.0 * math.pi
 

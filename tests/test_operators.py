@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from ksring.field import GridSpec, PeriodicField, inner_h, norm_h, seminorm_1h, seminorm_2h
-from ksring.operators import (
-    LinearOperatorCoefficients,
-    _psi_apply,
+from ksring.field import GridSpec, PeriodicField, norm_h
+from ksring.operators import LinearOperatorCoefficients, _psi_apply, psi_coefficients, second_difference_symbol
+from ksring.params import ModelParams
+from oracles import (
     apply_L,
     bilaplacian_h,
+    inner_h,
     laplacian_h,
     modal_symbol,
     phi,
     psi,
-    psi_coefficients,
-    second_difference_symbol,
+    seminorm_1h,
+    seminorm_2h,
     symbol_array,
 )
-from ksring.params import ModelParams
 
 TWO_PI = 2.0 * math.pi
 PARAMS = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)

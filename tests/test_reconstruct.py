@@ -3,19 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ksring.field import GridSpec, PeriodicField, sample_cosine_sum_dsigma, zeros
+from ksring.field import GridSpec, PeriodicField, sample_cosine_sum_dsigma
 from ksring.params import ModelParams, SolverConfig, TimeGrid
 from ksring.radius import RadiusLaw
-from ksring.reconstruct import (
-    cumulative_v,
-    curve_points,
-    interp_v,
-    mean_I,
-    mean_I_path,
-    reconstruct_u,
-    v_squared_integral,
-)
+from ksring.reconstruct import curve_points, mean_I, mean_I_path, reconstruct_u
 from ksring.solver import Trajectory, run
+from oracles import cumulative_v, interp_v, v_squared_integral, zeros
 
 TWO_PI = 2.0 * math.pi
 SLOW = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)

@@ -11,7 +11,7 @@ from ksring.field import (
     pw_linear_square_integral,
     sample_cosine_sum_dsigma,
 )
-from ksring.operators import LinearOperatorCoefficients, _symbol, phi, psi
+from ksring.operators import LinearOperatorCoefficients, _symbol
 from ksring.params import ModelParams, SolverConfig, TimeGrid
 from ksring.radius import RadiusLaw
 import ksring.solver as solver
@@ -23,15 +23,22 @@ from ksring.solver import (
     _newton_step,
     _rfft,
     check_admissibility,
+    integrate,
+    run,
+)
+from oracles import (
     cn_residual,
     cn_step,
     extrapolate,
-    integrate,
+    final,
     mean_step_factor,
     newton_first_step,
     newton_iterate,
-    run,
+    phi,
+    psi,
     solve_linear_cn,
+    step_coefficients,
+    stored_steps,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -139,7 +146,7 @@ def test_run_rejects_inadmissible_setup():
 
 def test_cn_residual_matches_loop_assembly():
     ctx = make_ctx(J=8)
-    sc = ctx.step_coefficients(0)
+    sc = step_coefficients(ctx, 0)
     Vn = random_field(8, 0, scale=0.1)
     Vnp1 = random_field(8, 1, scale=0.1)
     mid = 0.5 * (Vn.values + Vnp1.values)
@@ -155,7 +162,7 @@ def test_cn_residual_matches_loop_assembly():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_solve_linear_cn_divides_cosine_by_symbol(m):
     ctx = make_ctx(J=16)
-    sc = ctx.step_coefficients(0)
+    sc = step_coefficients(ctx, 0)
     g = ctx.grid
     rhs = PeriodicField(np.cos(m * g.sigma), g.h)
     out = solve_linear_cn(rhs, 0, ctx)
@@ -175,7 +182,7 @@ def test_solve_linear_cn_matches_dense_solve():
 
 def test_first_step_matches_dense_solve():
     ctx = make_ctx(J=8)
-    sc = ctx.step_coefficients(0)
+    sc = step_coefficients(ctx, 0)
     v0 = random_field(8, 3, scale=0.1)
     nl = sc.c_phi * loop_phi(v0.values, v0.values)
     nl -= nl.mean()  # the stepper drops the roundoff mean of the stencil
@@ -194,7 +201,7 @@ def test_first_step_of_zero_is_zero():
 def test_newton_iterate_matches_dense_solve():
     ctx = make_ctx(J=8, N=10)
     n = 2
-    sc = ctx.step_coefficients(n)
+    sc = step_coefficients(ctx, n)
     Vn = random_field(8, 4, scale=0.1)
     Vhat = random_field(8, 5, scale=0.1)
     Wj = random_field(8, 6, scale=0.1)
@@ -219,7 +226,7 @@ def test_cn_step_reaches_fixed_point():
 def test_single_mode_growth_factor(eps, rel):
     # a tiny single mode advances by numer/denom; contamination is O(eps)
     ctx = make_ctx(J=64, k=0.01)
-    sc = ctx.step_coefficients(0)
+    sc = step_coefficients(ctx, 0)
     g = ctx.grid
     m = 2
     v0 = PeriodicField(eps * np.cos(m * g.sigma), g.h)
@@ -272,7 +279,7 @@ def test_run_is_deterministic():
     kwargs = dict(law=RadiusLaw(SLOW), method="newton")
     a = run(SLOW, TimeGrid(k=0.01, N=50), g, SolverConfig(), v0, **kwargs)
     b = run(SLOW, TimeGrid(k=0.01, N=50), g, SolverConfig(), v0, **kwargs)
-    np.testing.assert_array_equal(a.final().values, b.final().values)
+    np.testing.assert_array_equal(final(a).values, final(b).values)
     np.testing.assert_array_equal(a.S, b.S)
     np.testing.assert_array_equal(a.A, b.A)
 
@@ -283,11 +290,11 @@ def test_snapshot_stride_and_lookup():
     traj = run(
         SLOW, TimeGrid(k=0.01, N=20), g, SolverConfig(), v0, law=RadiusLaw(SLOW), store_stride=7
     )
-    assert traj.stored_steps() == [0, 7, 14, 20]
-    assert traj.has(14) and not traj.has(3)
+    assert stored_steps(traj) == [0, 7, 14, 20]
+    assert 14 in traj.snapshots and 3 not in traj.snapshots
     with pytest.raises(KeyError):
         traj.v(3)
-    assert traj.final().J == 16
+    assert final(traj).J == 16
 
 
 def test_run_validates_inputs():
@@ -338,7 +345,7 @@ def test_context_rejects_sign_flipped_denominator():
     p = ModelParams(delta=4.0, alpha=3.0, v_c=0.001, R0=40.0)
     ctx = SchemeContext(p, TimeGrid(k=2000.0, N=1), GridSpec(64))
     with pytest.raises(SolverError):
-        ctx.step_coefficients(0)
+        step_coefficients(ctx, 0)
 
 
 def test_step_coefficients_read_radius_tables():
@@ -359,7 +366,7 @@ def test_step_coefficients_read_radius_tables():
     assert ctx.R_nodes[40] == law.radius_at(tg.T)
     for n in (-1, 40):
         with pytest.raises(ValueError):
-            ctx.step_coefficients(n)
+            step_coefficients(ctx, n)
 
 
 def test_steps_match_step_coefficients_across_blocks():
@@ -370,7 +377,7 @@ def test_steps_match_step_coefficients_across_blocks():
     blocks = list(ctx.rows(0, tg.N))
     assert len(blocks) == tg.N
     for n, sc in enumerate(blocks):
-        one = ctx.step_coefficients(n)
+        one = step_coefficients(ctx, n)
         assert (sc.c_phi, sc.c_psi) == (one.c_phi, one.c_psi)
         for name in ("denom", "numer"):
             a, b = getattr(sc, name), getattr(one, name)
@@ -511,7 +518,7 @@ def test_run_matches_step_loop_oracle_bitwise(method, J):
     v0 = sample_cosine_sum_dsigma(g, [(0.5, 2), (0.5, 3)])
     traj = run(p, tg, g, cfg, v0, law=law, method=method)
     snaps, S, Q, A, R_nodes = step_loop_oracle(p, tg, g, cfg, v0, law, method)
-    assert traj.stored_steps() == list(range(tg.N + 1))
+    assert stored_steps(traj) == list(range(tg.N + 1))
     got = np.array([traj.snapshots[n] for n in range(tg.N + 1)])
     assert np.array_equal(bits(got), bits(snaps))
     for name, expected in (("S", S), ("Q", Q), ("A", A), ("R_nodes", R_nodes)):
@@ -533,7 +540,7 @@ def test_run_buffer_rotation_matches_step_loop_oracle_bitwise(method, jn):
     v0 = sample_cosine_sum_dsigma(g, [(0.1, m) for m in (2, 3, 4, 5)])
     traj = run(SLOW, tg, g, cfg, v0, law=law, method=method, store_stride=7)
     snaps, S, Q, A, R_nodes = step_loop_oracle(SLOW, tg, g, cfg, v0, law, method)
-    stored = traj.stored_steps()
+    stored = stored_steps(traj)
     assert stored == list(range(0, tg.N, 7)) + [tg.N]
     got = np.array([traj.snapshots[n] for n in stored])
     assert np.array_equal(bits(got), bits(snaps[stored]))
@@ -544,7 +551,7 @@ def test_run_buffer_rotation_matches_step_loop_oracle_bitwise(method, jn):
 def test_step_functions_return_arrays_later_calls_leave_alone():
     ctx = make_ctx(J=16, N=10, params=ModelParams(delta=0.1, alpha=1.5, v_c=1.0, R0=2.0))
     U, V, W = (random_field(16, seed, 0.1) for seed in (1, 2, 3))
-    sc = ctx.step_coefficients(3)
+    sc = step_coefficients(ctx, 3)
     calls = (
         lambda a, b: cn_step(a, 3, ctx).values,
         lambda a, b: newton_iterate(a, b, b, 3, ctx).values,
@@ -600,9 +607,9 @@ def test_run_fails_at_first_non_positive_denominator():
     assert n0 > 0
 
     ctx = SchemeContext(p, tg, g, law=law)
-    ctx.step_coefficients(n0 - 1)
+    step_coefficients(ctx, n0 - 1)
     with pytest.raises(SolverError) as err:
-        ctx.step_coefficients(n0)
+        step_coefficients(ctx, n0)
     assert err.value.step == n0
     v0 = sample_cosine_sum_dsigma(g, [(0.01, 2)])
     with pytest.raises(SolverError) as err:
@@ -631,7 +638,7 @@ def test_psi_free_first_sweep_equals_generic_sweep():
     generic_rhs = psi(b, PeriodicField(Vhat.values - Vhat.values, h)).values + phi_bb
     assert not np.array_equal(bits(generic_rhs), bits(phi_bb))
 
-    sc = ctx.step_coefficients(n)
+    sc = step_coefficients(ctx, n)
     X = np.fft.rfft(Vn.values)
     _, first = _newton_step(Vn.values, X, Vprev.values, sc, 1, _Workspace(16))
     assert np.array_equal(bits(first), bits(newton_iterate(Vn, Vhat, Vhat, n, ctx).values))
@@ -657,7 +664,7 @@ def test_frozen_sweep_equals_midpoint_form_bitwise(J):
     # first Newton sweep (w = Vhat), each solved by the np.fft formula
     ctx = make_ctx(J=J, N=10, params=ModelParams(delta=0.1, alpha=1.5, v_c=1.0, R0=2.0))
     n = 3
-    sc = ctx.step_coefficients(n)
+    sc = step_coefficients(ctx, n)
     denom, numer = real_rows(ctx, n)
     rng = np.random.default_rng(J)
     r0, r1 = rng.standard_normal(J), rng.standard_normal(J)
@@ -889,7 +896,7 @@ def test_integrate_yields_the_steps_run_stores(method, every):
         seen.append(m)
         if m == tg.N:
             break
-    assert seen == traj.stored_steps()
+    assert seen == stored_steps(traj)
     out = steps.trajectory
     assert out.snapshots == {} and out.stride == every and out.method == method
     for name in ("S", "Q", "A", "R_nodes"):
@@ -1056,7 +1063,7 @@ def test_linear_first_step_sets_the_newton_gap():
     g, tg = GridSpec(J), TimeGrid.from_horizon(T, T / (4 * J))
     law = RadiusLaw(params)
     v0 = sample_cosine_sum_dsigma(g, [(0.5, 2), (0.5, 3)])
-    truth = run(params, tg, g, SolverConfig(), v0, law=law, method="reference", store_stride=tg.N).final()
+    truth = final(run(params, tg, g, SolverConfig(), v0, law=law, method="reference", store_stride=tg.N))
 
     def gap(v):
         return norm_h(PeriodicField(v.values - truth.values, g.h))
@@ -1064,7 +1071,7 @@ def test_linear_first_step_sets_the_newton_gap():
     paper, converged = {}, {}
     for jn in (2, 3):
         cfg = SolverConfig(newton_iters=jn)
-        paper[jn] = gap(run(params, tg, g, cfg, v0, law=law, store_stride=tg.N).final())
+        paper[jn] = gap(final(run(params, tg, g, cfg, v0, law=law, store_stride=tg.N)))
         ctx = SchemeContext(params, tg, g, law=law, config=cfg)
         prev, vn = v0, cn_step(v0, 0, ctx)
         for n in range(1, tg.N):
@@ -1130,3 +1137,50 @@ def test_predictor_started_reference_matches_the_vn_started_one(monkeypatch, par
         gap = norm_h(PeriodicField(v - old[m].values, g.h))
         assert gap <= 10 * cfg.reference_tol * max(1.0, norm_h(PeriodicField(v, g.h))), m
     assert steps.trajectory.reference_sweeps == len(calls) - old_sweeps < old_sweeps
+
+
+def test_moved_entry_points_drive_the_production_kernels(monkeypatch):
+    # tests/oracles.py holds the step entry points and stencil wrappers; each
+    # reaches the kernels the step loop runs, looked up in their modules at
+    # call time, and no copy of them
+    import ksring.operators as operators
+    import oracles
+
+    reached = set()
+
+    def count(holder, name):
+        real = getattr(holder, name)
+
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(holder, name, wrapper)
+
+    for name in ("_frozen_sweep", "_newton_step", "_reference_step", "_rfft", "_irfft"):
+        count(solver, name)
+    count(SchemeContext, "rows")
+    for name in ("_phi_values", "psi_coefficients", "_psi_apply"):
+        count(operators, name)
+
+    g = GridSpec(32)
+    ctx = SchemeContext(SLOW, TimeGrid(k=0.01, N=4), g)
+    v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
+    v1 = oracles.newton_first_step(v0, ctx)
+    transforms = {"rows", "_rfft", "_irfft"}
+    cases = {
+        "cn_step": (lambda: oracles.cn_step(v0, 0, ctx), {"_reference_step", "_frozen_sweep"} | transforms),
+        "newton_first_step": (lambda: oracles.newton_first_step(v0, ctx), {"_newton_step", "_frozen_sweep"} | transforms),
+        "newton_iterate": (
+            lambda: oracles.newton_iterate(v1, oracles.extrapolate(v1, v0), v1, 1, ctx),
+            {"_frozen_sweep", "psi_coefficients"} | transforms,
+        ),
+        "solve_linear_cn": (lambda: oracles.solve_linear_cn(v0, 0, ctx), transforms),
+        "cn_residual": (lambda: oracles.cn_residual(v0, v1, 0, ctx), {"_phi_values"}),
+        "phi": (lambda: oracles.phi(v0, v1), {"_phi_values"}),
+        "psi": (lambda: oracles.psi(v0, v1), {"psi_coefficients", "_psi_apply"}),
+    }
+    for name, (call, kernels) in cases.items():
+        reached.clear()
+        call()
+        assert reached == kernels, name

@@ -10,14 +10,11 @@ from ksring.stability import (
     SpectralReport,
     _lambda_formula,
     critical_radius,
-    galerkin_rhs,
-    integrate_modes,
-    lambda_m,
     measured_dominant_mode,
-    modes_from_cosines,
     neutral_delta,
     spectral_report,
 )
+from oracles import galerkin_rhs, integrate_modes, lambda_m, modes_from_cosines
 
 PARAMS = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
 
