@@ -34,7 +34,7 @@ from .params import ModelParams, SolverConfig
 from .radius import RadiusLaw
 from .reconstruct import mean_I_path, reconstruct_u, curve_points
 from .solver import AdmissibilityReport, Integration, SolverError, check_admissibility, integrate
-from .stability import SPECTRAL_M_MAX, critical_radius, neutral_delta, spectral_report
+from .stability import critical_radius, neutral_delta, selection, spectral_report
 
 ENV_OUT = "KSRING_OUT"
 # Rows per formatted write in write_csv: bounds the bytes built at once.  A
@@ -164,20 +164,10 @@ def emit_run_outputs(
         "config_hash": cfg.config_hash(),
     }
     if "spectrum" in emit:
-        R_T = float(traj.R_nodes[N])
         if u_field is None:
             with timer("reconstruct_s"):
                 u_field = reconstruct_u(traj, cfg.I0, N)
-        rep = spectral_report(R_T, cfg.params, SPECTRAL_M_MAX, probe=u_field)
-        rep0 = spectral_report(cfg.params.R0, cfg.params, SPECTRAL_M_MAX)
-        report["spectral"] = {
-            "R_star": rep.R_star,
-            "R_T": R_T,
-            "unstable_at_R0": rep0.unstable_modes,
-            "predicted_dominant_at_R0": rep0.predicted_dominant,
-            "unstable_at_R_T": rep.unstable_modes,
-            "measured_dominant": rep.measured_dominant,
-        }
+        report["spectral"] = selection(cfg.params, float(traj.R_nodes[N]), u_field)
     report["timing"] = {"solve_s": traj.solve_s} | seconds
     _write_json(out / "report.json", report)
     return report

@@ -14,7 +14,7 @@ from .params import ModelParams, SolverConfig, TimeGrid
 from .radius import RadiusLaw
 from .reconstruct import reconstruct_u
 from .solver import Integration, check_admissibility, integrate, run
-from .stability import SPECTRAL_M_MAX, measured_dominant_mode, spectral_report
+from .stability import selection
 from .trajectory import Trajectory
 
 
@@ -150,11 +150,9 @@ def wavenumber_suite(
         pairs = tuple((SUITE_AMPLITUDE, m) for m in mode_set)
         v0 = sample_cosine_sum_dsigma(grid, pairs)
         traj = run(params, tgrid, grid, solver, v0, store_stride=tgrid.N)
-        u_T = reconstruct_u(traj, 0.0, tgrid.N)
-        measured = measured_dominant_mode(u_T)
-        rep0 = spectral_report(R0, params, SPECTRAL_M_MAX)
-        unstable = rep0.unstable_modes
-        predicted = rep0.predicted_dominant
+        verdict = selection(params, float(traj.R_nodes[-1]), reconstruct_u(traj, 0.0, tgrid.N))
+        unstable, predicted = verdict["unstable_at_R0"], verdict["predicted_dominant_at_R0"]
+        measured = verdict["measured_dominant"]
         seeded = predicted in mode_set
         ok = measured in unstable and (measured == predicted if seeded else True)
         row = {
@@ -164,7 +162,7 @@ def wavenumber_suite(
             "predicted_dominant": predicted,
             "predicted_seeded": seeded,
             "measured_dominant": measured,
-            "R_T": float(traj.R_nodes[-1]),
+            "R_T": verdict["R_T"],
             "max_abs_mean": float(np.max(np.abs(traj.S))),
             "pass": ok,
         }

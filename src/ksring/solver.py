@@ -114,14 +114,13 @@ class StepCoefficients(NamedTuple):
 
     denom: np.ndarray     # 1/k + mu/2, complex128
     numer: np.ndarray     # 1/k - mu/2, complex128
-    c_phi: float          # v_c / (6 h R^2)
     c_psi: float          # v_c / (24 h R^2)
 
 
 class SchemeContext:
     """Bundles the model, grids, radius law and solver configuration, with
     the tables every step reads: s_m and s_m^2 of the grid, the radius at
-    the nodes t^n and the half steps, and c4, c2, c0, c_phi, c_psi per step."""
+    the nodes t^n and the half steps, and c4, c2, c0, c_psi per step."""
 
     def __init__(
         self,
@@ -144,7 +143,6 @@ class SchemeContext:
         self.R_nodes = self.law.radii(steps * tgrid.k)
         self.R_half = R = self.law.radii((steps[:-1] + 0.5) * tgrid.k)
         self.c4, self.c2, self.c0 = LinearOperatorCoefficients.at_radius(params, R)
-        self.c_phi = params.v_c / (6.0 * grid.h * R * R)
         self.c_psi = params.v_c / (24.0 * grid.h * R * R)
 
     def rows(self, n0: int, n1: int):
@@ -169,7 +167,7 @@ class SchemeContext:
                         f"step {n}; the time step violates the existence bound",
                         step=n,
                     )
-                yield StepCoefficients(denom_c[i], numer_c[i], self.c_phi[n], self.c_psi[n])
+                yield StepCoefficients(denom_c[i], numer_c[i], self.c_psi[n])
 
 
 class _Workspace:

@@ -20,8 +20,7 @@ import numpy as np
 from .field import PeriodicField, mode_amplitudes
 from .params import ModelParams
 
-# Modes m = 1..SPECTRAL_M_MAX scanned for unstable sets by the run report and
-# the wavenumber suite.
+# Modes m = 1..SPECTRAL_M_MAX scanned for unstable sets by selection().
 SPECTRAL_M_MAX = 32
 
 
@@ -96,3 +95,18 @@ def spectral_report(
         R_star=critical_radius(params),
         measured_dominant=measured,
     )
+
+
+def selection(params: ModelParams, R_T: float, u_T: PeriodicField) -> dict:
+    """The selection verdict of a run ending at radius R_T with height u_T:
+    the run report's spectral block, which the wavenumber suite reads too."""
+    rep = spectral_report(R_T, params, SPECTRAL_M_MAX, probe=u_T)
+    rep0 = spectral_report(params.R0, params, SPECTRAL_M_MAX)
+    return {
+        "R_star": rep.R_star,
+        "R_T": R_T,
+        "unstable_at_R0": rep0.unstable_modes,
+        "predicted_dominant_at_R0": rep0.predicted_dominant,
+        "unstable_at_R_T": rep.unstable_modes,
+        "measured_dominant": rep.measured_dominant,
+    }

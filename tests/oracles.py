@@ -130,6 +130,13 @@ def final(traj: Trajectory) -> PeriodicField:
 # result, and calls the kernels that the step loop of integrate() chains.
 
 
+def c_phi(ctx: solver.SchemeContext) -> np.ndarray:
+    """The midpoint form's coefficient v_c / (6 h R_{n+1/2}^2) of every step,
+    by the formula that gives c_psi = v_c / (24 h R^2) in SchemeContext."""
+    R = ctx.R_half
+    return ctx.params.v_c / (6.0 * ctx.grid.h * R * R)
+
+
 def step_coefficients(ctx: solver.SchemeContext, n: int) -> solver.StepCoefficients:
     """Step n's row of ctx.rows()."""
     if not (0 <= n < ctx.tgrid.N):
@@ -160,7 +167,7 @@ def cn_residual(Vn: PeriodicField, Vnp1: PeriodicField, n: int, ctx: solver.Sche
     res = (
         (Vnp1.values - Vn.values) / k
         + _apply_L_values(coeffs, vmid, h)
-        - ctx.c_phi[n] * operators._phi_values(vmid, vmid)
+        - c_phi(ctx)[n] * operators._phi_values(vmid, vmid)
     )
     return PeriodicField(res, h)
 

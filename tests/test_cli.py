@@ -21,8 +21,9 @@ from ksring.cli import (
     resolve_out_dir,
     wavenumber_suite,
 )
+from ksring.field import GridSpec, PeriodicField
 from ksring.params import ModelParams, SolverConfig
-from ksring.stability import critical_radius, neutral_delta, spectral_report
+from ksring.stability import critical_radius, neutral_delta, selection, spectral_report
 from oracles import stored_steps
 
 GOOD_CONFIG = """\
@@ -605,6 +606,27 @@ def test_wavenumber_suite_structure_small_scale():
     assert rows[2]["predicted_seeded"] is False
     assert rows[4]["predicted_dominant"] == 5
     assert rows[4]["predicted_seeded"] is False
+
+
+def test_run_report_and_suite_read_one_selection_verdict(tmp_path):
+    # The suite's R0 = 6 member as a `ksring run`: its spectral block is
+    # selection() of the run's R(T) and u(T), and the suite's row carries the
+    # same verdict.
+    config = GOOD_CONFIG.replace("k = 0.01", "k = 0.05").replace("T = 0.5", "T = 2.0")
+    config = config.replace("0.1, 0.1\nmodes = 2, 3", "0.1, 0.1, 0.1, 0.1\nmodes = 2, 3, 4, 5")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    spectral = json.loads((out / "report.json").read_text())["spectral"]
+    u_T = np.loadtxt(out / "snapshot_40.csv", delimiter=",", skiprows=1)[:, 2]
+    params = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
+    assert spectral == selection(params, spectral["R_T"], PeriodicField(u_T, GridSpec(64).h))
+
+    row = wavenumber_suite(J=64, k=0.05, T=2.0)[0]
+    assert row["R0"] == 6.0 and row["modes"] == [2, 3, 4, 5]
+    assert row["unstable_at_R0"] == spectral["unstable_at_R0"]
+    assert row["predicted_dominant"] == spectral["predicted_dominant_at_R0"]
+    assert row["measured_dominant"] == spectral["measured_dominant"]
+    assert row["R_T"] == spectral["R_T"]
 
 
 def test_run_determinism_across_invocations(tmp_path):

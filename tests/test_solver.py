@@ -27,6 +27,7 @@ from ksring.solver import (
     run,
 )
 from oracles import (
+    c_phi,
     cn_residual,
     cn_step,
     extrapolate,
@@ -146,14 +147,13 @@ def test_run_rejects_inadmissible_setup():
 
 def test_cn_residual_matches_loop_assembly():
     ctx = make_ctx(J=8)
-    sc = step_coefficients(ctx, 0)
     Vn = random_field(8, 0, scale=0.1)
     Vnp1 = random_field(8, 1, scale=0.1)
     mid = 0.5 * (Vn.values + Vnp1.values)
     expected = (
         (Vnp1.values - Vn.values) / ctx.tgrid.k
         + loop_L(mid, step_operator(ctx, 0), ctx.grid.h)
-        - sc.c_phi * loop_phi(mid, mid)
+        - c_phi(ctx)[0] * loop_phi(mid, mid)
     )
     got = cn_residual(Vn, Vnp1, 0, ctx).values
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
@@ -182,9 +182,8 @@ def test_solve_linear_cn_matches_dense_solve():
 
 def test_first_step_matches_dense_solve():
     ctx = make_ctx(J=8)
-    sc = step_coefficients(ctx, 0)
     v0 = random_field(8, 3, scale=0.1)
-    nl = sc.c_phi * loop_phi(v0.values, v0.values)
+    nl = c_phi(ctx)[0] * loop_phi(v0.values, v0.values)
     nl -= nl.mean()  # the stepper drops the roundoff mean of the stencil
     rhs = v0.values / ctx.tgrid.k - 0.5 * loop_L(v0.values, step_operator(ctx, 0), ctx.grid.h) + nl
     expected = np.linalg.solve(dense_cn_matrix(ctx, 0), rhs)
@@ -350,7 +349,7 @@ def test_context_rejects_sign_flipped_denominator():
 
 def test_step_coefficients_read_radius_tables():
     # R_half is the one half-step radius, bitwise the law at (n + 1/2) k for
-    # every n, and each row's c_phi and c_psi derive from it.  At J = 1024 a
+    # every n, and each row's c_psi derives from it.  At J = 1024 a
     # block of rows() holds 3 steps, so the 40 steps span 14 blocks.
     law = RadiusLaw(SLOW)
     tg = TimeGrid(k=0.25, N=40)
@@ -361,7 +360,6 @@ def test_step_coefficients_read_radius_tables():
     for n, sc in enumerate(rows):
         R = law.radius_at((n + 0.5) * tg.k)
         assert ctx.R_half[n] == R
-        assert sc.c_phi == SLOW.v_c / (6.0 * g.h * R * R)
         assert sc.c_psi == SLOW.v_c / (24.0 * g.h * R * R)
     assert ctx.R_nodes[40] == law.radius_at(tg.T)
     for n in (-1, 40):
@@ -378,7 +376,7 @@ def test_steps_match_step_coefficients_across_blocks():
     assert len(blocks) == tg.N
     for n, sc in enumerate(blocks):
         one = step_coefficients(ctx, n)
-        assert (sc.c_phi, sc.c_psi) == (one.c_phi, one.c_psi)
+        assert sc.c_psi == one.c_psi
         for name in ("denom", "numer"):
             a, b = getattr(sc, name), getattr(one, name)
             assert a.shape == (513,) and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -676,7 +674,7 @@ def test_frozen_sweep_equals_midpoint_form_bitwise(J):
         X_next, v_next = solver._frozen_sweep(vn, w, np.multiply(sc.numer, X, out=ws.base), sc, ws)
 
         vq = 0.5 * (vn + w)
-        nl = ctx.c_phi[n] * roll_phi(vq, vq)
+        nl = c_phi(ctx)[n] * roll_phi(vq, vq)
         if i >= 3:
             assert np.any((nl == 0.0) & np.signbit(nl))
         assert np.array_equal(bits(ws.pb[1:-1]), bits(2.0 * vq))
@@ -699,7 +697,7 @@ def test_psi_coefficient_is_a_quarter_of_phi_coefficient_bitwise(params, T, J):
     # 4 c_psi == c_phi exactly; k = 0.01 on the README model, T/J on criterion 3
     k = 0.01 if params is SLOW else T / J
     ctx = SchemeContext(params, TimeGrid.from_horizon(T, k), GridSpec(J))
-    assert np.array_equal(bits(4.0 * ctx.c_psi), bits(ctx.c_phi))
+    assert np.array_equal(bits(4.0 * ctx.c_psi), bits(c_phi(ctx)))
 
 
 @pytest.mark.parametrize("stride", [0, -3])
