@@ -122,12 +122,11 @@ def emit_run_outputs(
     with timer("write_s"):  # the grid column is the same in every snapshot
         sigma_text = [b"%.17g" % s for s in traj.grid.sigma.tolist()] if "v" in emit else None
     u_field = None  # the steps come in order and end at N, so u_field ends as u(T)
-    for n, v in steps:
-        traj.snapshots = {n: v}  # A is final up to n; v is valid until the next step
+    for n, v in steps:  # A is final up to n; v is valid until the next step
         tag = str(n).zfill(width)
         if "u" in emit or "curve" in emit:
             with timer("reconstruct_s"):
-                u_field = reconstruct_u(traj, cfg.I0, n)
+                u_field = reconstruct_u(traj, cfg.I0, n, v)
         if "v" in emit:
             columns = (v,) + ((u_field.values,) if "u" in emit else ())
             with timer("write_s"):
@@ -139,7 +138,7 @@ def emit_run_outputs(
                 )
         if "curve" in emit:
             with timer("reconstruct_s"):
-                pts = curve_points(traj, n, cfg.I0, u=u_field)
+                pts = curve_points(traj, n, u_field)
             with timer("write_s"):
                 write_csv(out / f"curve_{tag}.csv", ["x", "y"], pts)
 
@@ -166,7 +165,7 @@ def emit_run_outputs(
     if "spectrum" in emit:
         if u_field is None:
             with timer("reconstruct_s"):
-                u_field = reconstruct_u(traj, cfg.I0, N)
+                u_field = reconstruct_u(traj, cfg.I0, N, v)  # the run is over: v is V^N
         report["spectral"] = selection(cfg.params, float(traj.R_nodes[N]), u_field)
     report["timing"] = {"solve_s": traj.solve_s} | seconds
     _write_json(out / "report.json", report)

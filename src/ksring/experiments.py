@@ -15,7 +15,6 @@ from .radius import RadiusLaw
 from .reconstruct import reconstruct_u
 from .solver import Integration, check_admissibility, integrate, run
 from .stability import selection
-from .trajectory import Trajectory
 
 
 @dataclass
@@ -76,19 +75,15 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
             law=law, method=method, every=every, require_admissible=False,
         )
 
-    def at_T(steps: Integration, v: np.ndarray) -> Trajectory:
-        """The finished trajectory, with a copy of V^N as its one snapshot."""
-        steps.trajectory.snapshots[steps.trajectory.tgrid.N] = v.copy()
-        return steps.trajectory
-
     # Each integration lives only inside the function that takes its numbers,
     # so no finished run holds memory while the next, larger one runs.
     def reference_at_T() -> tuple[np.ndarray, np.ndarray]:
         ref = start(J_ref, "reference", J_ref)
         next(ref)  # V^0; with every = N the next step yielded is N
-        traj = at_T(ref, next(ref)[1])
+        N, v = next(ref)
+        traj = ref.trajectory
         timing["reference_solve_s"], timing["reference_sweeps"] = traj.solve_s, traj.reference_sweeps
-        return traj.snapshots[traj.tgrid.N], reconstruct_u(traj, cfg.I0, traj.tgrid.N).values
+        return v, reconstruct_u(traj, cfg.I0, N, v).values
 
     def level(J: int) -> EocLevel:
         # The reference and Newton runs step together, so the gap over all
@@ -99,13 +94,13 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
         for (_, v), (_, w) in zip(cn_steps, newton_steps):
             gap = max(gap, _norm_values(np.subtract(w, v, out=d), h))  # norm_h of W^m - V^m
         # v and w are V^N and W^N: both runs are finished, so nothing overwrites them.
-        cn, newton = at_T(cn_steps, v), newton_steps.trajectory
+        cn, newton = cn_steps.trajectory, newton_steps.trajectory
         timing["levels"].append(
             {"J": J, "reference_solve_s": cn.solve_s, "newton_solve_s": newton.solve_s,
              "reference_sweeps": cn.reference_sweeps}
         )
         err_v = _subsampled_err(ref_v, v, h)
-        err_u = _subsampled_err(ref_u, reconstruct_u(cn, cfg.I0, cn.tgrid.N).values, h)
+        err_u = _subsampled_err(ref_u, reconstruct_u(cn, cfg.I0, cn.tgrid.N, v).values, h)
         err_vn = _subsampled_err(ref_v, w, h)
         return EocLevel(J, T / J, err_v, err_u, err_vn, gap)
 
@@ -150,7 +145,8 @@ def wavenumber_suite(
         pairs = tuple((SUITE_AMPLITUDE, m) for m in mode_set)
         v0 = sample_cosine_sum_dsigma(grid, pairs)
         traj = run(params, tgrid, grid, solver, v0, store_stride=tgrid.N)
-        verdict = selection(params, float(traj.R_nodes[-1]), reconstruct_u(traj, 0.0, tgrid.N))
+        u_T = reconstruct_u(traj, 0.0, tgrid.N, traj.snapshots[tgrid.N])
+        verdict = selection(params, float(traj.R_nodes[-1]), u_T)
         unstable, predicted = verdict["unstable_at_R0"], verdict["predicted_dominant_at_R0"]
         measured = verdict["measured_dominant"]
         seeded = predicted in mode_set

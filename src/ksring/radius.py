@@ -58,24 +58,28 @@ class RadiusLaw:
         all times at once; each entry is the value radius_at gives."""
         t = _times(ts)
         p = self.params
-        out = np.full(t.shape, p.R0)
-        idx = np.flatnonzero(t > 0)
-        t = t[idx]
-        lo = np.full(t.shape, p.R0)
-        hi = p.R0 + self.rate(p.R0) * t + 1.0
-        tol = 1e-12 * np.maximum(1.0, t)
-        x = 0.5 * (lo + hi)
-        for _ in range(200):
-            f = self._implicit(x, t)
-            done = np.abs(f) <= tol
-            out[idx[done]] = x[done]
-            todo = ~done
-            if not todo.any():
-                return out
-            idx, t, tol, x, f, lo, hi = (a[todo] for a in (idx, t, tol, x, f, lo, hi))
-            hi = np.where(f > 0, x, hi)
-            lo = np.where(f > 0, lo, x)
-            # f' = x / (v_c x + alpha - 1) > 0 on the bracket
-            x_new = x - f * (p.v_c * x + p.alpha - 1.0) / x
-            x = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        try:  # an overflow or a NaN fails the solve, not a warning and 200 more iterations
+            with np.errstate(over="raise", invalid="raise"):
+                out = np.full(t.shape, p.R0)
+                idx = np.flatnonzero(t > 0)
+                t = t[idx]
+                lo = np.full(t.shape, p.R0)
+                hi = p.R0 + self.rate(p.R0) * t + 1.0
+                tol = 1e-12 * np.maximum(1.0, t)
+                x = 0.5 * (lo + hi)
+                for _ in range(200):
+                    f = self._implicit(x, t)
+                    done = np.abs(f) <= tol
+                    out[idx[done]] = x[done]
+                    todo = ~done
+                    if not todo.any():
+                        return out
+                    idx, t, tol, x, f, lo, hi = (a[todo] for a in (idx, t, tol, x, f, lo, hi))
+                    hi = np.where(f > 0, x, hi)
+                    lo = np.where(f > 0, lo, x)
+                    # f' = x / (v_c x + alpha - 1) > 0 on the bracket
+                    x_new = x - f * (p.v_c * x + p.alpha - 1.0) / x
+                    x = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        except FloatingPointError as e:
+            raise SolverError(f"radius law failed with v_c = {p.v_c}, alpha = {p.alpha}: {e}") from None
         raise SolverError(f"radius law did not converge at t = {float(t[0])} with v_c = {p.v_c}")

@@ -78,22 +78,18 @@ def mean_I_path(traj: "Trajectory", I0: float) -> np.ndarray:
     return _mean_I(traj, I0, slice(None))
 
 
-def reconstruct_u(traj: "Trajectory", I0: float, n: int) -> PeriodicField:
+def reconstruct_u(traj: "Trajectory", I0: float, n: int, v: np.ndarray) -> PeriodicField:
     """Height samples U_i^n on the grid of the trajectory."""
-    v = traj.v(n)
-    nxt = _pad(v.values)[2:]
-    c = _cumulative_nodes(v.values, nxt, v.h)
-    base = mean_I(traj, I0, n) - _mean_of_cumulative(v.values, nxt, c, v.h)
-    return PeriodicField(base + c[:-1], v.h)
+    h = traj.grid.h
+    nxt = _pad(v)[2:]
+    c = _cumulative_nodes(v, nxt, h)
+    base = mean_I(traj, I0, n) - _mean_of_cumulative(v, nxt, c, h)
+    return PeriodicField(base + c[:-1], h)
 
 
-def curve_points(traj: "Trajectory", n: int, I0: float = 0.0, u: PeriodicField | None = None) -> np.ndarray:
-    """Closed interface polyline (R(t^n) + U_i)(cos sigma_i, sin sigma_i), J+1 rows.
-
-    u is the height reconstruct_u(traj, I0, n) when the caller already has
-    it; it is reconstructed here otherwise."""
-    if u is None:
-        u = reconstruct_u(traj, I0, n)
+def curve_points(traj: "Trajectory", n: int, u: PeriodicField) -> np.ndarray:
+    """Closed interface polyline (R(t^n) + U_i)(cos sigma_i, sin sigma_i), J+1
+    rows, from the height u = reconstruct_u(traj, I0, n, V^n)."""
     r = traj.R_nodes[n] + u.values
     s = traj.grid.sigma
     pts = np.column_stack((r * np.cos(s), r * np.sin(s)))

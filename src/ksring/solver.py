@@ -311,9 +311,8 @@ class Integration:
             raise SolverError(f"admissibility failed: {report}")
 
         traj = Trajectory(
-            params=params, tgrid=tgrid, grid=grid, law=ctx.law, method=method,
+            params=params, tgrid=tgrid, grid=grid, law=ctx.law, method=method, R_nodes=ctx.R_nodes,
             S=np.full(tgrid.N + 1, np.nan), Q=np.full(tgrid.N + 1, np.nan), A=np.full(tgrid.N + 1, np.nan),
-            R_nodes=ctx.R_nodes, stride=every,
         )
         ws = _Workspace(grid.J)
         # V^0 enters the loop where a step leaves V^{n+1}; rotating it in makes

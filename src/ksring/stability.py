@@ -56,8 +56,6 @@ class SpectralReport:
     R: float
     m_max: int
     lam: np.ndarray  # lam[m-1] is lambda_m for m = 1..m_max
-    R_star: float
-    measured_dominant: int | None = None
 
     @property
     def unstable_modes(self) -> list[int]:
@@ -76,37 +74,25 @@ def measured_dominant_mode(probe: PeriodicField) -> int:
     return 1 + int(np.argmax(amps[1:]))
 
 
-def spectral_report(
-    R: float,
-    params: ModelParams,
-    m_max: int,
-    probe: PeriodicField | None = None,
-) -> SpectralReport:
+def spectral_report(R: float, params: ModelParams, m_max: int) -> SpectralReport:
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
     if not (R > 0):
         raise ValueError(f"R must be > 0, got {R}")
     lam = _lambda_formula(np.arange(1.0, m_max + 1), R, params)  # float modes: m * m cannot wrap
-    measured = measured_dominant_mode(probe) if probe is not None else None
-    return SpectralReport(
-        R=R,
-        m_max=m_max,
-        lam=lam,
-        R_star=critical_radius(params),
-        measured_dominant=measured,
-    )
+    return SpectralReport(R=R, m_max=m_max, lam=lam)
 
 
 def selection(params: ModelParams, R_T: float, u_T: PeriodicField) -> dict:
     """The selection verdict of a run ending at radius R_T with height u_T:
     the run report's spectral block, which the wavenumber suite reads too."""
-    rep = spectral_report(R_T, params, SPECTRAL_M_MAX, probe=u_T)
+    rep = spectral_report(R_T, params, SPECTRAL_M_MAX)
     rep0 = spectral_report(params.R0, params, SPECTRAL_M_MAX)
     return {
-        "R_star": rep.R_star,
+        "R_star": critical_radius(params),
         "R_T": R_T,
         "unstable_at_R0": rep0.unstable_modes,
         "predicted_dominant_at_R0": rep0.predicted_dominant,
         "unstable_at_R_T": rep.unstable_modes,
-        "measured_dominant": rep.measured_dominant,
+        "measured_dominant": measured_dominant_mode(u_T),
     }

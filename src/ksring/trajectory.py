@@ -6,7 +6,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import GridSpec, PeriodicField
+from .field import GridSpec
 from .params import ModelParams, TimeGrid
 from .radius import RadiusLaw
 
@@ -32,15 +32,7 @@ class Trajectory:
     Q: np.ndarray
     A: np.ndarray
     R_nodes: np.ndarray
-    stride: int
     solve_s: float = 0.0
     snapshots: dict[int, np.ndarray] = dc_field(default_factory=dict)
     reference_sweeps: int = 0
 
-    def v(self, n: int) -> PeriodicField:
-        try:
-            return PeriodicField(self.snapshots[n], self.grid.h)
-        except KeyError:
-            raise KeyError(
-                f"no snapshot stored for step {n} (stride {self.stride})"
-            ) from None

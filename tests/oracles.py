@@ -121,8 +121,13 @@ def stored_steps(traj: Trajectory) -> list[int]:
     return sorted(traj.snapshots)
 
 
+def stored_v(traj: Trajectory, n: int) -> PeriodicField:
+    """V^n from the snapshots run() stored; KeyError for a step it did not store."""
+    return PeriodicField(traj.snapshots[n], traj.grid.h)
+
+
 def final(traj: Trajectory) -> PeriodicField:
-    return traj.v(traj.tgrid.N)
+    return stored_v(traj, traj.tgrid.N)
 
 
 # --- step entry points (ksring.solver) -----------------------------------
@@ -228,8 +233,8 @@ def interp_v(traj: Trajectory, sigma: float, t: float) -> float:
     s = sigma % TWO_PI
     i = min(int(s / h), traj.grid.J - 1)
     theta = (s - i * h) / h
-    vn = traj.v(n)
-    vp = traj.v(n + 1)
+    vn = stored_v(traj, n)
+    vp = stored_v(traj, n + 1)
     lo = (1.0 - theta) * vn[i] + theta * vn[i + 1]
     hi = (1.0 - theta) * vp[i] + theta * vp[i + 1]
     return (1.0 - eta) * lo + eta * hi
@@ -237,7 +242,7 @@ def interp_v(traj: Trajectory, sigma: float, t: float) -> float:
 
 def cumulative_v(traj: Trajectory, i: int, n: int) -> float:
     """int_0^{sigma_i} Vtilde(., t^n) for node index 0 <= i <= J."""
-    v = traj.v(n)
+    v = stored_v(traj, n)
     if not (0 <= i <= v.J):
         raise ValueError(f"node index {i} outside 0..{v.J}")
     return float(_cumulative_nodes(v.values, _pad(v.values)[2:], v.h)[i])
@@ -245,7 +250,7 @@ def cumulative_v(traj: Trajectory, i: int, n: int) -> float:
 
 def v_squared_integral(traj: Trajectory, n: int) -> float:
     """int_0^{2pi} Vtilde(., t^n)^2, exact for the interpolant."""
-    v = traj.v(n)
+    v = stored_v(traj, n)
     return pw_linear_square_integral(v.values, v.h)
 
 

@@ -290,7 +290,7 @@ def test_criterion_8_galerkin_cross_check():
         if t == 0.0:
             continue
         n = round(t / k)
-        vhat = np.fft.rfft(traj.v(n).values) / J
+        vhat = np.fft.rfft(traj.snapshots[n]) / J
         gal = path[j]
         for m in range(1, M + 1):
             fd = abs(vhat[m]) / m

@@ -338,32 +338,31 @@ def test_failed_run_keeps_the_files_of_the_steps_before_it(tmp_path, capsys):
     steps = integrate(cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v())
     traj = steps.trajectory
     for m, v in steps:
-        traj.snapshots[m] = v.copy()
-        u = reconstruct_u(traj, cfg.I0, m)
+        u = reconstruct_u(traj, cfg.I0, m, v)
         snap = _parsed(out / f"snapshot_{m:04d}.csv")
         np.testing.assert_array_equal(_bits(snap[:, 0]), _bits(cfg.grid.sigma))
         np.testing.assert_array_equal(_bits(snap[:, 1]), _bits(v))
         np.testing.assert_array_equal(_bits(snap[:, 2]), _bits(u.values))
         curve = _parsed(out / f"curve_{m:04d}.csv")
-        np.testing.assert_array_equal(_bits(curve), _bits(curve_points(traj, m, cfg.I0, u=u)))
+        np.testing.assert_array_equal(_bits(curve), _bits(curve_points(traj, m, u)))
         if m == 4:
             break
 
 
 @pytest.mark.parametrize("stride", [1, 7])
 def test_run_writes_each_stored_step_before_computing_the_next(tmp_path, monkeypatch, stride):
-    # when a step's height is reconstructed for its files, the trajectory
-    # holds that step as its one snapshot and no later step has a Q yet
+    # when a step's height is reconstructed for its files, it is the step in
+    # hand: the trajectory stores no snapshot and no later step has a Q yet
     import ksring.cli
     from ksring.reconstruct import reconstruct_u
 
     seen = []
 
-    def reconstruct_in_hand(traj, I0, n):
-        assert list(traj.snapshots) == [n]
+    def reconstruct_in_hand(traj, I0, n, v):
+        assert traj.snapshots == {}
         assert np.isfinite(traj.Q[: n + 1]).all() and np.isnan(traj.Q[n + 1 :]).all()
         seen.append(n)
-        return reconstruct_u(traj, I0, n)
+        return reconstruct_u(traj, I0, n, v)
 
     monkeypatch.setattr(ksring.cli, "reconstruct_u", reconstruct_in_hand)
     text = GOOD_CONFIG.replace("T = 0.5", "T = 0.2").replace("stride = 25", f"stride = {stride}")
@@ -459,6 +458,46 @@ def test_unsolvable_radius_law_is_a_solver_failure(tmp_path, capsys, command):
     assert err.startswith("solver failure: radius law did not converge at t = ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [("v_c = 0.001", "v_c = 1e300"), ("alpha = 1.5", "alpha = 1e300")], ids=["v_c", "alpha"])
+def test_overflowing_radius_law_is_one_solver_failure(tmp_path, capsys, edit):
+    # the radius solve overflows: exit 2 with one stderr line, no NumPy warning
+    cfg_path, out = write_config(tmp_path, GOOD_CONFIG.replace(*edit)), tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("solver failure: radius law failed with ") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
+
+
+def test_no_command_writes_into_a_trajectory(tmp_path, monkeypatch):
+    # run and eoc pass each yielded step on as it comes; only run(), the
+    # storing form, fills a trajectory's snapshots
+    import ksring.cli
+    import ksring.experiments
+
+    started = []
+
+    def recording(real):
+        def wrapper(*args, **kwargs):
+            started.append(real(*args, **kwargs))
+            return started[-1]
+
+        return wrapper
+
+    for module in (ksring.cli, ksring.experiments):
+        monkeypatch.setattr(module, "integrate", recording(module.integrate))
+    cfg_path = str(write_config(tmp_path, GOOD_CONFIG.replace("J = 64", "J = 16")))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+    assert main(["eoc", "--config", cfg_path, "--levels", "3", "--out", str(tmp_path / "eoc")]) == 0
+    # run's one integration, then eoc's reference and a reference and Newton pair a level
+    assert [steps.trajectory.grid.J for steps in started] == [16, 512, 16, 16, 32, 32, 64, 64]
+    assert [steps.trajectory.snapshots for steps in started] == [{}] * 8
 
 
 def test_unknown_sections_and_keys_are_config_errors(tmp_path, capsys):
@@ -736,7 +775,7 @@ def test_run_snapshot_bytes_match_per_value_formatter(tmp_path, case):
     header = ["sigma", "v", "u"] if "u" in emit else ["sigma", "v"]
     assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [f"snapshot_{n}.csv" for n in range(4)]
     for n in stored_steps(traj):
-        columns = [sigma, traj.snapshots[n]] + ([reconstruct_u(traj, cfg.I0, n).values] if "u" in emit else [])
+        columns = [sigma, traj.snapshots[n]] + ([reconstruct_u(traj, cfg.I0, n, traj.snapshots[n]).values] if "u" in emit else [])
         _per_value_csv(tmp_path / "expected.csv", header, np.column_stack(columns))
         written = (out / f"snapshot_{n}.csv").read_bytes()
         assert written == (tmp_path / "expected.csv").read_bytes(), f"snapshot_{n}.csv"
@@ -780,8 +819,9 @@ def test_run_csv_files_round_trip_bitwise(tmp_path):
         snap = parsed(f"snapshot_{n}.csv")
         np.testing.assert_array_equal(_bits(snap[:, 0]), _bits(traj.grid.sigma))
         np.testing.assert_array_equal(_bits(snap[:, 1]), _bits(traj.snapshots[n]))
-        np.testing.assert_array_equal(_bits(snap[:, 2]), _bits(reconstruct_u(traj, cfg.I0, n).values))
-        np.testing.assert_array_equal(_bits(parsed(f"curve_{n}.csv")), _bits(curve_points(traj, n, cfg.I0)))
+        u = reconstruct_u(traj, cfg.I0, n, traj.snapshots[n])
+        np.testing.assert_array_equal(_bits(snap[:, 2]), _bits(u.values))
+        np.testing.assert_array_equal(_bits(parsed(f"curve_{n}.csv")), _bits(curve_points(traj, n, u)))
     means = parsed("means.csv")
     np.testing.assert_array_equal(means[:, 0], np.arange(N + 1))
     np.testing.assert_array_equal(_bits(means[:, 1]), _bits([n * cfg.tgrid.k for n in range(N + 1)]))
@@ -865,6 +905,7 @@ def test_percent_in_config_value_is_taken_literally(tmp_path, monkeypatch):
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_INI = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+(README_PYTHON,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)  # the Library block
 
 
 def _ini_keys(text):
@@ -886,6 +927,12 @@ TEXT_KEYS = {"v0_method", "dir", "emit"}
 def _edit_key(text, key, new_line):
     lines = [new_line if line.split("=")[0].strip() == key else line for line in text.splitlines()]
     return "\n".join(line for line in lines if line is not None) + "\n"
+
+
+def test_readme_library_example_runs_as_written():
+    namespace = {}
+    exec(README_PYTHON, namespace)
+    assert namespace["u_final"].J == 256
 
 
 def test_readme_config_hash_is_pinned(tmp_path):

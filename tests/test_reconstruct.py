@@ -8,7 +8,7 @@ from ksring.params import ModelParams, SolverConfig, TimeGrid
 from ksring.radius import RadiusLaw
 from ksring.reconstruct import curve_points, mean_I, mean_I_path, reconstruct_u
 from ksring.solver import Trajectory, run
-from oracles import cumulative_v, interp_v, v_squared_integral, zeros
+from oracles import cumulative_v, interp_v, stored_v, v_squared_integral, zeros
 
 TWO_PI = 2.0 * math.pi
 SLOW = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
@@ -31,7 +31,6 @@ def manual_traj(snapshots, k=0.1, params=SLOW):
         Q=np.zeros(N + 1),
         A=np.zeros(N + 1),
         R_nodes=R_nodes,
-        stride=1,
         snapshots={n: np.asarray(vals, dtype=float) for n, vals in snapshots.items()},
     )
 
@@ -46,14 +45,14 @@ def test_interp_reproduces_nodes():
     g = traj.grid
     for n in (0, 1):
         for i in range(g.J):
-            assert interp_v(traj, g.sigma[i], n * traj.tgrid.k) == traj.v(n)[i]
+            assert interp_v(traj, g.sigma[i], n * traj.tgrid.k) == stored_v(traj, n)[i]
 
 
 def test_interp_cell_center_is_corner_mean():
     traj = two_step_traj(seed=1)
     g = traj.grid
     k = traj.tgrid.k
-    v0, v1 = traj.v(0), traj.v(1)
+    v0, v1 = stored_v(traj, 0), stored_v(traj, 1)
     for i in range(g.J):
         s = g.sigma[i] + 0.5 * g.h
         t = 0.5 * k
@@ -66,7 +65,7 @@ def test_interp_matches_bilinear_oracle():
     g = traj.grid
     k = traj.tgrid.k
     rng = np.random.default_rng(3)
-    v0, v1 = traj.v(0), traj.v(1)
+    v0, v1 = stored_v(traj, 0), stored_v(traj, 1)
     for _ in range(50):
         s = rng.uniform(0.0, TWO_PI)
         t = rng.uniform(0.0, k)
@@ -83,7 +82,7 @@ def test_interp_endpoint_and_wrap():
     traj = two_step_traj(seed=4)
     k = traj.tgrid.k
     # t = T lands in the last time cell with full weight on the upper snapshot
-    assert interp_v(traj, 0.0, k) == traj.v(1)[0]
+    assert interp_v(traj, 0.0, k) == stored_v(traj, 1)[0]
     # sigma wraps modulo 2 pi
     assert interp_v(traj, TWO_PI + 0.3, 0.0) == pytest.approx(
         interp_v(traj, 0.3, 0.0), rel=1e-14
@@ -198,7 +197,7 @@ def test_mean_I_satisfies_discrete_ode():
 
 def test_reconstruct_zero_field_is_scaled_constant():
     traj, law = zero_run(N=10)
-    u = reconstruct_u(traj, 5.0, 10)
+    u = reconstruct_u(traj, 5.0, 10, traj.snapshots[10])
     expected = 5.0 * law.rate(traj.R_nodes[10]) / law.rate(SLOW.R0)
     np.testing.assert_allclose(u.values, expected, rtol=1e-13)
 
@@ -210,7 +209,7 @@ def test_reconstruct_recovers_cosine_height():
         g = GridSpec(J)
         vals = -2.0 * np.sin(2.0 * g.sigma)
         traj = manual_traj({0: vals, 1: vals}, params=SLOW)
-        u = reconstruct_u(traj, 0.0, 0)
+        u = reconstruct_u(traj, 0.0, 0, traj.snapshots[0])
         errs.append(np.abs(u.values - np.cos(2.0 * g.sigma)).max())
     assert errs[0] <= 0.05
     # halving h divides the error by about four
@@ -224,7 +223,7 @@ def test_reconstruct_interpolant_mean_is_mean_I():
     traj = manual_traj({0: vals, 1: vals})
     law = traj.law
     I0 = 0.7
-    u = reconstruct_u(traj, I0, 0)
+    u = reconstruct_u(traj, I0, 0, traj.snapshots[0])
     h = traj.grid.h
     closed_v = np.append(vals, vals[0])
     closed_u = np.append(u.values, u.values[0])
@@ -244,17 +243,17 @@ def test_reconstruct_interpolant_mean_is_mean_I():
 def test_reconstruct_u_matches_roll_formula_bitwise():
     # the height formula with np.roll shifts and the cumulative sum built twice
     traj = two_step_traj(seed=3, J=16)
-    v, h = traj.v(1).values, traj.grid.h
+    v, h = stored_v(traj, 1).values, traj.grid.h
     c = np.concatenate(([0.0], np.cumsum(0.5 * h * (v + np.roll(v, -1)))))
     cells = h * c[:-1] + h * h * (2.0 * v + np.roll(v, -1)) / 6.0
     expected = (mean_I(traj, 0.3, 1) - float(np.sum(cells)) / TWO_PI) + c[:-1]
-    got = reconstruct_u(traj, 0.3, 1).values
+    got = reconstruct_u(traj, 0.3, 1, traj.snapshots[1]).values
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_curve_is_closed_and_circular_for_flat_interface():
     traj, law = zero_run(N=10)
-    pts = curve_points(traj, 10, I0=0.0)
+    pts = curve_points(traj, 10, reconstruct_u(traj, 0.0, 10, traj.snapshots[10]))
     assert pts.shape == (traj.grid.J + 1, 2)
     np.testing.assert_array_equal(pts[0], pts[-1])
     radii = np.hypot(pts[:, 0], pts[:, 1])
@@ -266,8 +265,8 @@ def test_curve_radii_follow_reconstruction():
     law = RadiusLaw(SLOW)
     v0 = sample_cosine_sum_dsigma(g, [(0.1, 2)])
     traj = run(SLOW, TimeGrid(k=0.01, N=10), g, SolverConfig(), v0, law=law)
-    u = reconstruct_u(traj, 0.0, 10)
-    pts = curve_points(traj, 10)
+    u = reconstruct_u(traj, 0.0, 10, traj.snapshots[10])
+    pts = curve_points(traj, 10, u)
     radii = np.hypot(pts[:-1, 0], pts[:-1, 1])
     np.testing.assert_allclose(radii, traj.R_nodes[10] + u.values, rtol=1e-12)
 

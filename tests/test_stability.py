@@ -12,6 +12,7 @@ from ksring.stability import (
     critical_radius,
     measured_dominant_mode,
     neutral_delta,
+    selection,
     spectral_report,
 )
 from oracles import galerkin_rhs, integrate_modes, lambda_m, modes_from_cosines
@@ -85,14 +86,10 @@ def test_spectral_report_unstable_sets():
     rep = spectral_report(12.0, PARAMS, 8)
     assert rep.unstable_modes == [2, 3, 4]
     assert rep.predicted_dominant == 3
-    assert rep.R_star == critical_radius(PARAMS)
-    assert rep.measured_dominant is None
 
 
 def test_predicted_dominant_tie_breaks_low():
-    rep = SpectralReport(
-        R=1.0, m_max=3, lam=np.array([0.0, 0.5, 0.5]), R_star=1.0
-    )
+    rep = SpectralReport(R=1.0, m_max=3, lam=np.array([0.0, 0.5, 0.5]))
     assert rep.predicted_dominant == 2
 
 
@@ -104,11 +101,12 @@ def test_measured_dominant_mode():
     assert measured_dominant_mode(probe) == 4
 
 
-def test_spectral_report_with_probe():
+def test_selection_measures_the_probe_mode():
     g = GridSpec(64)
     probe = PeriodicField(np.cos(2 * g.sigma), g.h)
-    rep = spectral_report(6.0, PARAMS, 8, probe=probe)
-    assert rep.measured_dominant == 2
+    verdict = selection(PARAMS, 6.0, probe)
+    assert verdict["measured_dominant"] == 2
+    assert verdict["R_star"] == critical_radius(PARAMS)
 
 
 def test_galerkin_single_mode_rhs():
@@ -266,7 +264,7 @@ def test_predicted_dominant_matches_the_first_mode_rule():
         assert rep.predicted_dominant == _first_top_mode(rep.lam)
     exact = [[0.0, 0.5, 0.5], [-1.0, -1.0, -1.0], [0.0, 0.0, 0.0], [2.0, 2.0 - 1e-13, 3.0, 3.0], [1.0, math.nan]]
     for lam in exact:
-        rep = SpectralReport(R=1.0, m_max=len(lam), lam=np.array(lam), R_star=1.0)
+        rep = SpectralReport(R=1.0, m_max=len(lam), lam=np.array(lam))
         assert rep.predicted_dominant == _first_top_mode(rep.lam)
 
 
