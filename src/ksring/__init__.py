@@ -22,7 +22,6 @@ from .solver import (
     Trajectory,
     check_admissibility,
     integrate,
-    run,
 )
 from .stability import (
     SpectralReport,
@@ -58,7 +57,6 @@ __all__ = [
     "norm_h",
     "radius_rate",
     "reconstruct_u",
-    "run",
     "sample_cosine_sum",
     "sample_cosine_sum_dsigma",
     "spectral_report",

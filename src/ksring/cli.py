@@ -1,7 +1,7 @@
 """Command line driver: argument parsing, file output and exit codes.
 
 Subcommands
-    run                integrate one configuration, emit snapshots and report
+    run                integrate one configuration, write its snapshot files and report
     eoc                self-convergence ladder under simultaneous (h, k) halving
     stability-map      neutral curves and per-radius unstable mode sets
     wavenumber-suite   the five desk-scale expanding-circle mode selection runs
@@ -51,21 +51,19 @@ def resolve_out_dir(flag_value: str | None, cfg_value: str | None) -> Path:
     return Path(os.environ.get(ENV_OUT) or "out")
 
 
-def write_csv(path: Path, header: list[str], rows, first_column: list[str] | list[bytes] | None = None) -> None:
+def write_csv(path: Path, header: list[str], rows, first_column: list[bytes] | None = None) -> None:
     """Writes the header and the rows (a 2-D array or any iterable of rows),
     every value as %.17g, which round-trips a double exactly.  Each block of
     CSV_BLOCK_ROWS rows is one `%` format into bytes, written to a binary
     file, so no Python loop runs per value and no text is encoded again.
 
     first_column, if given, is the first column already formatted, one
-    bytes (or str) entry per row, and rows hold only the other columns.  The
-    snapshots pass their grid column this way, formatted once per run."""
+    bytes entry per row, and rows hold only the other columns.  The
+    snapshot files pass their grid column this way, formatted once per run."""
     data = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
     cells = [b"%.17g"] * len(header)
     if first_column is not None:
         cells[0] = b"%s"
-        if first_column and isinstance(first_column[0], str):
-            first_column = [text.encode() for text in first_column]
     line = b",".join(cells) + b"\n"
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())

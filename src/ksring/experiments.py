@@ -13,7 +13,7 @@ from .field import GridSpec, _norm_values, sample_cosine_sum_dsigma
 from .params import ModelParams, SolverConfig, TimeGrid
 from .radius import RadiusLaw
 from .reconstruct import reconstruct_u
-from .solver import Integration, check_admissibility, integrate, run
+from .solver import Integration, check_admissibility, integrate
 from .stability import selection
 
 
@@ -127,8 +127,7 @@ SUITE_AMPLITUDE = 0.1  # initial amplitude of every seeded mode
 
 
 def wavenumber_suite(
-    J: int = 256, k: float = 0.01, T: float = 100.0, jn: int = SolverConfig.newton_iters,
-    keep_trajectories: bool = False,
+    J: int = 256, k: float = 0.01, T: float = 100.0, jn: int = SolverConfig.newton_iters
 ) -> list[dict]:
     """Runs the five expanding-circle selection experiments at desk scale.
 
@@ -144,14 +143,17 @@ def wavenumber_suite(
         grid = GridSpec(J)
         pairs = tuple((SUITE_AMPLITUDE, m) for m in mode_set)
         v0 = sample_cosine_sum_dsigma(grid, pairs)
-        traj = run(params, tgrid, grid, solver, v0, store_stride=tgrid.N)
-        u_T = reconstruct_u(traj, 0.0, tgrid.N, traj.snapshots[tgrid.N])
+        steps = integrate(params, tgrid, grid, solver, v0, every=tgrid.N)
+        next(steps)  # V^0; with every = N the next step yielded is N
+        N, v = next(steps)
+        traj = steps.trajectory
+        u_T = reconstruct_u(traj, 0.0, N, v)
         verdict = selection(params, float(traj.R_nodes[-1]), u_T)
         unstable, predicted = verdict["unstable_at_R0"], verdict["predicted_dominant_at_R0"]
         measured = verdict["measured_dominant"]
         seeded = predicted in mode_set
         ok = measured in unstable and (measured == predicted if seeded else True)
-        row = {
+        rows.append({
             "R0": R0,
             "modes": list(mode_set),
             "unstable_at_R0": unstable,
@@ -161,8 +163,5 @@ def wavenumber_suite(
             "R_T": verdict["R_T"],
             "max_abs_mean": float(np.max(np.abs(traj.S))),
             "pass": ok,
-        }
-        if keep_trajectories:
-            row["trajectory"] = traj
-        rows.append(row)
+        })
     return rows

@@ -66,10 +66,14 @@ def _mean_I(traj: "Trajectory", I0: float, at):
     )
 
 
-def mean_I(traj: "Trajectory", I0: float, n: int) -> float:
-    """Mean height Itilde(t^n) via the closed form above."""
+def _check_step(traj: "Trajectory", n: int) -> None:
     if not (0 <= n <= traj.tgrid.N):
         raise ValueError(f"step {n} outside 0..{traj.tgrid.N}")
+
+
+def mean_I(traj: "Trajectory", I0: float, n: int) -> float:
+    """Mean height Itilde(t^n) via the closed form above."""
+    _check_step(traj, n)
     return _mean_I(traj, I0, n)
 
 
@@ -90,6 +94,7 @@ def reconstruct_u(traj: "Trajectory", I0: float, n: int, v: np.ndarray) -> Perio
 def curve_points(traj: "Trajectory", n: int, u: PeriodicField) -> np.ndarray:
     """Closed interface polyline (R(t^n) + U_i)(cos sigma_i, sin sigma_i), J+1
     rows, from the height u = reconstruct_u(traj, I0, n, V^n)."""
+    _check_step(traj, n)
     r = traj.R_nodes[n] + u.values
     s = traj.grid.sigma
     pts = np.column_stack((r * np.cos(s), r * np.sin(s)))

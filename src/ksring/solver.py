@@ -55,7 +55,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
@@ -286,50 +286,19 @@ def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace):
 
 
 class Integration:
-    """One run as an iterator of (m, V^m) at m = 0, every, 2*every, ..., N.
+    """One run as an iterator of (m, V^m) at m = 0, every, 2*every, ..., N;
+    integrate() builds it.
 
-    Constructing it checks the arguments (and admissibility if required),
-    builds the step tables and records V^0; iterating it steps the scheme.
     trajectory carries S, Q, A, R_nodes and solve_s (the seconds of
-    construction and stepping); S, Q and A are final up to each yielded
+    integrate() and of stepping); S, Q and A are final up to each yielded
     step, so a consumer that stops at N (zip, say) holds a finished
-    trajectory.  It stores no snapshots: the consumer keeps the steps it
-    needs.  A yielded V^m is the workspace's array, valid until the next step.
+    trajectory.  It stores no steps: the consumer keeps the ones it needs.
+    A yielded V^m is the workspace's array, valid until the next step.
     """
 
-    def __init__(self, params, tgrid, grid, config, v0, law, method, every, require_admissible):
-        # integrate() and run() construct it; their signatures annotate the arguments
-        t0 = perf_counter()
-        if method not in ("newton", "reference"):
-            raise ValueError(f"unknown method {method!r}")
-        if v0.J != grid.J:
-            raise ValueError(f"v0 has J={v0.J}, grid expects {grid.J}")
-        if every < 1:
-            raise ValueError(f"every (run's store_stride) must be >= 1, got {every}")
-        ctx = SchemeContext(params, tgrid, grid, law=law, config=config)
-        if require_admissible and not (report := check_admissibility(params, tgrid, ctx.law)).passed:
-            raise SolverError(f"admissibility failed: {report}")
-
-        traj = Trajectory(
-            params=params, tgrid=tgrid, grid=grid, law=ctx.law, method=method, R_nodes=ctx.R_nodes,
-            S=np.full(tgrid.N + 1, np.nan), Q=np.full(tgrid.N + 1, np.nan), A=np.full(tgrid.N + 1, np.nan),
-        )
-        ws = _Workspace(grid.J)
-        # V^0 enters the loop where a step leaves V^{n+1}; rotating it in makes
-        # V^{-1} = V^{-2} = V^0, so both predictors are V^0 at the first step,
-        # and a Newton first step is one frozen sweep.
-        ws.v_prev[:] = ws.vn[:] = ws.v_next[:] = v0.values
-        # The generator holds ctx, ws and traj but not self, so dropping an
-        # unfinished integration frees it at once, without a reference cycle.
-        steps = _steps(ctx, ws, traj, every)
-        self._steps = chain((next(steps),), steps)  # V^0 recorded, or SolverError at step 0
-        if abs(traj.S[0]) > 1e-10 * max(1.0, norm_h(v0)):
-            warnings.warn(  # level 3: the caller of run() or integrate(), which construct this
-                f"initial mean {traj.S[0]:.3e} is nonzero; it decays geometrically",
-                stacklevel=3,
-            )
-        self.trajectory = traj
-        traj.solve_s = perf_counter() - t0
+    def __init__(self, trajectory: Trajectory, steps: Iterator[tuple[int, np.ndarray]]):
+        self.trajectory = trajectory
+        self._steps = steps
 
     def __iter__(self):
         return self
@@ -401,32 +370,38 @@ def integrate(
     require_admissible: bool = True,
 ) -> Integration:
     """The steps of a run from v0, as an iterator of (m, V^m) at m = 0,
-    every, 2*every, ..., N; see Integration.  Bad arguments and a failed
-    admissibility check raise here, not at the first step."""
-    return Integration(params, tgrid, grid, config, v0, law, method, every, require_admissible)
-
-
-def run(
-    params: ModelParams,
-    tgrid: TimeGrid,
-    grid: GridSpec,
-    config: SolverConfig,
-    v0: PeriodicField,
-    *,
-    law: RadiusLaw | None = None,
-    method: str = "newton",
-    store_stride: int = 1,
-    require_admissible: bool = True,
-) -> Trajectory:
-    """Integrates from v0 over the whole time grid.
+    every, 2*every, ..., N; see Integration.
 
     method "newton" uses the linear first step plus j_n linearization sweeps
-    per step; method "reference" solves every step to convergence.  Snapshots
-    are stored every store_stride steps (steps 0 and N always): a copy of
-    each step the integration yields.
+    per step; method "reference" solves every step to convergence.  Bad
+    arguments, a failed admissibility check (if required) and a V^0 that is
+    not finite raise here, not at the first step.
     """
-    steps = Integration(params, tgrid, grid, config, v0, law, method, store_stride, require_admissible)
-    snapshots = steps.trajectory.snapshots
-    for m, v in steps:
-        snapshots[m] = v.copy()
-    return steps.trajectory
+    t0 = perf_counter()
+    if method not in ("newton", "reference"):
+        raise ValueError(f"unknown method {method!r}")
+    if v0.J != grid.J:
+        raise ValueError(f"v0 has J={v0.J}, grid expects {grid.J}")
+    if every < 1:
+        raise ValueError(f"every must be >= 1, got {every}")
+    ctx = SchemeContext(params, tgrid, grid, law=law, config=config)
+    if require_admissible and not (report := check_admissibility(params, tgrid, ctx.law)).passed:
+        raise SolverError(f"admissibility failed: {report}")
+
+    traj = Trajectory(
+        params=params, tgrid=tgrid, grid=grid, law=ctx.law, method=method, R_nodes=ctx.R_nodes,
+        S=np.full(tgrid.N + 1, np.nan), Q=np.full(tgrid.N + 1, np.nan), A=np.full(tgrid.N + 1, np.nan),
+    )
+    ws = _Workspace(grid.J)
+    # V^0 enters the loop where a step leaves V^{n+1}; rotating it in makes
+    # V^{-1} = V^{-2} = V^0, so both predictors are V^0 at the first step,
+    # and a Newton first step is one frozen sweep.
+    ws.v_prev[:] = ws.vn[:] = ws.v_next[:] = v0.values
+    # The generator holds ctx, ws and traj but not the Integration, so
+    # dropping an unfinished integration frees it at once, without a cycle.
+    loop = _steps(ctx, ws, traj, every)
+    steps = Integration(traj, chain((next(loop),), loop))  # V^0 recorded, or SolverError at step 0
+    if abs(traj.S[0]) > 1e-10 * max(1.0, norm_h(v0)):
+        warnings.warn(f"initial mean {traj.S[0]:.3e} is nonzero; it decays geometrically", stacklevel=2)
+    traj.solve_s = perf_counter() - t0
+    return steps

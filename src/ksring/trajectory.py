@@ -1,8 +1,8 @@
-"""The record of a run: the stored steps of v and the per-step scalar paths."""
+"""The record of a run: its per-step scalar paths."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .radius import RadiusLaw
 
 @dataclass
 class Trajectory:
-    """Output of a run: strided v snapshots plus per-step scalar paths.
+    """Output of a run: its per-step scalar paths.
 
     S[n] is the discrete mean h*sum V^n, Q[n] the exact integral of the
     squared piecewise linear interpolant of V^n, A[n] the trapezoid
@@ -33,6 +33,5 @@ class Trajectory:
     A: np.ndarray
     R_nodes: np.ndarray
     solve_s: float = 0.0
-    snapshots: dict[int, np.ndarray] = dc_field(default_factory=dict)
     reference_sweeps: int = 0
 

@@ -17,7 +17,7 @@ import numpy as np
 from ksring import operators, solver
 from ksring.field import GridSpec, PeriodicField, _norm_values, _pad, pw_linear_square_integral
 from ksring.operators import LinearOperatorCoefficients, second_difference_symbol
-from ksring.params import ModelParams, TWO_PI, TimeGrid
+from ksring.params import ModelParams, SolverConfig, TWO_PI, TimeGrid
 from ksring.radius import RadiusLaw, _times
 from ksring.reconstruct import _cumulative_nodes
 from ksring.stability import _lambda_formula
@@ -115,6 +115,30 @@ class FrozenRadiusLaw(RadiusLaw):
 
 
 # --- trajectories (ksring.trajectory) ------------------------------------
+
+
+def run(
+    params: ModelParams,
+    tgrid: TimeGrid,
+    grid: GridSpec,
+    config: SolverConfig,
+    v0: PeriodicField,
+    *,
+    law: RadiusLaw | None = None,
+    method: str = "newton",
+    store_stride: int = 1,
+    require_admissible: bool = True,
+) -> Trajectory:
+    """The finished trajectory of integrate() from v0, with a copy of each
+    step it yields (every store_stride steps, 0 and N always) in
+    traj.snapshots, keyed by step."""
+    steps = solver.integrate(
+        params, tgrid, grid, config, v0,
+        law=law, method=method, every=store_stride, require_admissible=require_admissible,
+    )
+    traj = steps.trajectory
+    traj.snapshots = {m: v.copy() for m, v in steps}
+    return traj
 
 
 def stored_steps(traj: Trajectory) -> list[int]:

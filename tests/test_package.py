@@ -50,7 +50,7 @@ def test_step_wrappers_and_test_oracles_are_module_level_only():
         "radius": ("FrozenRadiusLaw", "rate_at"),
         "reconstruct": ("cumulative_v", "interp_v", "v_squared_integral"),
         "solver": ("_fresh_step", "cn_residual", "cn_step", "extrapolate", "mean_step_factor",
-                   "newton_first_step", "newton_iterate", "solve_linear_cn", "step_coefficients"),
+                   "newton_first_step", "newton_iterate", "run", "solve_linear_cn", "step_coefficients"),
         "stability": ("_check_reality", "_frozen_rhs", "galerkin_rhs", "integrate_modes", "lambda_m",
                       "modes_from_cosines"),
         "trajectory": ("final", "stored_steps"),
@@ -67,4 +67,15 @@ def test_step_wrappers_and_test_oracles_are_module_level_only():
             assert callable(getattr(oracles, name)), name
             assert not [h for h in holders if hasattr(h, name)], name
     assert not hasattr(ksring.Trajectory, "has")
-    assert sum(map(len, moved.values())) == 36
+    assert sum(map(len, moved.values())) == 37
+
+
+def test_integrate_is_the_one_way_to_run_the_scheme():
+    # the package stores no steps: a trajectory has no field for them, and
+    # the suite has no option to keep its runs' trajectories
+    from dataclasses import fields
+
+    from ksring.experiments import wavenumber_suite
+
+    assert "snapshots" not in {f.name for f in fields(ksring.Trajectory)}
+    assert "keep_trajectories" not in inspect.signature(wavenumber_suite).parameters

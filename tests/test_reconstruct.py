@@ -7,8 +7,8 @@ from ksring.field import GridSpec, PeriodicField, sample_cosine_sum_dsigma
 from ksring.params import ModelParams, SolverConfig, TimeGrid
 from ksring.radius import RadiusLaw
 from ksring.reconstruct import curve_points, mean_I, mean_I_path, reconstruct_u
-from ksring.solver import Trajectory, run
-from oracles import cumulative_v, interp_v, stored_v, v_squared_integral, zeros
+from ksring.solver import Trajectory
+from oracles import cumulative_v, interp_v, run, stored_v, v_squared_integral, zeros
 
 TWO_PI = 2.0 * math.pi
 SLOW = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
@@ -21,7 +21,7 @@ def manual_traj(snapshots, k=0.1, params=SLOW):
     J = len(snapshots[0])
     law = RadiusLaw(params)
     R_nodes = np.array([law.radius_at(n * k) for n in range(N + 1)])
-    return Trajectory(
+    traj = Trajectory(
         params=params,
         tgrid=TimeGrid(k=k, N=N),
         grid=GridSpec(J),
@@ -31,8 +31,9 @@ def manual_traj(snapshots, k=0.1, params=SLOW):
         Q=np.zeros(N + 1),
         A=np.zeros(N + 1),
         R_nodes=R_nodes,
-        snapshots={n: np.asarray(vals, dtype=float) for n, vals in snapshots.items()},
     )
+    traj.snapshots = {n: np.asarray(vals, dtype=float) for n, vals in snapshots.items()}
+    return traj
 
 
 def two_step_traj(seed=0, J=8):
@@ -276,3 +277,12 @@ def test_mean_I_rejects_steps_outside_the_run():
     for n in (-1, 11):
         with pytest.raises(ValueError, match=r"outside 0\.\.10"):
             mean_I(traj, 0.0, n)
+
+
+def test_curve_points_rejects_steps_outside_the_run():
+    # mean_I's check: at step -1 the curve would quietly take R(T) as its radius
+    traj, _ = zero_run(N=10)
+    u = reconstruct_u(traj, 0.0, 10, traj.snapshots[10])
+    for n in (-1, 11):
+        with pytest.raises(ValueError, match=rf"step {n} outside 0\.\.10"):
+            curve_points(traj, n, u)

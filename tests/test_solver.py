@@ -24,7 +24,6 @@ from ksring.solver import (
     _rfft,
     check_admissibility,
     integrate,
-    run,
 )
 from oracles import (
     c_phi,
@@ -37,6 +36,7 @@ from oracles import (
     newton_iterate,
     phi,
     psi,
+    run,
     solve_linear_cn,
     step_coefficients,
     stored_steps,
@@ -705,7 +705,7 @@ def test_psi_coefficient_is_a_quarter_of_phi_coefficient_bitwise(params, T, J):
 def test_run_rejects_store_stride_below_one(stride):
     g = GridSpec(16)
     v0 = sample_cosine_sum_dsigma(g, [(0.01, 2)])
-    with pytest.raises(ValueError, match="store_stride"):
+    with pytest.raises(ValueError, match="every must be >= 1"):
         run(SLOW, TimeGrid(k=0.01, N=10), g, SolverConfig(), v0, store_stride=stride)
 
 
@@ -897,7 +897,7 @@ def test_integrate_yields_the_steps_run_stores(method, every):
             break
     assert seen == stored_steps(traj)
     out = steps.trajectory
-    assert out.snapshots == {} and out.method == method
+    assert not hasattr(out, "snapshots") and out.method == method
     for name in ("S", "Q", "A", "R_nodes"):
         assert np.array_equal(bits(getattr(out, name)), bits(getattr(traj, name))), name
 
@@ -940,12 +940,12 @@ def test_integrate_rejects_bad_arguments_when_called(change, error):
         integrate(params, TimeGrid(k=0.01, N=5), g, SolverConfig(), v0, **kwargs)
 
 
-@pytest.mark.parametrize("entry", ["run", "integrate"])
+@pytest.mark.parametrize("entry", ["integrate"])
 def test_nonzero_mean_warning_names_the_callers_file(entry):
     g = GridSpec(16)
     v0 = PeriodicField(0.01 * np.cos(2 * g.sigma) + 1.0, g.h)
     with pytest.warns(UserWarning, match="initial mean") as caught:
-        (run if entry == "run" else integrate)(SLOW, TimeGrid(k=0.01, N=3), g, SolverConfig(), v0)
+        integrate(SLOW, TimeGrid(k=0.01, N=3), g, SolverConfig(), v0)
     assert [w.filename for w in caught] == [__file__]
 
 
