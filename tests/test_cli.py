@@ -983,9 +983,18 @@ def test_config_hash_is_the_sha256_of_the_sorted_json(tmp_path, text):
     assert cfg.config_hash() == hashlib.sha256(blob).hexdigest()
 
 
+def fresh_python(*args, cwd):
+    """Runs a fresh interpreter on args, importing the ksring this process
+    imported (the checkout's src, or an installed package)."""
+    import ksring
+
+    path = str(Path(ksring.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [path, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)
+
+
 def test_cli_process_loads_no_openssl(tmp_path):
     # A fresh interpreter: pytest's own process may have imported hashlib.
-    src = Path(__file__).resolve().parents[1] / "src"
     argv = ["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
     code = (
         "import json, sys\n"
@@ -993,10 +1002,31 @@ def test_cli_process_loads_no_openssl(tmp_path):
         f"code = main({argv!r})\n"
         "print(json.dumps([code, sorted({'_hashlib', '_ssl'} & set(sys.modules))]))\n"
     )
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = fresh_python("-c", code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
+@pytest.mark.parametrize(
+    "config, status, message",
+    [
+        (GOOD_CONFIG.replace("R0 = 6.0", "R0 = 6.0\nI0 = nan").encode(), 1, "config error: initial.I0: must be finite"),
+        (GOOD_CONFIG.replace("v_c = 0.001", "v_c = 1e-6").replace("T = 0.5", "T = 1.0").encode(), 2,
+         "solver failure: radius law"),
+        (b"\xff" + GOOD_CONFIG.encode(), 3, "config parse error: "),
+    ],
+    ids=["config-error", "solver-failure", "unreadable-config"],
+)
+def test_console_script_exit_status(tmp_path, config, status, message):
+    # entry() turns main()'s code into the process's exit status, with one
+    # line on stderr and no traceback or output directory
+    path, out = tmp_path / "run.ini", tmp_path / "o"
+    path.write_bytes(config)
+    proc = fresh_python("-m", "ksring.cli", "run", "--config", str(path), "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == status, proc.stderr
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_eoc_out_of_memory_exits_2(tmp_path, capsys):

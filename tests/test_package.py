@@ -55,8 +55,9 @@ def test_step_wrappers_and_test_oracles_are_module_level_only():
                       "modes_from_cosines"),
         "trajectory": ("final", "stored_steps"),
     }
+    package = Path(ksring.__file__).parent
     modules = [ksring] + [
-        importlib.import_module(f"ksring.{p.stem}") for p in (ROOT / "src" / "ksring").glob("*.py") if p.stem != "__init__"
+        importlib.import_module(f"ksring.{p.stem}") for p in package.glob("*.py") if p.stem != "__init__"
     ]
     holders = modules + [
         obj for m in modules for obj in vars(m).values() if inspect.isclass(obj) and obj.__module__ == m.__name__

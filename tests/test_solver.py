@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -842,6 +843,29 @@ def test_rows_check_real_denominators_before_the_cast():
     with pytest.raises(SolverError, match=f"at mode {mode}, step {n0};") as err:
         next(rows)
     assert err.value.step == n0
+
+
+@pytest.mark.parametrize("method, J", [("newton", 256), ("reference", 2048)])
+def test_stepping_memory_does_not_grow_with_the_step_count(method, J):
+    # the kernels write into one workspace and rows() builds its tables a
+    # block of steps at a time, so stepping a run peaks at the same memory for
+    # N = 100 and N = 800; a step that kept an array, or tables built for all
+    # N steps at once, would add over 1 MB at N = 800
+    g = GridSpec(J)
+    v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
+    peaks = {}
+    for N in (100, 800):
+        tracemalloc.start()
+        try:
+            steps = integrate(SLOW, TimeGrid(k=0.01, N=N), g, SolverConfig(), v0, method=method)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in steps:
+                pass
+            peaks[N] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[800] - peaks[100]) <= 8192, peaks
 
 
 # The step iterator: integrate() yields (m, V^m) and run() consumes it.
