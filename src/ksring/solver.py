@@ -139,9 +139,11 @@ class SchemeContext:
         self.config = config if config is not None else SolverConfig()
         self.s = second_difference_symbol(np.arange(grid.J // 2 + 1), grid.h)
         self.s2 = self.s * self.s
-        steps = np.arange(tgrid.N + 1)
-        self.R_nodes = self.law.radii(steps * tgrid.k)
-        self.R_half = R = self.law.radii((steps[:-1] + 0.5) * tgrid.k)
+        # one solve at j k/2, j = 0..2N: (2n) k/2 and (2n + 1) k/2 are one
+        # rounding of the same reals as n k and (n + 1/2) k
+        R_all = self.law.radii(np.arange(2 * tgrid.N + 1) * (0.5 * tgrid.k))
+        self.R_nodes = R_all[::2]
+        self.R_half = R = R_all[1::2]
         self.c4, self.c2, self.c0 = LinearOperatorCoefficients.at_radius(params, R)
         self.c_psi = params.v_c / (24.0 * grid.h * R * R)
 

@@ -450,12 +450,12 @@ def test_wavenumber_suite_without_jn_runs_the_solver_default(tmp_path, monkeypat
 
 @pytest.mark.parametrize("command", ["run", "eoc"])
 def test_unsolvable_radius_law_is_a_solver_failure(tmp_path, capsys, command):
-    # at v_c = 1e-6 the radius residual's rounding noise passes its tolerance
-    text = GOOD_CONFIG.replace("v_c = 0.001", "v_c = 1e-6").replace("T = 0.5", "T = 1.0")
+    # at v_c = 1e300 the radius solve overflows
+    text = GOOD_CONFIG.replace("v_c = 0.001", "v_c = 1e300")
     out = tmp_path / "out"
     assert main([command, "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("solver failure: radius law did not converge at t = ")
+    assert err.startswith("solver failure: radius law failed with ")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -939,6 +939,16 @@ def test_readme_config_hash_is_pinned(tmp_path):
     assert cfg.config_hash() == "433b741aa4337e72a452ce71aabfeb9f8eb94f47a1dff44e7861cb05a5a0a2be"
 
 
+def test_readme_run_at_small_v_c_completes(tmp_path, capsys):
+    # the radius law solves v_c = 1e-6, where R(T) is sqrt(R0^2 + 2 (alpha - 1) T) + O(v_c)
+    out = tmp_path / "out"
+    text = README_INI.replace("v_c = 0.001", "v_c = 1e-6")
+    assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    R_T = json.loads((out / "report.json").read_text())["spectral"]["R_T"]
+    assert 0 < R_T - math.sqrt(6.0**2 + 2 * 0.5 * 100) < 1e-4
+
+
 def test_config_hash_records_T_as_N_times_k(tmp_path):
     text = README_INI.replace("k = 0.01", "k = 0.1").replace("T = 100", "T = 0.3")
     cfg = load_config(write_config(tmp_path, text))
@@ -1011,8 +1021,7 @@ def test_cli_process_loads_no_openssl(tmp_path):
     "config, status, message",
     [
         (GOOD_CONFIG.replace("R0 = 6.0", "R0 = 6.0\nI0 = nan").encode(), 1, "config error: initial.I0: must be finite"),
-        (GOOD_CONFIG.replace("v_c = 0.001", "v_c = 1e-6").replace("T = 0.5", "T = 1.0").encode(), 2,
-         "solver failure: radius law"),
+        (GOOD_CONFIG.replace("v_c = 0.001", "v_c = 1e300").encode(), 2, "solver failure: radius law failed with "),
         (b"\xff" + GOOD_CONFIG.encode(), 3, "config parse error: "),
     ],
     ids=["config-error", "solver-failure", "unreadable-config"],
