@@ -23,24 +23,27 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, checked, load_config
-from .experiments import eoc_ladder, wavenumber_suite
-from .params import ModelParams, SolverConfig
+from .experiments import EocLevel, eoc_ladder, wavenumber_suite
+from .params import MAX_COUNT, ModelParams, SolverConfig
 from .radius import RadiusLaw
 from .reconstruct import mean_I_path, reconstruct_u, curve_points
 from .solver import AdmissibilityReport, Integration, SolverError, check_admissibility, integrate
 from .stability import critical_radius, neutral_delta, selection, spectral_report
 
 ENV_OUT = "KSRING_OUT"
-# Rows per formatted write in write_csv: bounds the bytes built at once.  A
-# bytes % format grows its buffer as it fills it, and at 512 rows the four
-# columns of means.csv raised a README run's peak RSS by about 0.1 MB.
+# Rows and values per formatted write in write_csv: they bound the bytes
+# built at once.  A bytes % format grows its buffer as it fills it, and at
+# 512 rows the four columns of means.csv raised a README run's peak RSS by
+# about 0.1 MB.  The value cap keeps a wide table's block as small; tables of
+# up to four columns keep 256-row blocks.
 CSV_BLOCK_ROWS = 256
+CSV_BLOCK_VALUES = 1024
 
 
 def resolve_out_dir(flag_value: str | None, cfg_value: str | None) -> Path:
@@ -54,30 +57,34 @@ def resolve_out_dir(flag_value: str | None, cfg_value: str | None) -> Path:
 def write_csv(path: Path, header: list[str], rows, first_column: list[bytes] | None = None) -> None:
     """Writes the header and the rows (a 2-D array or any iterable of rows),
     every value as %.17g, which round-trips a double exactly.  Each block of
-    CSV_BLOCK_ROWS rows is one `%` format into bytes, written to a binary
+    at most CSV_BLOCK_ROWS rows and CSV_BLOCK_VALUES values (whole rows, or a
+    piece of one wide row) is one `%` format into bytes, written to a binary
     file, so no Python loop runs per value and no text is encoded again.
 
     first_column, if given, is the first column already formatted, one
     bytes entry per row, and rows hold only the other columns.  The
     snapshot files pass their grid column this way, formatted once per run."""
     data = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
-    cells = [b"%.17g"] * len(header)
+    width = len(header)
+    cells = [b"%.17g,"] * (width - 1) + [b"%.17g\n"]  # each value with the separator after it
     if first_column is not None:
-        cells[0] = b"%s"
-    line = b",".join(cells) + b"\n"
+        cells[0] = b"%s,"
+    step = min(CSV_BLOCK_ROWS, max(1, CSV_BLOCK_VALUES // width))
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
-        for start in range(0, len(data), CSV_BLOCK_ROWS):
-            block = data[start : start + CSV_BLOCK_ROWS]
+        for start in range(0, len(data), step):
+            block = data[start : start + step]
             if first_column is not None:
                 # Rows of (text, values...) in one object block: a format
                 # string holding the texts instead fragments the C heap and
                 # raised a dense run's peak RSS by 0.5 MB.
-                mixed = np.empty((len(block), len(header)), dtype=object)
-                mixed[:, 0] = first_column[start : start + CSV_BLOCK_ROWS]
+                mixed = np.empty((len(block), width), dtype=object)
+                mixed[:, 0] = first_column[start : start + step]
                 mixed[:, 1:] = block
                 block = mixed
-            f.write((line * len(block)) % tuple(block.ravel().tolist()))
+            for c in range(0, width, CSV_BLOCK_VALUES):  # one piece, unless a row is wider than a block
+                piece = block[:, c : c + CSV_BLOCK_VALUES]
+                f.write(b"".join(cells[c : c + CSV_BLOCK_VALUES]) * len(piece) % tuple(piece.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -119,11 +126,10 @@ def emit_run_outputs(
     width = len(str(N))
     with timer("write_s"):  # the grid column is the same in every snapshot
         sigma_text = [b"%.17g" % s for s in traj.grid.sigma.tolist()] if "v" in emit else None
-    u_field = None  # the steps come in order and end at N, so u_field ends as u(T)
     for n, v in steps:  # A is final up to n; v is valid until the next step
         tag = str(n).zfill(width)
-        if "u" in emit or "curve" in emit:
-            with timer("reconstruct_s"):
+        if "u" in emit or "curve" in emit or ("spectrum" in emit and n == N):
+            with timer("reconstruct_s"):  # the steps end at N, so u_field ends as u(T)
                 u_field = reconstruct_u(traj, cfg.I0, n, v)
         if "v" in emit:
             columns = (v,) + ((u_field.values,) if "u" in emit else ())
@@ -161,9 +167,6 @@ def emit_run_outputs(
         "config_hash": cfg.config_hash(),
     }
     if "spectrum" in emit:
-        if u_field is None:
-            with timer("reconstruct_s"):
-                u_field = reconstruct_u(traj, cfg.I0, N, v)  # the run is over: v is V^N
         report["spectral"] = selection(cfg.params, float(traj.R_nodes[N]), u_field)
     report["timing"] = {"solve_s": traj.solve_s} | seconds
     _write_json(out / "report.json", report)
@@ -190,14 +193,7 @@ def cmd_eoc(cfg: RunConfig, out: Path, levels: int) -> dict:
     ladder = eoc_ladder(cfg, levels=levels)
     wall = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "eoc.csv",
-        ["J", "k", "err_v", "err_u", "err_v_newton", "newton_gap"],
-        (
-            (l.J, l.k, l.err_v, l.err_u, l.err_v_newton, l.newton_gap)
-            for l in ladder.levels
-        ),
-    )
+    write_csv(out / "eoc.csv", [f.name for f in fields(EocLevel)], map(astuple, ladder.levels))
     report = {
         "params": cfg.to_dict()["model"] | {"R0": cfg.params.R0},
         "grid": cfg.to_dict()["grid"],
@@ -223,14 +219,20 @@ def cmd_stability_map(
         raise ConfigError(
             ["stability-map: need finite r_max > r_min >= 0, samples >= 2 and m_max >= 2"]
         )
+    if samples > MAX_COUNT:
+        raise ConfigError([f"--samples: must be at most 2**53, got {samples}"])
+    if samples * m_max > MAX_COUNT:
+        raise ConfigError([f"--mmax: the map's samples * mmax cells must be at most 2**53, got {samples} * {m_max}"])
+    # The map is allocated whole before any list of its columns or rows, so a
+    # map that does not fit fails at once, as out of memory.
+    table = np.empty((samples, m_max))  # R, then delta_m for m = 2..m_max
     header = ["R"] + [f"delta_m{m}" for m in range(2, m_max + 1)]
-    rows = []
     entries = []
     # Every row and entry is computed before the output directory is made, so
     # a radius whose curves or rates overflow leaves no partial map behind.
     # Each R is a NumPy scalar, so an overflow, a division by an underflowed
     # R^4 or an inf - inf raises; its arithmetic gives the bits of a float's.
-    for R in np.linspace(r_min, r_max, samples):
+    for i, R in enumerate(np.linspace(r_min, r_max, samples)):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 deltas = [neutral_delta(m, R, params) if R > 0 else 0.0 for m in range(2, m_max + 1)]
@@ -239,7 +241,7 @@ def cmd_stability_map(
             raise ConfigError(
                 [f"stability-map: the neutral curves or growth rates are not finite at R = {R:g}"]
             ) from None
-        rows.append([R] + deltas)
+        table[i] = [R] + deltas
         if rep is not None:
             entries.append(
                 {"R": R, "unstable_modes": rep.unstable_modes, "predicted_dominant": rep.predicted_dominant}
@@ -251,17 +253,19 @@ def cmd_stability_map(
         "spectral": entries,
     }
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "neutral_curves.csv", header, rows)
+    write_csv(out / "neutral_curves.csv", header, table)
     _write_json(out / "stability.json", report)
     return report
 
 
-def cmd_wavenumber_suite(out: Path, jn: int) -> dict:
+def cmd_wavenumber_suite(out: Path, solver: SolverConfig) -> dict:
     t0 = time.perf_counter()
-    rows = wavenumber_suite(jn=jn)
+    rows = wavenumber_suite(solver=solver)
     wall = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
-    report = {"rows": rows, "jn": jn, "wall_time_seconds": wall, "all_pass": all(r["pass"] for r in rows)}
+    report = {
+        "rows": rows, "jn": solver.newton_iters, "wall_time_seconds": wall, "all_pass": all(r["pass"] for r in rows)
+    }
     _write_json(out / "wavenumber_suite.json", report)
     print(f"{'R0':>5} {'modes':>14} {'unstable':>18} {'pred':>5} {'meas':>5} {'pass':>5}")
     for r in rows:
@@ -327,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"stability map written to {out}")
         else:
-            cmd_wavenumber_suite(out, jn=solver.newton_iters)
+            cmd_wavenumber_suite(out, solver)
         return 0
     except ConfigError as e:
         for problem in e.problems:

@@ -159,11 +159,12 @@ def load_config(path: str | Path) -> RunConfig:
     """Parses and validates a run configuration.
 
     Raises OSError if the file is missing, configparser.Error if it is not
-    UTF-8 INI text, and ConfigError listing every field level problem.
+    UTF-8 INI text (a leading byte-order mark is dropped), and ConfigError
+    listing every field level problem.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise configparser.Error(f"{path} is not UTF-8 text: {e}") from None
     # No interpolation: a value such as dir = a%b is taken as written.

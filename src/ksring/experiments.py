@@ -4,13 +4,13 @@ wavenumber selection suite."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, checked
+from .config import ConfigError, RunConfig
 from .field import GridSpec, _norm_values, sample_cosine_sum_dsigma
-from .params import ModelParams, SolverConfig, TimeGrid
+from .params import FieldErrors, ModelParams, SolverConfig, TimeGrid
 from .radius import RadiusLaw
 from .reconstruct import reconstruct_u
 from .solver import Integration, check_admissibility, integrate
@@ -38,13 +38,9 @@ class EocReport:
     timing: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "reference_J": self.reference_J,
-            "levels": [vars(l) for l in self.levels],
-            "eoc_v": self.eoc_v,
-            "eoc_u": self.eoc_u,
-            "eoc_v_newton": self.eoc_v_newton,
-        }
+        out = asdict(self)
+        del out["timing"]
+        return out
 
 
 def _subsampled_err(fine: np.ndarray, coarse: np.ndarray, h_coarse: float) -> float:
@@ -57,8 +53,19 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
     if levels < 3:
         raise ConfigError(["eoc.levels: must be >= 3"])
     T = cfg.tgrid.T
+    # The reference run, at eight times the finest J and with as many steps,
+    # is the ladder's largest, so it is checked before any level is listed or
+    # run.  Capping the exponent keeps a huge --levels from building a huge
+    # int; past the cap the reference is past the bounds either way.
+    J_ref = 8 * cfg.grid.J * 2 ** (min(levels, 64) - 1)
+    try:
+        GridSpec(J_ref), TimeGrid.from_horizon(T, T / J_ref)
+    except FieldErrors:
+        raise ConfigError(
+            [f"eoc.levels: {levels} levels need a reference run of {cfg.grid.J} * 2**{levels + 2} points "
+             "and steps, beyond the 2**53 points and 2**52 steps a run may take"]
+        ) from None
     Js = [cfg.grid.J * 2**l for l in range(levels)]
-    J_ref = 8 * Js[-1]
     law = RadiusLaw(cfg.params)
     # R0 and R(T) are the same in every run, so the k bound binds where k = T/J
     # is largest: the coarsest level.  This one check covers every run.
@@ -127,7 +134,7 @@ SUITE_AMPLITUDE = 0.1  # initial amplitude of every seeded mode
 
 
 def wavenumber_suite(
-    J: int = 256, k: float = 0.01, T: float = 100.0, jn: int = SolverConfig.newton_iters
+    J: int = 256, k: float = 0.01, T: float = 100.0, solver: SolverConfig = SolverConfig()
 ) -> list[dict]:
     """Runs the five expanding-circle selection experiments at desk scale.
 
@@ -135,7 +142,6 @@ def wavenumber_suite(
     unstable set at R0, and equals the argmax growth rate mode whenever that
     mode carries nonzero initial amplitude.
     """
-    solver = checked(SolverConfig, newton_iters=jn)
     rows = []
     for R0, mode_set in SUITE_MODE_SETS.items():
         params = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=R0)

@@ -14,17 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import TWO_PI, require
+from .params import MAX_COUNT, TWO_PI, require
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid: J points, spacing h = 2*pi/J."""
+    """Uniform periodic grid: J points, spacing h = 2*pi/J, J <= MAX_COUNT."""
 
     J: int
 
     def __post_init__(self):
-        require((self.J >= 8 and self.J % 2 == 0, "J", f"must be even and >= 8, got {self.J}"))
+        require(
+            (self.J >= 8 and self.J % 2 == 0, "J", f"must be even and >= 8, got {self.J}"),
+            (self.J <= MAX_COUNT, "J", f"must be at most 2**53, got {self.J}"),
+        )
 
     @property
     def h(self) -> float:

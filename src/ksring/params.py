@@ -40,6 +40,13 @@ def finite(value, name: str) -> tuple[bool, str, str]:
     return (math.isfinite(value), name, f"must be finite, got {value}")
 
 
+# The largest count of grid points or cells: every index up to it is an
+# exact double.  A run tabulates the radius at the half steps j*(k/2),
+# j = 0..2N, so its step count is bounded by half of it.
+MAX_COUNT = 2**53
+MAX_STEPS = MAX_COUNT // 2
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants of the interface model.
@@ -72,13 +79,17 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid t^n = n*k, n = 0..N."""
+    """Uniform time grid t^n = n*k, n = 0..N, N <= MAX_STEPS."""
 
     k: float
     N: int
 
     def __post_init__(self):
-        require(*self._step_checks(self.k), (self.N >= 1, "N", f"must be >= 1, got {self.N}"))
+        require(
+            *self._step_checks(self.k),
+            (self.N >= 1, "N", f"must be >= 1, got {self.N}"),
+            (self.N <= MAX_STEPS, "N", f"must be at most 2**52, got {self.N}"),
+        )
 
     @staticmethod
     def _step_checks(k: float) -> tuple[tuple[bool, str, str], ...]:
@@ -94,11 +105,15 @@ class TimeGrid:
         """The grid with N = T/k steps; T must be a finite positive multiple of k.
 
         k is held to the grid's own checks here, before N is derived, so a bad
-        k is named as such and never as a T that is no multiple of it."""
+        k is named as such and never as a T that is no multiple of it; a T
+        of more than MAX_STEPS steps is named before the grid is built."""
         require(finite(T, "T"), (T > 0, "T", f"must be > 0, got {T}"), *cls._step_checks(k))
         N = round(T / k) if math.isfinite(T / k) else 0
         multiple = N >= 1 and abs(N * k - T) <= 1e-12 * max(1.0, T)
-        require((multiple, "T", f"must be an integer multiple of k, got T={T}, k={k}"))
+        require(
+            (N <= MAX_STEPS, "T", f"must be at most 2**52 steps of k, got T/k = {T / k:g}"),
+            (multiple, "T", f"must be an integer multiple of k, got T={T}, k={k}"),
+        )
         return cls(k=k, N=N)
 
 

@@ -81,7 +81,7 @@ def suite_result():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ksring.experiments, "integrate", recording_integrate)
         t0 = time.perf_counter()
-        rows = wavenumber_suite(J=256, k=0.01, T=100.0, jn=3)
+        rows = wavenumber_suite(J=256, k=0.01, T=100.0, solver=SolverConfig(newton_iters=3))
         elapsed = time.perf_counter() - t0
     for row, steps in zip(rows, started, strict=True):
         row["trajectory"] = steps.trajectory

@@ -631,7 +631,7 @@ def test_stability_map_predictions():
 
 def test_wavenumber_suite_structure_small_scale():
     # shrunk horizon keeps this a smoke test of the row contract
-    rows = wavenumber_suite(J=64, k=0.05, T=2.0, jn=2)
+    rows = wavenumber_suite(J=64, k=0.05, T=2.0, solver=SolverConfig(newton_iters=2))
     assert [r["R0"] for r in rows] == [6.0, 9.0, 12.0, 15.0, 18.0]
     for row in rows:
         assert set(row) >= {
@@ -1365,3 +1365,123 @@ def test_eoc_checks_admissibility_once(tmp_path, monkeypatch):
     assert main(["eoc", "--config", str(cfg_path), "--levels", "3", "--out", str(tmp_path / "eoc")]) == 0
     assert len(calls) == 1
     assert calls[0][1].k == 0.5 / 16
+
+
+SPECTRUM_ALONE = GOOD_CONFIG.replace("stride = 25", "stride = 25\nemit = spectrum")
+
+
+def test_spectrum_alone_reconstructs_u_once_at_step_N(tmp_path, monkeypatch):
+    # u(T) has one reconstruction path: the step loop at n == N, whatever else is emitted
+    import ksring.cli
+
+    steps = []
+    real = ksring.cli.reconstruct_u
+
+    def recording(traj, I0, n, v):
+        steps.append(n)
+        return real(traj, I0, n, v)
+
+    monkeypatch.setattr(ksring.cli, "reconstruct_u", recording)
+    alone = main(["run", "--config", str(write_config(tmp_path, SPECTRUM_ALONE)), "--out", str(tmp_path / "a")])
+    assert alone == 0 and steps == [50]
+    assert main(["run", "--config", str(write_config(tmp_path, name="all.ini")), "--out", str(tmp_path / "b")]) == 0
+    assert steps == [50, 0, 25, 50]
+    spectral = [json.loads((tmp_path / d / "report.json").read_text())["spectral"] for d in "ab"]
+    assert spectral[0] == spectral[1]
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["report.json"]
+
+
+def test_eoc_files_are_written_from_their_records_fields(tmp_path):
+    from dataclasses import fields
+
+    from ksring.experiments import EocLevel, EocReport
+
+    out = tmp_path / "eoc"
+    config = write_config(tmp_path, CRITERION_3_INI.replace("J = 64", "J = 8"))
+    assert main(["eoc", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "eoc.csv").read_text().splitlines()[0].split(",") == [f.name for f in fields(EocLevel)]
+    block = json.loads((out / "eoc.json").read_text())["eoc"]
+    assert set(block) == {f.name for f in fields(EocReport)} - {"timing"}
+    assert [set(level) for level in block["levels"]] == [{f.name for f in fields(EocLevel)}] * 3
+
+
+def test_wavenumber_suite_runs_the_solver_config_main_builds(tmp_path, monkeypatch, capsys):
+    # the command's rows are the function's with the SolverConfig of --jn, which every run is given
+    import ksring.cli
+    import ksring.experiments
+
+    sizes = dict(J=32, k=0.05, T=0.5)
+    monkeypatch.setattr(ksring.cli, "wavenumber_suite", functools.partial(wavenumber_suite, **sizes))
+    solvers = []
+    real_integrate = ksring.experiments.integrate
+
+    def recording_integrate(params, tgrid, grid, solver, *args, **kwargs):
+        solvers.append(solver)
+        return real_integrate(params, tgrid, grid, solver, *args, **kwargs)
+
+    monkeypatch.setattr(ksring.experiments, "integrate", recording_integrate)
+    out = tmp_path / "suite"
+    assert main(["wavenumber-suite", "--jn", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert solvers == [SolverConfig(newton_iters=2)] * 5
+    written = json.loads((out / "wavenumber_suite.json").read_text())
+    assert written["jn"] == 2
+    rows = wavenumber_suite(**sizes, solver=SolverConfig(newton_iters=2))
+    assert written["rows"] == json.loads(json.dumps(rows))
+
+
+@pytest.mark.parametrize(
+    "command, edit, extra, message",
+    [
+        ("run", [("k = 0.01", "k = 1e-300"), ("T = 0.5", "T = 1")], [], "grid.T: must be at most 2**52 steps of k"),
+        ("run", [("J = 64", "J = 1000000000000000000000000000000")], [], "grid.J: must be at most 2**53"),
+        ("eoc", [("J = 64", "J = 8"), ("modes = 2, 3", "modes = 2"), ("0.1, 0.1", "0.1")], ["--levels", "62"],
+         "eoc.levels: 62 levels need a reference run of 8 * 2**64 points"),
+        ("stability-map", [], ["--samples", "1000000000000000000000"], "--samples: must be at most 2**53"),
+        ("stability-map", [], ["--samples", "3", "--mmax", "1000000000000000000000"],
+         "--mmax: the map's samples * mmax cells must be at most 2**53"),
+    ],
+    ids=["run-N", "run-J", "eoc-levels", "map-samples", "map-mmax"],
+)
+def test_oversize_counts_are_one_config_error(tmp_path, capsys, command, edit, extra, message):
+    # each count is refused by its bound before anything of its size is allocated
+    text = functools.reduce(lambda text, pair: text.replace(*pair), edit, GOOD_CONFIG)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(write_config(tmp_path, text)), *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_write_csv_formats_at_most_a_block_of_values_at_once(tmp_path):
+    # a wide row is written in pieces: two rows of 100 000 columns never
+    # build their 200 000 values at once (the whole table took 13.6 MB at 256
+    # rows a block, under the bound of rows alone)
+    import tracemalloc
+
+    from ksring.cli import write_csv
+
+    table = np.arange(200_000, dtype=float).reshape(2, 100_000) / 7.0
+    header = [f"c{j}" for j in range(100_000)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_csv(tmp_path / "wide.csv", header, table)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak  # the header and the row formats take about 2.8 MB of it
+    _per_value_csv(tmp_path / "old.csv", header, table.tolist())
+    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_config_with_byte_order_mark_runs(tmp_path, capsys):
+    # an editor's UTF-8 byte-order mark is not part of the config: same run, same hash
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD_CONFIG.encode())
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = json.loads((out / "report.json").read_text())["config_hash"]
+    assert written == load_config(write_config(tmp_path)).config_hash()

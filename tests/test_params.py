@@ -72,3 +72,17 @@ def test_from_horizon_names_both_fields_by_their_first_failing_check():
     with pytest.raises(FieldErrors) as exc:
         TimeGrid.from_horizon(math.nan, 0.0)
     assert exc.value.problems == [("T", "must be finite, got nan"), ("k", "must be > 0, got 0.0")]
+
+
+def test_counts_are_bounded_where_every_index_is_an_exact_double():
+    assert GridSpec(2**53).J == 2**53 and TimeGrid(k=1.0, N=2**52).N == 2**52
+    assert TimeGrid.from_horizon(2.0**52, 1.0).N == 2**52
+    for make, name in [
+        (lambda: GridSpec(2**53 + 2), "J"),
+        (lambda: TimeGrid(k=1.0, N=2**52 + 1), "N"),
+        (lambda: TimeGrid.from_horizon(1.0, 1e-300), "T"),  # named before the grid is built
+    ]:
+        with pytest.raises(FieldErrors) as exc:
+            make()
+        assert [n for n, _ in exc.value.problems] == [name]
+        assert "must be at most 2**5" in str(exc.value)
