@@ -17,9 +17,9 @@ from .radius import RadiusLaw, radius_rate
 from .reconstruct import curve_points, mean_I, mean_I_path, reconstruct_u
 from .solver import (
     AdmissibilityReport,
+    Integration,
     SchemeContext,
     SolverError,
-    Trajectory,
     check_admissibility,
     integrate,
 )
@@ -34,6 +34,7 @@ from .stability import (
 __all__ = [
     "AdmissibilityReport",
     "GridSpec",
+    "Integration",
     "LinearOperatorCoefficients",
     "ModelParams",
     "PeriodicField",
@@ -43,7 +44,6 @@ __all__ = [
     "SolverError",
     "SpectralReport",
     "TimeGrid",
-    "Trajectory",
     "centered_difference",
     "check_admissibility",
     "critical_radius",

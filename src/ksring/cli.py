@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, checked, load_config
+from .config import ConfigError, RunConfig, load_config
 from .experiments import EocLevel, eoc_ladder, wavenumber_suite
-from .params import MAX_COUNT, ModelParams, SolverConfig
+from .params import MAX_COUNT, FieldErrors, ModelParams, SolverConfig
 from .radius import RadiusLaw
 from .reconstruct import mean_I_path, reconstruct_u, curve_points
 from .solver import AdmissibilityReport, Integration, SolverError, check_admissibility, integrate
@@ -109,11 +109,10 @@ def emit_run_outputs(
     out: Path,
 ) -> dict:
     """Steps the run, writing each stored step's snapshot and curve as it is
-    yielded, then means.csv and report.json (solve time traj.solve_s); a
+    yielded, then means.csv and report.json (solve time steps.solve_s); a
     step's height is reconstructed once for its files and, at N, the spectrum."""
-    traj = steps.trajectory
     out.mkdir(parents=True, exist_ok=True)
-    N = traj.tgrid.N
+    N = steps.tgrid.N
     emit = set(cfg.emit)
     seconds = {"reconstruct_s": 0.0, "write_s": 0.0}
 
@@ -125,12 +124,12 @@ def emit_run_outputs(
 
     width = len(str(N))
     with timer("write_s"):  # the grid column is the same in every snapshot
-        sigma_text = [b"%.17g" % s for s in traj.grid.sigma.tolist()] if "v" in emit else None
+        sigma_text = [b"%.17g" % s for s in steps.grid.sigma.tolist()] if "v" in emit else None
     for n, v in steps:  # A is final up to n; v is valid until the next step
         tag = str(n).zfill(width)
         if "u" in emit or "curve" in emit or ("spectrum" in emit and n == N):
             with timer("reconstruct_s"):  # the steps end at N, so u_field ends as u(T)
-                u_field = reconstruct_u(traj, cfg.I0, n, v)
+                u_field = reconstruct_u(steps, cfg.I0, n, v)
         if "v" in emit:
             columns = (v,) + ((u_field.values,) if "u" in emit else ())
             with timer("write_s"):
@@ -142,33 +141,33 @@ def emit_run_outputs(
                 )
         if "curve" in emit:
             with timer("reconstruct_s"):
-                pts = curve_points(traj, n, u_field)
+                pts = curve_points(steps, n, u_field)
             with timer("write_s"):
                 write_csv(out / f"curve_{tag}.csv", ["x", "y"], pts)
 
     if "means" in emit:
         with timer("reconstruct_s"):
-            I_path = mean_I_path(traj, cfg.I0)
+            I_path = mean_I_path(steps, cfg.I0)
         with timer("write_s"):
             nodes = np.arange(N + 1)
             write_csv(
                 out / "means.csv",
                 ["n", "t", "S_n", "I_tilde"],
-                np.column_stack((nodes, nodes * traj.tgrid.k, traj.S, I_path)),
+                np.column_stack((nodes, nodes * steps.tgrid.k, steps.S, I_path)),
             )
 
     report = {
         "params": cfg.to_dict()["model"] | {"R0": cfg.params.R0},
         "grid": cfg.to_dict()["grid"] | {"N": N},
-        "solver": {"method": traj.method, "jn": cfg.solver.newton_iters, "v0_method": cfg.v0_method},
+        "solver": {"method": steps.method, "jn": cfg.solver.newton_iters, "v0_method": cfg.v0_method},
         "admissibility": _admissibility_dict(admissibility),
-        "max_abs_mean": float(np.max(np.abs(traj.S))),
-        "wall_time_seconds": traj.solve_s,
+        "max_abs_mean": float(np.max(np.abs(steps.S))),
+        "wall_time_seconds": steps.solve_s,
         "config_hash": cfg.config_hash(),
     }
     if "spectrum" in emit:
-        report["spectral"] = selection(cfg.params, float(traj.R_nodes[N]), u_field)
-    report["timing"] = {"solve_s": traj.solve_s} | seconds
+        report["spectral"] = selection(cfg.params, float(steps.R_nodes[N]), u_field)
+    report["timing"] = {"solve_s": steps.solve_s} | seconds
     _write_json(out / "report.json", report)
     return report
 
@@ -311,7 +310,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config) if "config" in args else None
         solver = cfg.solver if cfg else SolverConfig()
         if getattr(args, "jn", None) is not None:
-            solver = checked(replace, solver, newton_iters=args.jn)
+            try:
+                solver = replace(solver, newton_iters=args.jn)
+            except FieldErrors as e:  # the one field it sets, named by the flag that set it
+                raise ConfigError([f"--jn: {message}" for _, message in e.problems]) from None
         out = resolve_out_dir(args.out, cfg.out_dir if cfg else None)
         if cfg:
             cfg = replace(cfg, solver=solver)

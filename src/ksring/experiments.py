@@ -88,20 +88,18 @@ def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
         ref = start(J_ref, "reference", J_ref)
         next(ref)  # V^0; with every = N the next step yielded is N
         N, v = next(ref)
-        traj = ref.trajectory
-        timing["reference_solve_s"], timing["reference_sweeps"] = traj.solve_s, traj.reference_sweeps
-        return v, reconstruct_u(traj, cfg.I0, N, v).values
+        timing["reference_solve_s"], timing["reference_sweeps"] = ref.solve_s, ref.reference_sweeps
+        return v, reconstruct_u(ref, cfg.I0, N, v).values
 
     def level(J: int) -> EocLevel:
         # The reference and Newton runs step together, so the gap over all
         # N + 1 steps is taken as they go and neither stores its steps.
-        cn_steps, newton_steps = start(J, "reference", 1), start(J, "newton", 1)
+        cn, newton = start(J, "reference", 1), start(J, "newton", 1)
         h = GridSpec(J).h
         gap, d = 0.0, np.empty(J)
-        for (_, v), (_, w) in zip(cn_steps, newton_steps):
+        for (_, v), (_, w) in zip(cn, newton):
             gap = max(gap, _norm_values(np.subtract(w, v, out=d), h))  # norm_h of W^m - V^m
         # v and w are V^N and W^N: both runs are finished, so nothing overwrites them.
-        cn, newton = cn_steps.trajectory, newton_steps.trajectory
         timing["levels"].append(
             {"J": J, "reference_solve_s": cn.solve_s, "newton_solve_s": newton.solve_s,
              "reference_sweeps": cn.reference_sweeps}
@@ -152,9 +150,8 @@ def wavenumber_suite(
         steps = integrate(params, tgrid, grid, solver, v0, every=tgrid.N)
         next(steps)  # V^0; with every = N the next step yielded is N
         N, v = next(steps)
-        traj = steps.trajectory
-        u_T = reconstruct_u(traj, 0.0, N, v)
-        verdict = selection(params, float(traj.R_nodes[-1]), u_T)
+        u_T = reconstruct_u(steps, 0.0, N, v)
+        verdict = selection(params, float(steps.R_nodes[-1]), u_T)
         unstable, predicted = verdict["unstable_at_R0"], verdict["predicted_dominant_at_R0"]
         measured = verdict["measured_dominant"]
         seeded = predicted in mode_set
@@ -167,7 +164,7 @@ def wavenumber_suite(
             "predicted_seeded": seeded,
             "measured_dominant": measured,
             "R_T": verdict["R_T"],
-            "max_abs_mean": float(np.max(np.abs(traj.S))),
+            "max_abs_mean": float(np.max(np.abs(steps.S))),
             "pass": ok,
         })
     return rows

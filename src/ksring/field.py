@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import MAX_COUNT, TWO_PI, require
+from .params import MAX_COUNT, TWO_PI, integer, require
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class GridSpec:
 
     def __post_init__(self):
         require(
+            integer(self.J, "J"),
             (self.J >= 8 and self.J % 2 == 0, "J", f"must be even and >= 8, got {self.J}"),
             (self.J <= MAX_COUNT, "J", f"must be at most 2**53, got {self.J}"),
         )

@@ -5,6 +5,7 @@ Each bound on a field is written once, in its container's constructor."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -38,6 +39,11 @@ def require(*checks: tuple[bool, str, str]) -> None:
 def finite(value, name: str) -> tuple[bool, str, str]:
     """The require check that value is a finite number."""
     return (math.isfinite(value), name, f"must be finite, got {value}")
+
+
+def integer(value, name: str) -> tuple[bool, str, str]:
+    """The require check that value is an integer: an int or a NumPy integer."""
+    return (isinstance(value, numbers.Integral), name, f"must be an integer, got {value!r}")
 
 
 # The largest count of grid points or cells: every index up to it is an
@@ -87,6 +93,7 @@ class TimeGrid:
     def __post_init__(self):
         require(
             *self._step_checks(self.k),
+            integer(self.N, "N"),
             (self.N >= 1, "N", f"must be >= 1, got {self.N}"),
             (self.N <= MAX_STEPS, "N", f"must be at most 2**52, got {self.N}"),
         )
@@ -130,6 +137,7 @@ class SolverConfig:
 
     def __post_init__(self):
         require(
+            integer(self.newton_iters, "newton_iters"),
             (self.newton_iters >= 1, "newton_iters", f"must be >= 1, got {self.newton_iters}"),
             finite(self.reference_tol, "reference_tol"),
             (self.reference_tol > 0, "reference_tol", f"must be > 0, got {self.reference_tol}"),

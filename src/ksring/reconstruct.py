@@ -26,6 +26,7 @@ boundaries, matching the second order accuracy of the scheme.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +35,7 @@ from .field import PeriodicField, _pad
 from .params import TWO_PI
 
 if TYPE_CHECKING:
-    from .trajectory import Trajectory
+    from .solver import Integration
 
 
 def _cumulative_nodes(values: np.ndarray, nxt: np.ndarray, h: float) -> np.ndarray:
@@ -58,7 +59,7 @@ def _mean_of_cumulative(values: np.ndarray, nxt: np.ndarray, c: np.ndarray, h: f
     return float(np.sum(cells)) / TWO_PI
 
 
-def _mean_I(traj: "Trajectory", I0: float, at):
+def _mean_I(traj: "Integration", I0: float, at):
     """Itilde at the step boundaries traj.R_nodes[at], at an index or a slice."""
     rate0 = traj.law.rate(traj.R_nodes[0])
     return (traj.law.rate(traj.R_nodes[at]) / rate0) * (
@@ -66,24 +67,26 @@ def _mean_I(traj: "Trajectory", I0: float, at):
     )
 
 
-def _check_step(traj: "Trajectory", n: int) -> None:
+def _check_step(traj: "Integration", n: int) -> None:
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"step {n!r} is not an integer")
     if not (0 <= n <= traj.tgrid.N):
         raise ValueError(f"step {n} outside 0..{traj.tgrid.N}")
 
 
-def mean_I(traj: "Trajectory", I0: float, n: int) -> float:
+def mean_I(traj: "Integration", I0: float, n: int) -> float:
     """Mean height Itilde(t^n) via the closed form above."""
     _check_step(traj, n)
     return _mean_I(traj, I0, n)
 
 
-def mean_I_path(traj: "Trajectory", I0: float) -> np.ndarray:
+def mean_I_path(traj: "Integration", I0: float) -> np.ndarray:
     """Itilde at every step boundary 0..N."""
     return _mean_I(traj, I0, slice(None))
 
 
-def reconstruct_u(traj: "Trajectory", I0: float, n: int, v: np.ndarray) -> PeriodicField:
-    """Height samples U_i^n on the grid of the trajectory."""
+def reconstruct_u(traj: "Integration", I0: float, n: int, v: np.ndarray) -> PeriodicField:
+    """Height samples U_i^n on the grid of the run."""
     h = traj.grid.h
     nxt = _pad(v)[2:]
     c = _cumulative_nodes(v, nxt, h)
@@ -91,7 +94,7 @@ def reconstruct_u(traj: "Trajectory", I0: float, n: int, v: np.ndarray) -> Perio
     return PeriodicField(base + c[:-1], h)
 
 
-def curve_points(traj: "Trajectory", n: int, u: PeriodicField) -> np.ndarray:
+def curve_points(traj: "Integration", n: int, u: PeriodicField) -> np.ndarray:
     """Closed interface polyline (R(t^n) + U_i)(cos sigma_i, sin sigma_i), J+1
     rows, from the height u = reconstruct_u(traj, I0, n, V^n)."""
     _check_step(traj, n)

@@ -51,11 +51,12 @@ machine precision along the computed trajectory.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
 from time import perf_counter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
@@ -71,7 +72,6 @@ from .operators import (
 )
 from .params import ModelParams, SolverConfig, SolverError, TimeGrid
 from .radius import RadiusLaw
-from .trajectory import Trajectory
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class _Workspace:
 
 # Step kernels: state as values and rfft spectrum X in, the next (spectrum,
 # values) out, in ws.X_next and ws.v_next, with sc the step's
-# StepCoefficients.  The step loop of integrate() chains them on its own
+# StepCoefficients.  The step loop of Integration chains them on its own
 # workspace.
 #
 # _rfft and _irfft are the pocketfft ufuncs behind np.fft.rfft and irfft
@@ -287,51 +287,64 @@ def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace):
     return X_next, w
 
 
-class Integration:
-    """One run as an iterator of (m, V^m) at m = 0, every, 2*every, ..., N;
-    integrate() builds it.
+class Integration(Iterator):
+    """One run: the iterator of (m, V^m) at m = 0, every, 2*every, ..., N,
+    and its record; integrate() builds it.
 
-    trajectory carries S, Q, A, R_nodes and solve_s (the seconds of
-    integrate() and of stepping); S, Q and A are final up to each yielded
-    step, so a consumer that stops at N (zip, say) holds a finished
-    trajectory.  It stores no steps: the consumer keeps the ones it needs.
-    A yielded V^m is the workspace's array, valid until the next step.
+    S[n] is the discrete mean h*sum V^n, Q[n] the exact integral of the
+    squared piecewise linear interpolant of V^n, A[n] the trapezoid sum of
+    Q/(Rdot R^2) behind the mean height, R_nodes[n] the radius at t^n,
+    solve_s the seconds of integrate() and of stepping, and reference_sweeps
+    the fixed point sweeps of a reference run.  S, Q and A are final up to
+    each yielded step, so a consumer that stops at N (zip, say) holds a
+    finished record.  It stores no steps: a yielded V^m is the workspace's
+    array, valid until the next step.  A SolverError ends the iteration.
     """
 
-    def __init__(self, trajectory: Trajectory, steps: Iterator[tuple[int, np.ndarray]]):
-        self.trajectory = trajectory
-        self._steps = steps
-
-    def __iter__(self):
-        return self
+    def __init__(self, ctx: SchemeContext, v0: np.ndarray, method: str, every: int):
+        self.params, self.tgrid, self.grid, self.law = ctx.params, ctx.tgrid, ctx.grid, ctx.law
+        self.method, self.R_nodes = method, ctx.R_nodes
+        self.S, self.Q, self.A = np.full((3, ctx.tgrid.N + 1), np.nan)
+        self.solve_s, self.reference_sweeps = 0.0, 0
+        self._ctx, self._every = ctx, every
+        self._ws = ws = _Workspace(ctx.grid.J)
+        # V^0 enters the loop where a step leaves V^{n+1}; rotating it in makes
+        # V^{-1} = V^{-2} = V^0, so both predictors are V^0 at the first step,
+        # and a Newton first step is one frozen sweep.
+        ws.v_prev[:] = ws.vn[:] = ws.v_next[:] = v0
+        self._rdot_R2 = ctx.law.rate(ctx.R_nodes) * (ctx.R_nodes * ctx.R_nodes)
+        # Nothing the record holds refers back to it: a dropped unfinished run is freed without a cycle.
+        self._rows, self._m = ctx.rows(0, ctx.tgrid.N), -1  # _m: the step in ws.vn
+        self._advance(0)  # V^0 recorded, or SolverError at step 0
+        self._to = 0  # the step the next call yields; None once the run has ended
 
     def __next__(self) -> tuple[int, np.ndarray]:
-        t0 = perf_counter()
-        step = next(self._steps)
-        self.trajectory.solve_s += perf_counter() - t0
-        return step
+        t0, last = perf_counter(), self._to
+        if last is None:
+            raise StopIteration
+        self._to = None  # a SolverError below ends the run
+        self._advance(last)
+        if last < self.tgrid.N:
+            self._to = min(last + self._every, self.tgrid.N)
+        self.solve_s += perf_counter() - t0
+        return last, self._ws.vn
 
-
-def _steps(ctx: SchemeContext, ws: _Workspace, traj: Trajectory, every: int):
-    """The one step loop: yields (m, ws.vn) at m = 0, every, ..., N, having
-    recorded S^m, Q^m, A^m and the finiteness of each V^m, V^0 included.
-    A adds a trapezoid term of g = Q/(Rdot R^2) a step, in np.cumsum's order."""
-    h = ctx.grid.h
-    N = ctx.tgrid.N
-    S, Q, A = traj.S, traj.Q, traj.A
-    rdot_R2 = ctx.law.rate(ctx.R_nodes) * (ctx.R_nodes * ctx.R_nodes)
-    half_k = 0.5 * ctx.tgrid.k
-    j_n = ctx.config.newton_iters
-    tol = ctx.config.reference_tol
-    reference = traj.method == "reference"
-    rows = ctx.rows(0, N)
-    first = last = 0
-    while True:
+    def _advance(self, last: int) -> None:
+        """The one step loop: steps from the step in hand to V^last, recording
+        S^m, Q^m, A^m and the finiteness of each V^m, V^0 included.
+        A adds a trapezoid term of g = Q/(Rdot R^2) a step, in np.cumsum's order."""
+        ctx, ws, rows = self._ctx, self._ws, self._rows
+        h, half_k = ctx.grid.h, 0.5 * ctx.tgrid.k
+        j_n, tol = ctx.config.newton_iters, ctx.config.reference_tol
+        S, Q, A, rdot_R2 = self.S, self.Q, self.A, self._rdot_R2
+        reference = self.method == "reference"
+        first = self._m + 1
         # Overflow or an invalid operation anywhere in a step fails the run at
         # that step instead of carrying inf or NaN forward.  The error state
-        # is entered and left between two yields, never across one: blocks
+        # is entered and left within one call, never across a yield: blocks
         # left open by interleaved integrations would be restored out of order.
         with np.errstate(over="raise", invalid="raise"):
+            g = Q[first - 1] / rdot_R2[first - 1] if first else None
             for m in range(first, last + 1):
                 try:
                     if m == 0:
@@ -340,7 +353,7 @@ def _steps(ctx: SchemeContext, ws: _Workspace, traj: Trajectory, every: int):
                         X_next, v_next, sweeps = _reference_step(
                             ws.vn, _quadratic_predictor(ws), ws.X, next(rows), h, tol, m - 1, ws
                         )
-                        traj.reference_sweeps += sweeps
+                        self.reference_sweeps += sweeps
                     else:
                         X_next, v_next = _newton_step(ws.vn, ws.X, ws.v_prev, next(rows), 1 if m == 1 else j_n, ws)
                     Q[m] = pw_linear_square_integral(v_next, h)
@@ -353,10 +366,7 @@ def _steps(ctx: SchemeContext, ws: _Workspace, traj: Trajectory, every: int):
                     raise SolverError(f"the solution is not finite (Q = {Q[m]})", step=m)
                 S[m] = h * X_next[0].real
                 ws.rotate()
-        yield last, ws.vn
-        if last == N:
-            return
-        first, last = last + 1, min(last + every, N)
+        self._m = last
 
 
 def integrate(
@@ -371,8 +381,8 @@ def integrate(
     every: int = 1,
     require_admissible: bool = True,
 ) -> Integration:
-    """The steps of a run from v0, as an iterator of (m, V^m) at m = 0,
-    every, 2*every, ..., N; see Integration.
+    """The run from v0, as an iterator of (m, V^m) at m = 0, every,
+    2*every, ..., N and the run's record; see Integration.
 
     method "newton" uses the linear first step plus j_n linearization sweeps
     per step; method "reference" solves every step to convergence.  Bad
@@ -384,26 +394,14 @@ def integrate(
         raise ValueError(f"unknown method {method!r}")
     if v0.J != grid.J:
         raise ValueError(f"v0 has J={v0.J}, grid expects {grid.J}")
-    if every < 1:
-        raise ValueError(f"every must be >= 1, got {every}")
+    if not isinstance(every, numbers.Integral) or every < 1:
+        raise ValueError(f"every must be >= 1 and an integer, got {every!r}")
     ctx = SchemeContext(params, tgrid, grid, law=law, config=config)
     if require_admissible and not (report := check_admissibility(params, tgrid, ctx.law)).passed:
         raise SolverError(f"admissibility failed: {report}")
 
-    traj = Trajectory(
-        params=params, tgrid=tgrid, grid=grid, law=ctx.law, method=method, R_nodes=ctx.R_nodes,
-        S=np.full(tgrid.N + 1, np.nan), Q=np.full(tgrid.N + 1, np.nan), A=np.full(tgrid.N + 1, np.nan),
-    )
-    ws = _Workspace(grid.J)
-    # V^0 enters the loop where a step leaves V^{n+1}; rotating it in makes
-    # V^{-1} = V^{-2} = V^0, so both predictors are V^0 at the first step,
-    # and a Newton first step is one frozen sweep.
-    ws.v_prev[:] = ws.vn[:] = ws.v_next[:] = v0.values
-    # The generator holds ctx, ws and traj but not the Integration, so
-    # dropping an unfinished integration frees it at once, without a cycle.
-    loop = _steps(ctx, ws, traj, every)
-    steps = Integration(traj, chain((next(loop),), loop))  # V^0 recorded, or SolverError at step 0
-    if abs(traj.S[0]) > 1e-10 * max(1.0, norm_h(v0)):
-        warnings.warn(f"initial mean {traj.S[0]:.3e} is nonzero; it decays geometrically", stacklevel=2)
-    traj.solve_s = perf_counter() - t0
+    steps = Integration(ctx, v0.values, method, every)
+    if abs(steps.S[0]) > 1e-10 * max(1.0, norm_h(v0)):
+        warnings.warn(f"initial mean {steps.S[0]:.3e} is nonzero; it decays geometrically", stacklevel=2)
+    steps.solve_s = perf_counter() - t0
     return steps

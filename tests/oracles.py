@@ -21,7 +21,7 @@ from ksring.params import ModelParams, SolverConfig, TWO_PI, TimeGrid
 from ksring.radius import RadiusLaw, _times
 from ksring.reconstruct import _cumulative_nodes
 from ksring.stability import _lambda_formula
-from ksring.trajectory import Trajectory
+from ksring.solver import Integration
 
 
 # --- grid functions (ksring.field) ---------------------------------------
@@ -114,7 +114,7 @@ class FrozenRadiusLaw(RadiusLaw):
         return np.full(_times(ts).shape, self.params.R0)
 
 
-# --- trajectories (ksring.trajectory) ------------------------------------
+# --- runs (ksring.solver.Integration) -------------------------------------
 
 
 def run(
@@ -128,29 +128,28 @@ def run(
     method: str = "newton",
     store_stride: int = 1,
     require_admissible: bool = True,
-) -> Trajectory:
-    """The finished trajectory of integrate() from v0, with a copy of each
+) -> Integration:
+    """The finished run of integrate() from v0, with a copy of each
     step it yields (every store_stride steps, 0 and N always) in
     traj.snapshots, keyed by step."""
     steps = solver.integrate(
         params, tgrid, grid, config, v0,
         law=law, method=method, every=store_stride, require_admissible=require_admissible,
     )
-    traj = steps.trajectory
-    traj.snapshots = {m: v.copy() for m, v in steps}
-    return traj
+    steps.snapshots = {m: v.copy() for m, v in steps}
+    return steps
 
 
-def stored_steps(traj: Trajectory) -> list[int]:
+def stored_steps(traj: Integration) -> list[int]:
     return sorted(traj.snapshots)
 
 
-def stored_v(traj: Trajectory, n: int) -> PeriodicField:
+def stored_v(traj: Integration, n: int) -> PeriodicField:
     """V^n from the snapshots run() stored; KeyError for a step it did not store."""
     return PeriodicField(traj.snapshots[n], traj.grid.h)
 
 
-def final(traj: Trajectory) -> PeriodicField:
+def final(traj: Integration) -> PeriodicField:
     return stored_v(traj, traj.tgrid.N)
 
 
@@ -245,7 +244,7 @@ def mean_step_factor(k: float, R_half: float, alpha: float) -> float:
 # --- height reconstruction (ksring.reconstruct) --------------------------
 
 
-def interp_v(traj: Trajectory, sigma: float, t: float) -> float:
+def interp_v(traj: Integration, sigma: float, t: float) -> float:
     """Bilinear value of Vtilde at (sigma, t); needs both bracketing snapshots."""
     T = traj.tgrid.T
     if not (0.0 <= t <= T):
@@ -264,7 +263,7 @@ def interp_v(traj: Trajectory, sigma: float, t: float) -> float:
     return (1.0 - eta) * lo + eta * hi
 
 
-def cumulative_v(traj: Trajectory, i: int, n: int) -> float:
+def cumulative_v(traj: Integration, i: int, n: int) -> float:
     """int_0^{sigma_i} Vtilde(., t^n) for node index 0 <= i <= J."""
     v = stored_v(traj, n)
     if not (0 <= i <= v.J):
@@ -272,7 +271,7 @@ def cumulative_v(traj: Trajectory, i: int, n: int) -> float:
     return float(_cumulative_nodes(v.values, _pad(v.values)[2:], v.h)[i])
 
 
-def v_squared_integral(traj: Trajectory, n: int) -> float:
+def v_squared_integral(traj: Integration, n: int) -> float:
     """int_0^{2pi} Vtilde(., t^n)^2, exact for the interpolant."""
     v = stored_v(traj, n)
     return pw_linear_square_integral(v.values, v.h)

@@ -84,7 +84,7 @@ def suite_result():
         rows = wavenumber_suite(J=256, k=0.01, T=100.0, solver=SolverConfig(newton_iters=3))
         elapsed = time.perf_counter() - t0
     for row, steps in zip(rows, started, strict=True):
-        row["trajectory"] = steps.trajectory
+        row["trajectory"] = steps
     return rows, elapsed
 
 

@@ -336,7 +336,7 @@ def test_failed_run_keeps_the_files_of_the_steps_before_it(tmp_path, capsys):
 
     cfg = load_config(cfg_path)
     steps = integrate(cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v())
-    traj = steps.trajectory
+    traj = steps
     for m, v in steps:
         u = reconstruct_u(traj, cfg.I0, m, v)
         snap = _parsed(out / f"snapshot_{m:04d}.csv")
@@ -375,7 +375,7 @@ def test_run_writes_each_stored_step_before_computing_the_next(tmp_path, monkeyp
 @pytest.mark.parametrize(
     "edit, extra, key",
     [
-        ("", ["--jn", "0"], "solver.jn:"),
+        ("", ["--jn", "0"], "--jn:"),
         ("[solver]\njn = 0\n", [], "solver.jn:"),
         ("[solver]\nreference_tol = -1\n", [], "solver.reference_tol:"),
     ],
@@ -386,6 +386,21 @@ def test_bad_solver_values_are_config_errors(tmp_path, capsys, edit, extra, key)
     err = capsys.readouterr().err
     assert f"config error: {key}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "eoc", "wavenumber-suite"])
+def test_jn_flag_errors_name_the_flag(tmp_path, capsys, command):
+    # a bad --jn is named by the flag that gave it; the same value in a
+    # config file keeps its section.key
+    config = [] if command == "wavenumber-suite" else ["--config", str(write_config(tmp_path))]
+    out = tmp_path / "o"
+    assert main([command, *config, "--out", str(out), "--jn", "0"]) == 1
+    assert capsys.readouterr().err == "config error: --jn: must be >= 1, got 0\n"
+    if config:
+        in_file = write_config(tmp_path, GOOD_CONFIG + "[solver]\njn = 0\n", "jn0.ini")
+        assert main([command, "--config", str(in_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: solver.jn: must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_run_jn_flag_is_recorded_and_hashed(tmp_path):
@@ -431,7 +446,7 @@ def test_wavenumber_suite_records_its_jn(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     out = tmp_path / "suite0"
     assert main(["wavenumber-suite", "--out", str(out), "--jn", "0"]) == 1
-    assert capsys.readouterr().err.startswith("config error: solver.jn:")
+    assert capsys.readouterr().err.startswith("config error: --jn:")
     assert not out.exists()
 
 
@@ -496,8 +511,8 @@ def test_no_command_writes_into_a_trajectory(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
     assert main(["eoc", "--config", cfg_path, "--levels", "3", "--out", str(tmp_path / "eoc")]) == 0
     # run's one integration, then eoc's reference and a reference and Newton pair a level
-    assert [steps.trajectory.grid.J for steps in started] == [16, 512, 16, 16, 32, 32, 64, 64]
-    assert not [steps for steps in started if hasattr(steps.trajectory, "snapshots")]
+    assert [steps.grid.J for steps in started] == [16, 512, 16, 16, 32, 32, 64, 64]
+    assert not [steps for steps in started if hasattr(steps, "snapshots")]
 
 
 def test_unknown_sections_and_keys_are_config_errors(tmp_path, capsys):
@@ -594,8 +609,8 @@ def test_eoc_newton_gap_matches_two_stored_runs(tmp_path, monkeypatch):
         )
         gap = max(norm_h(PeriodicField(newton.snapshots[n] - cn.snapshots[n], grid.h)) for n in range(tg.N + 1))
         assert level.newton_gap > 0.0 and level.newton_gap.hex() == gap.hex(), J
-    assert [steps.trajectory.grid.J for steps in started] == [512, 16, 16, 32, 32, 64, 64]
-    assert not [steps for steps in started if hasattr(steps.trajectory, "snapshots")]
+    assert [steps.grid.J for steps in started] == [512, 16, 16, 32, 32, 64, 64]
+    assert not [steps for steps in started if hasattr(steps, "snapshots")]
 
 
 def test_stability_map_command(tmp_path):

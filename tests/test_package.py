@@ -49,11 +49,11 @@ def test_step_wrappers_and_test_oracles_are_module_level_only():
                       "symbol_array"),
         "radius": ("FrozenRadiusLaw", "rate_at"),
         "reconstruct": ("cumulative_v", "interp_v", "v_squared_integral"),
-        "solver": ("_fresh_step", "cn_residual", "cn_step", "extrapolate", "mean_step_factor",
-                   "newton_first_step", "newton_iterate", "run", "solve_linear_cn", "step_coefficients"),
+        "solver": ("_fresh_step", "cn_residual", "cn_step", "extrapolate", "final", "mean_step_factor",
+                   "newton_first_step", "newton_iterate", "run", "solve_linear_cn", "step_coefficients",
+                   "stored_steps"),
         "stability": ("_check_reality", "_frozen_rhs", "galerkin_rhs", "integrate_modes", "lambda_m",
                       "modes_from_cosines"),
-        "trajectory": ("final", "stored_steps"),
     }
     package = Path(ksring.__file__).parent
     modules = [ksring] + [
@@ -67,16 +67,19 @@ def test_step_wrappers_and_test_oracles_are_module_level_only():
         for name in names:
             assert callable(getattr(oracles, name)), name
             assert not [h for h in holders if hasattr(h, name)], name
-    assert not hasattr(ksring.Trajectory, "has")
+    assert not hasattr(ksring.Integration, "has")
     assert sum(map(len, moved.values())) == 37
 
 
 def test_integrate_is_the_one_way_to_run_the_scheme():
-    # the package stores no steps: a trajectory has no field for them, and
-    # the suite has no option to keep its runs' trajectories
-    from dataclasses import fields
-
+    # the package stores no steps: a finished run has no attribute for them,
+    # and the suite has no option to keep its runs' trajectories
     from ksring.experiments import wavenumber_suite
 
-    assert "snapshots" not in {f.name for f in fields(ksring.Trajectory)}
+    g = ksring.GridSpec(16)
+    v0 = ksring.sample_cosine_sum_dsigma(g, [(0.01, 2)])
+    steps = ksring.integrate(ksring.ModelParams(4.0, 1.5, 0.001, 6.0), ksring.TimeGrid(k=0.01, N=3), g,
+                             ksring.SolverConfig(), v0)
+    assert [m for m, _ in steps] == [0, 1, 2, 3]
+    assert "snapshots" not in vars(steps)
     assert "keep_trajectories" not in inspect.signature(wavenumber_suite).parameters

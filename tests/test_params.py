@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ksring.field import GridSpec, PeriodicField
@@ -72,6 +73,28 @@ def test_from_horizon_names_both_fields_by_their_first_failing_check():
     with pytest.raises(FieldErrors) as exc:
         TimeGrid.from_horizon(math.nan, 0.0)
     assert exc.value.problems == [("T", "must be finite, got nan"), ("k", "must be > 0, got 0.0")]
+
+
+@pytest.mark.parametrize(
+    "make, name, value",
+    [
+        (lambda: GridSpec(32.0), "J", 32.0),
+        (lambda: TimeGrid(k=0.05, N=10.0), "N", 10.0),
+        (lambda: SolverConfig(newton_iters=2.5), "newton_iters", 2.5),
+        (lambda: SolverConfig(newton_iters=np.float64(3.0)), "newton_iters", np.float64(3.0)),
+    ],
+)
+def test_counts_must_be_integers(make, name, value):
+    # a float count is refused where it enters, not later by NumPy or range()
+    with pytest.raises(FieldErrors) as exc:
+        make()
+    assert exc.value.problems == [(name, f"must be an integer, got {value!r}")]
+
+
+def test_numpy_integer_counts_are_counts():
+    assert GridSpec(np.int64(32)).h == GridSpec(32).h
+    assert TimeGrid(k=0.05, N=np.int64(10)).T == TimeGrid(k=0.05, N=10).T
+    assert SolverConfig(newton_iters=np.int32(2)) == SolverConfig(newton_iters=2)
 
 
 def test_counts_are_bounded_where_every_index_is_an_exact_double():

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from ksring.field import GridSpec, PeriodicField, sample_cosine_sum_dsigma
 from ksring.params import ModelParams, SolverConfig, TimeGrid
 from ksring.radius import RadiusLaw
 from ksring.reconstruct import curve_points, mean_I, mean_I_path, reconstruct_u
-from ksring.solver import Trajectory
 from oracles import cumulative_v, interp_v, run, stored_v, v_squared_integral, zeros
 
 TWO_PI = 2.0 * math.pi
@@ -21,7 +21,7 @@ def manual_traj(snapshots, k=0.1, params=SLOW):
     J = len(snapshots[0])
     law = RadiusLaw(params)
     R_nodes = np.array([law.radius_at(n * k) for n in range(N + 1)])
-    traj = Trajectory(
+    traj = types.SimpleNamespace(
         params=params,
         tgrid=TimeGrid(k=k, N=N),
         grid=GridSpec(J),
@@ -277,6 +277,18 @@ def test_mean_I_rejects_steps_outside_the_run():
     for n in (-1, 11):
         with pytest.raises(ValueError, match=r"outside 0\.\.10"):
             mean_I(traj, 0.0, n)
+
+
+def test_steps_must_be_integers():
+    # a float step is refused by name, not by NumPy's indexing; a NumPy integer is a step
+    traj, _ = zero_run(N=10)
+    u = reconstruct_u(traj, 0.0, 10, traj.snapshots[10])
+    for call in (lambda: mean_I(traj, 0.0, 1.5), lambda: curve_points(traj, 9.5, u),
+                 lambda: mean_I(traj, 0.0, 2.0), lambda: reconstruct_u(traj, 0.0, 10.0, traj.snapshots[10])):
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
+    assert mean_I(traj, 0.0, np.int64(10)) == mean_I(traj, 0.0, 10)
+    assert np.array_equal(curve_points(traj, np.int32(10), u), curve_points(traj, 10, u))
 
 
 def test_curve_points_rejects_steps_outside_the_run():

@@ -920,7 +920,7 @@ def test_integrate_yields_the_steps_run_stores(method, every):
         if m == tg.N:
             break
     assert seen == stored_steps(traj)
-    out = steps.trajectory
+    out = steps
     assert not hasattr(out, "snapshots") and out.method == method
     for name in ("S", "Q", "A", "R_nodes"):
         assert np.array_equal(bits(getattr(out, name)), bits(getattr(traj, name))), name
@@ -973,6 +973,51 @@ def test_nonzero_mean_warning_names_the_callers_file(entry):
     assert [w.filename for w in caught] == [__file__]
 
 
+def test_a_failed_run_ends_its_iteration():
+    # after a SolverError the run is over: a later next() raises
+    # StopIteration instead of stepping again from the failed workspace
+    gd = GridSpec(64)
+    d = integrate(DIVERGING, TimeGrid(k=0.05, N=1000), gd, SolverConfig(),
+                  sample_cosine_sum_dsigma(gd, [(3.0, 2), (3.0, 3)]))
+    with pytest.raises(SolverError):
+        for _ in d:
+            pass
+    with pytest.raises(StopIteration):
+        next(d)
+    assert next(d, None) is None
+
+
+def test_a_dropped_run_is_freed_without_the_cyclic_gc():
+    # the run holds nothing that holds it: with the cyclic GC off, dropping
+    # an unfinished run frees it at once
+    import gc
+    import weakref
+
+    g = GridSpec(32)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        steps = integrate(SLOW, TimeGrid(k=0.01, N=12), g, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.1, 2)]))
+        assert [next(steps)[0], next(steps)[0]] == [0, 1]
+        ref = weakref.ref(steps)
+        del steps
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_integrate_takes_only_an_integer_every():
+    # a float every is refused when integrate() is called, not by range()
+    # at the second step; a NumPy integer is a stride
+    g, tg = GridSpec(16), TimeGrid(k=0.01, N=5)
+    v0 = sample_cosine_sum_dsigma(g, [(0.01, 2)])
+    for every in (2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match="every must be >= 1 and an integer"):
+            integrate(SLOW, tg, g, SolverConfig(), v0, every=every)
+    assert [m for m, _ in integrate(SLOW, tg, g, SolverConfig(), v0, every=np.int64(2))] == [0, 2, 4, 5]
+
+
 # V^0 and the safety paths of the step loop.
 
 
@@ -1017,17 +1062,17 @@ def test_non_finite_step_without_a_floating_point_error_fails_at_its_step(monkey
 @pytest.mark.parametrize("method", ["newton", "reference"])
 @pytest.mark.parametrize("entry", ["run", "integrate"])
 def test_runs_time_themselves(entry, method):
-    # Trajectory.solve_s: the seconds of construction and of every step
+    # Integration.solve_s: the seconds of construction and of every step
     g, tg = GridSpec(32), TimeGrid(k=0.01, N=5)
     args = (SLOW, tg, g, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.01, 2)]))
     if entry == "run":
         traj = run(*args, method=method)
     else:
         steps = integrate(*args, method=method)
-        constructed = steps.trajectory.solve_s
+        constructed = steps.solve_s
         assert constructed > 0
         assert [m for m, _ in steps] == list(range(tg.N + 1))
-        traj = steps.trajectory
+        traj = steps
         assert traj.solve_s > constructed
     assert traj.solve_s > 0 and math.isfinite(traj.solve_s)
 
@@ -1067,7 +1112,7 @@ def test_integrate_accumulates_A_up_to_each_yielded_step(params, k, N, pairs, me
     # the closed formula over the finished run, a cumulative trapezoid sum
     g, tg = GridSpec(64), TimeGrid(k=k, N=N)
     steps = integrate(params, tg, g, SolverConfig(), sample_cosine_sum_dsigma(g, pairs), method=method, every=every)
-    traj = steps.trajectory
+    traj = steps
     prefixes = {m: traj.A[: m + 1].copy() for m, _ in steps}
     assert list(prefixes) == list(range(0, N, every)) + [N]
     q = traj.Q / (traj.law.rate(traj.R_nodes) * traj.R_nodes**2)
@@ -1159,7 +1204,7 @@ def test_predictor_started_reference_matches_the_vn_started_one(monkeypatch, par
     for m, v in steps:
         gap = norm_h(PeriodicField(v - old[m].values, g.h))
         assert gap <= 10 * cfg.reference_tol * max(1.0, norm_h(PeriodicField(v, g.h))), m
-    assert steps.trajectory.reference_sweeps == len(calls) - old_sweeps < old_sweeps
+    assert steps.reference_sweeps == len(calls) - old_sweeps < old_sweeps
 
 
 def test_moved_entry_points_drive_the_production_kernels(monkeypatch):
