@@ -93,15 +93,6 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
-def _admissibility_dict(report) -> dict:
-    return {
-        "bounds": {"R0_min": report.r0_bound, "k_max": report.k_bound, "R_T": report.R_T},
-        "pass": report.passed,
-        "R0_pass": report.r0_pass,
-        "k_pass": report.k_pass,
-    }
-
-
 def emit_run_outputs(
     cfg: RunConfig,
     steps: Integration,
@@ -160,7 +151,7 @@ def emit_run_outputs(
         "params": cfg.to_dict()["model"] | {"R0": cfg.params.R0},
         "grid": cfg.to_dict()["grid"] | {"N": N},
         "solver": {"method": steps.method, "jn": cfg.solver.newton_iters, "v0_method": cfg.v0_method},
-        "admissibility": _admissibility_dict(admissibility),
+        "admissibility": admissibility.to_dict(),
         "max_abs_mean": float(np.max(np.abs(steps.S))),
         "wall_time_seconds": steps.solve_s,
         "config_hash": cfg.config_hash(),

@@ -3,8 +3,8 @@
 A field is J real samples V_0..V_{J-1} on the uniform grid sigma_i = i*h,
 h = 2*pi/J, identified periodically (V_{i+J} = V_i).  The discrete L2 norm
 is ||V||_h = (h*sum V_i^2)^(1/2).  The periodic shift of every stencil
-(_pad, _wrap) and the norm of every ||.||_h (_norm_values, on a values
-array) live here.
+(_pad, _wrap), the norm of every ||.||_h (_norm_values, on a values
+array) and the package's one pair of transforms (_rfft, _irfft) live here.
 """
 
 from __future__ import annotations
@@ -13,8 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .params import MAX_COUNT, TWO_PI, integer, require
+
+# _rfft and _irfft are the pocketfft ufuncs behind np.fft.rfft and irfft
+# (rfft_n_even, since GridSpec makes J even), called without np.fft's Python
+# wrapper, whose per-call cost at J = 256 is as large as the call itself.
+# Both write through out=, and _irfft(X, 1/J, out) scales by 1/J as
+# np.fft.irfft does, so the results are bit-identical.
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ def norm_h(V: PeriodicField) -> float:
 
 def mode_amplitudes(V: PeriodicField) -> np.ndarray:
     """|u_m| for m = 0..J/2 with u_m = (1/J) sum_i V_i exp(-i m sigma_i)."""
-    return np.abs(np.fft.rfft(V.values)) / V.J
+    return np.abs(_rfft(V.values, 1.0, out=np.empty(V.J // 2 + 1, dtype=complex))) / V.J
 
 
 def pw_linear_square_integral(values: np.ndarray, h: float) -> float:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import _pad
-from .params import ModelParams
+from .params import ModelParams, positive_radius
 
 
 # The quadratic stencils write into out when it is given (tmp: scratch of v's
@@ -69,8 +69,7 @@ class LinearOperatorCoefficients(NamedTuple):
 
     @classmethod
     def at_radius(cls, params: ModelParams, R) -> "LinearOperatorCoefficients":
-        if not np.all(np.asarray(R) > 0):
-            raise ValueError(f"R must be > 0, got {R}")
+        positive_radius(R)
         R2 = R * R
         return cls(
             c4=params.delta / (R2 * R2),

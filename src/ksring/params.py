@@ -8,6 +8,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class FieldErrors(ValueError):
     """Invalid fields of one container; `problems` holds (field, message) pairs."""
@@ -44,6 +46,12 @@ def finite(value, name: str) -> tuple[bool, str, str]:
 def integer(value, name: str) -> tuple[bool, str, str]:
     """The require check that value is an integer: an int or a NumPy integer."""
     return (isinstance(value, numbers.Integral), name, f"must be an integer, got {value!r}")
+
+
+def positive_radius(R) -> None:
+    """Raises ValueError unless the radius R, a float or an array, is > 0 throughout (NaN is not)."""
+    if not np.all(np.asarray(R) > 0):
+        raise ValueError(f"R must be > 0, got {R}")
 
 
 # The largest count of grid points or cells: every index up to it is an

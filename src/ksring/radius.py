@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import ModelParams, SolverError
+from .params import ModelParams, SolverError, positive_radius
 
 # 1/(2k + 3), k = 15..0: h's series in u = x/(2 + x) (below) for np.polyval
 _SERIES = 1.0 / np.arange(33.0, 2.0, -2.0)
@@ -23,8 +23,7 @@ _SERIES = 1.0 / np.arange(33.0, 2.0, -2.0)
 
 def radius_rate(R, params: ModelParams):
     """dR/dt at radius R, a float or an array of radii."""
-    if not np.all(R > 0):
-        raise ValueError(f"R must be > 0, got {R}")
+    positive_radius(R)
     return params.v_c + (params.alpha - 1.0) / R
 
 

@@ -59,9 +59,8 @@ from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
-from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
-from .field import GridSpec, PeriodicField, _norm_values, _wrap, norm_h, pw_linear_square_integral
+from .field import GridSpec, PeriodicField, _irfft, _norm_values, _rfft, _wrap, norm_h, pw_linear_square_integral
 from .operators import (
     LinearOperatorCoefficients,
     _phi_values,
@@ -90,6 +89,11 @@ class AdmissibilityReport:
 
     def __str__(self) -> str:
         return f"R0 > {self.r0_bound:.6g} is {self.r0_pass}, k < {self.k_bound:.6g} is {self.k_pass}"
+
+    def to_dict(self) -> dict:
+        """report.json's admissibility block."""
+        bounds = {"R0_min": self.r0_bound, "k_max": self.k_bound, "R_T": self.R_T}
+        return {"bounds": bounds, "pass": self.passed, "R0_pass": self.r0_pass, "k_pass": self.k_pass}
 
 
 def check_admissibility(params: ModelParams, tgrid: TimeGrid, law: RadiusLaw) -> AdmissibilityReport:
@@ -139,9 +143,13 @@ class SchemeContext:
         self.config = config if config is not None else SolverConfig()
         self.s = second_difference_symbol(np.arange(grid.J // 2 + 1), grid.h)
         self.s2 = self.s * self.s
-        # one solve at j k/2, j = 0..2N: (2n) k/2 and (2n + 1) k/2 are one
-        # rounding of the same reals as n k and (n + 1/2) k
-        R_all = self.law.radii(np.arange(2 * tgrid.N + 1) * (0.5 * tgrid.k))
+        # the radius at j k/2, j = 0..2N: (2n) k/2 and (2n + 1) k/2 are one
+        # rounding of the same reals as n k and (n + 1/2) k.  Solved 1024
+        # times at once, so the solve's temporaries stay small beside R_all.
+        R_all = np.empty(2 * tgrid.N + 1)
+        for j0 in range(0, R_all.size, 1024):
+            j1 = min(j0 + 1024, R_all.size)
+            R_all[j0:j1] = self.law.radii(np.arange(j0, j1) * (0.5 * tgrid.k))
         self.R_nodes = R_all[::2]
         self.R_half = R = R_all[1::2]
         self.c4, self.c2, self.c0 = LinearOperatorCoefficients.at_radius(params, R)
@@ -201,12 +209,6 @@ class _Workspace:
 # values) out, in ws.X_next and ws.v_next, with sc the step's
 # StepCoefficients.  The step loop of Integration chains them on its own
 # workspace.
-#
-# _rfft and _irfft are the pocketfft ufuncs behind np.fft.rfft and irfft
-# (rfft_n_even, since GridSpec makes J even), called without np.fft's Python
-# wrapper, whose per-call cost at J = 256 is as large as the call itself.
-# Both write through out=, and _irfft scales by 1/J as np.fft.irfft does, so
-# the results are bit-identical.
 
 
 def _solve(base, nl, sc, ws: _Workspace):

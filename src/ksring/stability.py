@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .field import PeriodicField, mode_amplitudes
-from .params import ModelParams
+from .params import ModelParams, positive_radius
 
 # Modes m = 1..SPECTRAL_M_MAX scanned for unstable sets by selection().
 SPECTRAL_M_MAX = 32
@@ -39,8 +39,7 @@ def neutral_delta(m: int, R: float, params: ModelParams) -> float:
     """delta on which lambda_m = 0: (alpha - 1) R^2 / m^2."""
     if m < 2:
         raise ValueError(f"neutral curves need m >= 2, got {m}")
-    if not (R > 0):
-        raise ValueError(f"R must be > 0, got {R}")
+    positive_radius(R)
     return (params.alpha - 1.0) * R * R / (m * m)
 
 
@@ -77,8 +76,7 @@ def measured_dominant_mode(probe: PeriodicField) -> int:
 def spectral_report(R: float, params: ModelParams, m_max: int) -> SpectralReport:
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
-    if not (R > 0):
-        raise ValueError(f"R must be > 0, got {R}")
+    positive_radius(R)
     lam = _lambda_formula(np.arange(1.0, m_max + 1), R, params)  # float modes: m * m cannot wrap
     return SpectralReport(R=R, m_max=m_max, lam=lam)
 

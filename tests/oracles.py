@@ -17,7 +17,7 @@ import numpy as np
 from ksring import operators, solver
 from ksring.field import GridSpec, PeriodicField, _norm_values, _pad, pw_linear_square_integral
 from ksring.operators import LinearOperatorCoefficients, second_difference_symbol
-from ksring.params import ModelParams, SolverConfig, TWO_PI, TimeGrid
+from ksring.params import ModelParams, SolverConfig, TWO_PI, TimeGrid, positive_radius
 from ksring.radius import RadiusLaw, _times
 from ksring.reconstruct import _cumulative_nodes
 from ksring.stability import _lambda_formula
@@ -287,8 +287,7 @@ def lambda_m(m: int, R: float, params: ModelParams) -> float:
     """Growth rate of mode m >= 1; identically zero for m = 1."""
     if m <= 0:
         raise ValueError(f"mode index must be >= 1, got {m}")
-    if not (R > 0):
-        raise ValueError(f"R must be > 0, got {R}")
+    positive_radius(R)
     return _lambda_formula(m, R, params)
 
 

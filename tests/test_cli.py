@@ -231,6 +231,31 @@ def test_run_admissibility_abort_and_force(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(out), "--force"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["admissibility"]["pass"] is False
+    assert report["admissibility"] == _admissibility_of(cfg_path).to_dict()
+
+
+def _admissibility_of(cfg_path):
+    from ksring.radius import RadiusLaw
+    from ksring.solver import check_admissibility
+
+    cfg = load_config(cfg_path)
+    return check_admissibility(cfg.params, cfg.tgrid, RadiusLaw(cfg.params))
+
+
+def test_run_admissibility_block_is_the_verdicts_own(tmp_path):
+    # report.json's admissibility block is AdmissibilityReport.to_dict(), in
+    # the layout the benchmark's checks read
+    cfg_path = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    block = json.loads((tmp_path / "o" / "report.json").read_text())["admissibility"]
+    report = _admissibility_of(cfg_path)
+    assert block == report.to_dict()
+    assert block == {
+        "bounds": {"R0_min": report.r0_bound, "k_max": report.k_bound, "R_T": report.R_T},
+        "pass": True,
+        "R0_pass": True,
+        "k_pass": True,
+    }
 
 
 def test_forced_run_with_broken_step_exits_2(tmp_path, capsys):

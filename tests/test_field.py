@@ -88,6 +88,16 @@ def test_parseval(J):
     assert norm_h(V) ** 2 == pytest.approx(spectral, rel=1e-12)
 
 
+@pytest.mark.parametrize("J", [8, 16, 64, 256, 1024, 2048, 4096])
+def test_mode_amplitudes_match_np_fft_bitwise(J):
+    # mode_amplitudes transforms through field's _rfft, the solver's one
+    # transform, with the bits of np.fft.rfft
+    V = random_field(J, J + 7)
+    amps = mode_amplitudes(V)
+    assert amps.shape == (J // 2 + 1,)
+    assert np.array_equal(amps.view(np.int64), (np.abs(np.fft.rfft(V.values)) / J).view(np.int64))
+
+
 def test_mode_amplitudes_pure_cosine():
     g = GridSpec(32)
     V = PeriodicField(np.cos(3 * g.sigma), g.h)

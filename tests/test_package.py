@@ -83,3 +83,23 @@ def test_integrate_is_the_one_way_to_run_the_scheme():
     assert [m for m, _ in steps] == [0, 1, 2, 3]
     assert "snapshots" not in vars(steps)
     assert "keep_trajectories" not in inspect.signature(wavenumber_suite).parameters
+
+
+def test_field_is_the_one_path_to_the_transforms():
+    # ksring.field alone imports NumPy's private pocketfft ufuncs, and no
+    # module uses np.fft: one transform, checked bitwise against np.fft by
+    # the tests.  It scans the imported package, so an installed one too.
+    importers, fft_uses = set(), set()
+    for path in sorted(Path(ksring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "fft" and isinstance(node.value, ast.Name):
+                fft_uses.add(path.name)  # np.fft.rfft, numpy.fft.irfft, ...
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                base = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+                modules = {base + a.name for a in node.names} | {getattr(node, "module", None) or ""}
+                if "numpy.fft._pocketfft_umath" in modules:
+                    importers.add(path.name)
+                elif any(m.startswith("numpy.fft") for m in modules):
+                    fft_uses.add(path.name)
+    assert importers == {"field.py"}
+    assert fft_uses == set()

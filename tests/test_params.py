@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ksring.field import GridSpec, PeriodicField
-from ksring.params import FieldErrors, ModelParams, SolverConfig, TimeGrid
+from ksring.params import FieldErrors, ModelParams, SolverConfig, TimeGrid, positive_radius
 
 
 @pytest.mark.parametrize(
@@ -109,3 +109,16 @@ def test_counts_are_bounded_where_every_index_is_an_exact_double():
             make()
         assert [n for n, _ in exc.value.problems] == [name]
         assert "must be at most 2**5" in str(exc.value)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, np.array([1.0, 0.0]), np.array([[1.0, 2.0], [3.0, math.nan]])])
+def test_positive_radius_rejects_nonpositive_radii(R):
+    # the one "R must be > 0" check; radius_rate, at_radius, neutral_delta and
+    # spectral_report each call it, and their own tests pass it these radii
+    with pytest.raises(ValueError, match=r"^R must be > 0, got "):
+        positive_radius(R)
+
+
+@pytest.mark.parametrize("R", [1e-300, 6.0, math.inf, np.float64(2.0), np.array([1.0, 2.0])])
+def test_positive_radius_accepts_positive_radii(R):
+    assert positive_radius(R) is None

@@ -173,7 +173,7 @@ def test_overflowing_radius_law_is_a_solver_error():
     assert err.value.step is None
 
 
-@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, np.array([1.0, 0.0])])
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, np.array([1.0, 0.0]), np.array([1.0, -1.0])])
 def test_radius_rate_rejects_nonpositive_radii(R):
     with pytest.raises(ValueError, match="R must be > 0"):
         radius_rate(R, SLOW)

@@ -868,6 +868,25 @@ def test_stepping_memory_does_not_grow_with_the_step_count(method, J):
     assert abs(peaks[800] - peaks[100]) <= 8192, peaks
 
 
+def test_setup_memory_peaks_near_what_the_run_holds():
+    # SchemeContext solves the radius law a piece of the 2N + 1 half-step
+    # times at a time, so setting a run up peaks within 1.5x of the tables it
+    # keeps (about 80 B a step); one solve over all times peaked at 3.4x
+    g, tg = GridSpec(16), TimeGrid(k=0.01, N=20_000)
+    v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        steps = integrate(SLOW, tg, g, SolverConfig(), v0)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert 70 * tg.N <= held and peak <= 1.5 * held, (held, peak)
+    # the pieces give the radii of one solve over all times, bit for bit
+    R_all = steps.law.radii(np.arange(2 * tg.N + 1) * (0.5 * tg.k))
+    assert np.array_equal(bits(steps.R_nodes), bits(R_all[::2]))
+
+
 # The step iterator: integrate() yields (m, V^m) and run() consumes it.
 
 DIVERGING = ModelParams(delta=0.1, alpha=1.5, v_c=5.0, R0=1.0)  # admissible; overflows in a few steps

@@ -272,7 +272,7 @@ def test_neutral_delta_rejects_bad_inputs():
     for m in (1, 0, -2):
         with pytest.raises(ValueError, match="m >= 2"):
             neutral_delta(m, 6.0, PARAMS)
-    for R in (0.0, -6.0, math.nan):
+    for R in (0.0, -1.0, -6.0, math.nan, np.array([6.0, -6.0])):
         with pytest.raises(ValueError, match="R must be > 0"):
             neutral_delta(2, R, PARAMS)
 
@@ -281,6 +281,6 @@ def test_spectral_report_rejects_bad_inputs():
     for m_max in (1, 0):
         with pytest.raises(ValueError, match="m_max must be >= 2"):
             spectral_report(6.0, PARAMS, m_max)
-    for R in (0.0, -6.0, math.nan):
+    for R in (0.0, -1.0, -6.0, math.nan, np.array([6.0, 0.0])):
         with pytest.raises(ValueError, match="R must be > 0"):
             spectral_report(R, PARAMS, 8)
