@@ -163,7 +163,7 @@ def emit_run_outputs(
     return report
 
 
-def cmd_run(cfg: RunConfig, out: Path, force: bool = False) -> dict:
+def cmd_run(cfg: RunConfig, out: Path, force: bool) -> dict:
     law = RadiusLaw(cfg.params)
     admissibility = check_admissibility(cfg.params, cfg.tgrid, law)
     if not admissibility.passed:
@@ -196,14 +196,7 @@ def cmd_eoc(cfg: RunConfig, out: Path, levels: int) -> dict:
     return report
 
 
-def cmd_stability_map(
-    params: ModelParams,
-    out: Path,
-    r_min: float = 0.0,
-    r_max: float = 30.0,
-    samples: int = 121,
-    m_max: int = 5,
-) -> dict:
+def cmd_stability_map(params: ModelParams, out: Path, r_min: float, r_max: float, samples: int, m_max: int) -> dict:
     finite = math.isfinite(r_min) and math.isfinite(r_max)
     if not (finite and r_max > r_min >= 0.0) or samples < 2 or m_max < 2:
         raise ConfigError(

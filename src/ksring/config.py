@@ -84,15 +84,6 @@ KEYS = (
 QUALIFIED = {key.attr.rpartition(".")[2]: f"{key.section}.{key.name}" for key in KEYS if key.attr}
 
 
-def checked(make: Callable, *args, **kwargs):
-    """make(*args, **kwargs), with its FieldErrors raised as a ConfigError
-    that names every failing field by its section.key."""
-    try:
-        return make(*args, **kwargs)
-    except FieldErrors as e:
-        raise ConfigError([f"{QUALIFIED[name]}: {message}" for name, message in e.problems]) from None
-
-
 @dataclass(frozen=True)
 class RunConfig:
     params: ModelParams
@@ -193,7 +184,7 @@ def load_config(path: str | Path) -> RunConfig:
     checks += [(e in EMIT_CHOICES, "output.emit", f"unknown artifact {e!r}") for e in v["emit"]]
     problems = [f"{where}: {message}" for ok, where, message in checks if not ok]
 
-    built = []
+    built = []  # each container's FieldErrors named by section.key
     for make, args in (
         (ModelParams, (v["delta"], v["alpha"], v["v_c"], v["R0"])),
         (GridSpec, (J,)),
@@ -201,9 +192,9 @@ def load_config(path: str | Path) -> RunConfig:
         (SolverConfig, (v["jn"], v["reference_tol"])),
     ):
         try:
-            built.append(checked(make, *args))
-        except ConfigError as e:
-            problems += e.problems
+            built.append(make(*args))
+        except FieldErrors as e:
+            problems += [f"{QUALIFIED[name]}: {message}" for name, message in e.problems]
     if problems:
         raise ConfigError(problems)
     params, grid, tgrid, solver = built

@@ -47,7 +47,7 @@ def _subsampled_err(fine: np.ndarray, coarse: np.ndarray, h_coarse: float) -> fl
     return _norm_values(coarse - fine[:: fine.size // coarse.size], h_coarse)
 
 
-def eoc_ladder(cfg: RunConfig, levels: int = 3) -> EocReport:
+def eoc_ladder(cfg: RunConfig, levels: int) -> EocReport:
     """Self-convergence ladder: J doubles and k = T/J at every level, errors
     measured at T against a reference at eight times the finest grid."""
     if levels < 3:
@@ -131,9 +131,7 @@ SUITE_MODE_SETS = {
 SUITE_AMPLITUDE = 0.1  # initial amplitude of every seeded mode
 
 
-def wavenumber_suite(
-    J: int = 256, k: float = 0.01, T: float = 100.0, solver: SolverConfig = SolverConfig()
-) -> list[dict]:
+def wavenumber_suite(solver: SolverConfig, J: int = 256, k: float = 0.01, T: float = 100.0) -> list[dict]:
     """Runs the five expanding-circle selection experiments at desk scale.
 
     Passing criterion per row: the measured dominant mode of u(T) lies in the

@@ -21,41 +21,39 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import _pad
 from .params import ModelParams, positive_radius
 
 
-# The quadratic stencils write into out when it is given (tmp: scratch of v's
-# size) and take pv, v padded by _pad, when the caller has it.
+# The quadratic stencils take each operand padded, as _pad or _wrap leaves
+# it (the operand itself is p[1:-1], p[:-2] and p[2:] its shifts), and write
+# into out (tmp: scratch of the operand's size).
 
 
-def _phi_values(v: np.ndarray, w: np.ndarray, out=None, tmp=None, pv=None) -> np.ndarray:
-    pv = _pad(v) if pv is None else pv
-    pw = pv if w is v else _pad(w)
-    out = np.add(pv[:-2], v, out=out)
+def _phi_values(pv: np.ndarray, pw: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    out = np.add(pv[:-2], pv[1:-1], out=out)
     out += pv[2:]
     out *= np.subtract(pw[2:], pw[:-2], out=tmp)
     return out
 
 
-def psi_coefficients(v: np.ndarray, out=None, pv=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stencil weights of W in psi(V, W)_i, for W_{i-1}, W_i and W_{i+1}."""
-    pv = _pad(v) if pv is None else pv
-    vm, vp = pv[:-2], pv[2:]
-    cm, c0, cp = (None, None, None) if out is None else out
-    cm = np.multiply(2.0, vm, out=cm)
+def psi_coefficients(pv: np.ndarray, out) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stencil weights of W in psi(V, W)_i, for W_{i-1}, W_i and W_{i+1},
+    written into out, three arrays of V's size."""
+    vm, v, vp = pv[:-2], pv[1:-1], pv[2:]
+    cm, c0, cp = out
+    np.multiply(2.0, vm, out=cm)
     cm += v
     np.negative(cm, out=cm)
-    cp = np.multiply(2.0, vp, out=cp)
+    np.multiply(2.0, vp, out=cp)
     cp += v
-    return cm, np.subtract(vp, vm, out=c0), cp
+    np.subtract(vp, vm, out=c0)
+    return cm, c0, cp
 
 
-def _psi_apply(coeffs, w: np.ndarray, out=None, tmp=None, pw=None) -> np.ndarray:
-    pw = _pad(w) if pw is None else pw
+def _psi_apply(coeffs, pw: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     cm, c0, cp = coeffs
     out = np.multiply(cm, pw[:-2], out=out)
-    out += np.multiply(c0, w, out=tmp)
+    out += np.multiply(c0, pw[1:-1], out=tmp)
     out += np.multiply(cp, pw[2:], out=tmp)
     return out
 
@@ -81,8 +79,7 @@ class LinearOperatorCoefficients(NamedTuple):
 def second_difference_symbol(m, h: float):
     """s_m = (4/h^2) sin^2(m h / 2); D_h acting on mode m multiplies by -s_m."""
     m = np.asarray(m, dtype=float)
-    s = (4.0 / h**2) * np.sin(m * h / 2.0) ** 2
-    return s if s.ndim else float(s)
+    return (4.0 / h**2) * np.sin(m * h / 2.0) ** 2
 
 
 def _symbol(coeffs: LinearOperatorCoefficients, s, s2):

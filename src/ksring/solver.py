@@ -122,9 +122,9 @@ class StepCoefficients(NamedTuple):
 
 
 class SchemeContext:
-    """Bundles the model, grids, radius law and solver configuration, with
-    the tables every step reads: s_m and s_m^2 of the grid, the radius at
-    the nodes t^n and the half steps, and c4, c2, c0, c_psi per step."""
+    """Bundles the model, grids and radius law of a run, with the tables
+    every step reads: s_m and s_m^2 of the grid, the radius at the nodes
+    t^n and the half steps, and c4, c2, c0, c_psi per step."""
 
     def __init__(
         self,
@@ -132,7 +132,6 @@ class SchemeContext:
         tgrid: TimeGrid,
         grid: GridSpec,
         law: RadiusLaw | None = None,
-        config: SolverConfig | None = None,
     ):
         self.params = params
         self.tgrid = tgrid
@@ -140,7 +139,6 @@ class SchemeContext:
         self.law = law if law is not None else RadiusLaw(params)
         if self.law.params != params:
             raise ValueError(f"the radius law is for {self.law.params}, the run for {params}")
-        self.config = config if config is not None else SolverConfig()
         self.s = second_difference_symbol(np.arange(grid.J // 2 + 1), grid.h)
         self.s2 = self.s * self.s
         # the radius at j k/2, j = 0..2N: (2n) k/2 and (2n + 1) k/2 are one
@@ -188,7 +186,8 @@ class _Workspace:
     V^{n+1}, X and X_next the rfft spectra of V^n and V^{n+1}; rotate()
     advances them a step.  A step writes its predictor over V^{n-2}.
     pb holds the frozen sweep's b = V^n + w and pw the Newton sweep's
-    W^j - Vhat, each padded by _pad.  inv_J is the irfft normalization 1/J.
+    W^j - Vhat, each padded by _wrap, as the stencils take them.  inv_J is
+    the irfft normalization 1/J.
     """
 
     def __init__(self, J: int):
@@ -232,8 +231,9 @@ def _frozen_sweep(vn, w, base, sc, ws: _Workspace):
     first step, with w the current iterate a reference sweep, and with
     w = Vhat the first Newton sweep, where psi(b, W^0 - Vhat) = 0.
     """
-    b = np.add(vn, w, out=ws.pb[1:-1])
-    phi_bb = _phi_values(b, b, ws.phi_bb, ws.tmp, _wrap(ws.pb))
+    np.add(vn, w, out=ws.pb[1:-1])
+    pb = _wrap(ws.pb)
+    phi_bb = _phi_values(pb, pb, ws.phi_bb, ws.tmp)
     return _solve(base, np.multiply(sc.c_psi, phi_bb, out=ws.rhs), sc, ws)
 
 
@@ -267,8 +267,8 @@ def _reference_step(vn, w, X, sc, h: float, tol: float, n: int, ws: _Workspace):
 
 def _newton_sweep(base, psi_b, phi_bb, w, vhat, sc, ws: _Workspace):
     """One sweep of the predictor-anchored linearization from iterate w."""
-    d = np.subtract(w, vhat, out=ws.pw[1:-1])
-    nl = _psi_apply(psi_b, d, ws.rhs, ws.tmp, _wrap(ws.pw))
+    np.subtract(w, vhat, out=ws.pw[1:-1])
+    nl = _psi_apply(psi_b, _wrap(ws.pw), ws.rhs, ws.tmp)
     nl += phi_bb
     nl *= sc.c_psi
     return _solve(base, nl, sc, ws)
@@ -283,7 +283,7 @@ def _newton_step(vn, X, v_prev, sc, j_n: int, ws: _Workspace):
     base = np.multiply(sc.numer, X, out=ws.base)
     X_next, w = _frozen_sweep(vn, vhat, base, sc, ws)
     if j_n > 1:
-        psi_b = psi_coefficients(ws.pb[1:-1], ws.psi_b, ws.pb)
+        psi_b = psi_coefficients(ws.pb, ws.psi_b)
         for _ in range(j_n - 1):
             X_next, w = _newton_sweep(base, psi_b, ws.phi_bb, w, vhat, sc, ws)
     return X_next, w
@@ -303,9 +303,9 @@ class Integration(Iterator):
     array, valid until the next step.  A SolverError ends the iteration.
     """
 
-    def __init__(self, ctx: SchemeContext, v0: np.ndarray, method: str, every: int):
+    def __init__(self, ctx: SchemeContext, config: SolverConfig, v0: np.ndarray, method: str, every: int):
         self.params, self.tgrid, self.grid, self.law = ctx.params, ctx.tgrid, ctx.grid, ctx.law
-        self.method, self.R_nodes = method, ctx.R_nodes
+        self.method, self.R_nodes, self._config = method, ctx.R_nodes, config
         self.S, self.Q, self.A = np.full((3, ctx.tgrid.N + 1), np.nan)
         self.solve_s, self.reference_sweeps = 0.0, 0
         self._ctx, self._every = ctx, every
@@ -337,7 +337,7 @@ class Integration(Iterator):
         A adds a trapezoid term of g = Q/(Rdot R^2) a step, in np.cumsum's order."""
         ctx, ws, rows = self._ctx, self._ws, self._rows
         h, half_k = ctx.grid.h, 0.5 * ctx.tgrid.k
-        j_n, tol = ctx.config.newton_iters, ctx.config.reference_tol
+        j_n, tol = self._config.newton_iters, self._config.reference_tol
         S, Q, A, rdot_R2 = self.S, self.Q, self.A, self._rdot_R2
         reference = self.method == "reference"
         first = self._m + 1
@@ -398,11 +398,11 @@ def integrate(
         raise ValueError(f"v0 has J={v0.J}, grid expects {grid.J}")
     if not isinstance(every, numbers.Integral) or every < 1:
         raise ValueError(f"every must be >= 1 and an integer, got {every!r}")
-    ctx = SchemeContext(params, tgrid, grid, law=law, config=config)
+    ctx = SchemeContext(params, tgrid, grid, law=law)
     if require_admissible and not (report := check_admissibility(params, tgrid, ctx.law)).passed:
         raise SolverError(f"admissibility failed: {report}")
 
-    steps = Integration(ctx, v0.values, method, every)
+    steps = Integration(ctx, config, v0.values, method, every)
     if abs(steps.S[0]) > 1e-10 * max(1.0, norm_h(v0)):
         warnings.warn(f"initial mean {steps.S[0]:.3e} is nonzero; it decays geometrically", stacklevel=2)
     steps.solve_s = perf_counter() - t0

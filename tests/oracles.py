@@ -69,15 +69,17 @@ def bilaplacian_h(V: PeriodicField) -> PeriodicField:
 
 
 def phi(V: PeriodicField, W: PeriodicField) -> PeriodicField:
-    """phi(V, W) through the production stencil operators._phi_values."""
+    """phi(V, W) through the production stencil operators._phi_values, its
+    operands padded and its buffers passed as the step loop passes them."""
     _check_same_grid(V, W)
-    return PeriodicField(operators._phi_values(V.values, W.values), V.h)
+    return PeriodicField(operators._phi_values(_pad(V.values), _pad(W.values), np.empty(V.J), np.empty(V.J)), V.h)
 
 
 def psi(V: PeriodicField, W: PeriodicField) -> PeriodicField:
     """psi(V, W) through the production operators.psi_coefficients and _psi_apply."""
     _check_same_grid(V, W)
-    return PeriodicField(operators._psi_apply(operators.psi_coefficients(V.values), W.values), V.h)
+    coeffs = operators.psi_coefficients(_pad(V.values), [np.empty(V.J) for _ in range(3)])
+    return PeriodicField(operators._psi_apply(coeffs, _pad(W.values), np.empty(V.J), np.empty(V.J)), V.h)
 
 
 def _apply_L_values(coeffs: LinearOperatorCoefficients, v: np.ndarray, h: float) -> np.ndarray:
@@ -191,19 +193,19 @@ def cn_residual(Vn: PeriodicField, Vnp1: PeriodicField, n: int, ctx: solver.Sche
     coeffs = LinearOperatorCoefficients(ctx.c4[n], ctx.c2[n], ctx.c0[n])
     k = ctx.tgrid.k
     h = ctx.grid.h
-    vmid = 0.5 * (Vn.values + Vnp1.values)
+    vmid = PeriodicField(0.5 * (Vn.values + Vnp1.values), h)
     res = (
         (Vnp1.values - Vn.values) / k
-        + _apply_L_values(coeffs, vmid, h)
-        - c_phi(ctx)[n] * operators._phi_values(vmid, vmid)
+        + _apply_L_values(coeffs, vmid.values, h)
+        - c_phi(ctx)[n] * phi(vmid, vmid).values
     )
     return PeriodicField(res, h)
 
 
 def cn_step(Vn: PeriodicField, n: int, ctx: solver.SchemeContext) -> PeriodicField:
-    """Reference step from W^0 = V^n: iterates the midpoint fixed point to ctx.config.reference_tol."""
+    """Reference step from W^0 = V^n: iterates the midpoint fixed point to SolverConfig's reference_tol."""
     sc, ws, X = _fresh_step(ctx, n, Vn.values)
-    _, w, _ = solver._reference_step(Vn.values, Vn.values, X, sc, ctx.grid.h, ctx.config.reference_tol, n, ws)
+    _, w, _ = solver._reference_step(Vn.values, Vn.values, X, sc, ctx.grid.h, SolverConfig().reference_tol, n, ws)
     return PeriodicField(w, ctx.grid.h)
 
 
@@ -230,7 +232,7 @@ def newton_iterate(
     sc, ws, X = _fresh_step(ctx, n, Vn.values)
     base = np.multiply(sc.numer, X, out=ws.base)
     solver._frozen_sweep(Vn.values, Vhat.values, base, sc, ws)  # b and phi(b, b); its solve is the sweep from Vhat
-    psi_b = operators.psi_coefficients(ws.pb[1:-1], ws.psi_b, ws.pb)
+    psi_b = operators.psi_coefficients(ws.pb, ws.psi_b)
     _, w = solver._newton_sweep(base, psi_b, ws.phi_bb, Wj.values, Vhat.values, sc, ws)
     return PeriodicField(w, ctx.grid.h)
 

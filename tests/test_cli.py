@@ -192,7 +192,7 @@ def test_run_csv_values_round_trip_doubles(tmp_path):
 
     cfg = load(write_config(tmp_path))
     out = tmp_path / "rt"
-    cmd_run(cfg, out)
+    cmd_run(cfg, out, force=False)
     text = (out / "means.csv").read_text().splitlines()[1:]
     parsed = np.array([[float(x) for x in line.split(",")] for line in text])
     rewritten = np.array([[float(format(v, ".17g")) for v in row] for row in parsed])
@@ -392,7 +392,7 @@ def test_run_writes_each_stored_step_before_computing_the_next(tmp_path, monkeyp
     monkeypatch.setattr(ksring.cli, "reconstruct_u", reconstruct_in_hand)
     text = GOOD_CONFIG.replace("T = 0.5", "T = 0.2").replace("stride = 25", f"stride = {stride}")
     out = tmp_path / "o"
-    ksring.cli.cmd_run(load_config(write_config(tmp_path, text)), out)
+    ksring.cli.cmd_run(load_config(write_config(tmp_path, text)), out, force=False)
     assert seen == list(range(0, 20, stride)) + [20]
     assert (out / "report.json").exists() and (out / "means.csv").exists()
 
@@ -656,6 +656,18 @@ def test_stability_map_command(tmp_path):
     assert report["R_star"] == pytest.approx(2.0 * math.sqrt(4.0 / 0.2), rel=1e-12)
 
 
+def test_stability_map_defaults_are_the_parsers(tmp_path):
+    # without range flags the map takes argparse's defaults, the one place
+    # they are written: 121 radii from 0 to 30 and modes 2 to 5
+    out = tmp_path / "map"
+    assert main(["stability-map", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    header, *rows = (out / "neutral_curves.csv").read_text().splitlines()
+    assert header == "R,delta_m2,delta_m3,delta_m4,delta_m5"
+    R = np.array([float(row.split(",")[0]) for row in rows])
+    assert R.size == 121 and R[0] == 0.0 and R[-1] == 30.0
+    np.testing.assert_array_equal(R, np.linspace(0.0, 30.0, 121))
+
+
 def test_stability_map_predictions():
     # direct call with the reference parameters: R = 12 predicts mode 3
     import tempfile
@@ -663,7 +675,7 @@ def test_stability_map_predictions():
 
     params = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
     with tempfile.TemporaryDirectory() as d:
-        report = cmd_stability_map(params, Path(d), r_min=12.0, r_max=13.0, samples=2)
+        report = cmd_stability_map(params, Path(d), r_min=12.0, r_max=13.0, samples=2, m_max=5)
         assert report["spectral"][0]["R"] == 12.0
         assert report["spectral"][0]["unstable_modes"] == [2, 3, 4]
         assert report["spectral"][0]["predicted_dominant"] == 3
@@ -699,7 +711,7 @@ def test_run_report_and_suite_read_one_selection_verdict(tmp_path):
     params = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
     assert spectral == selection(params, spectral["R_T"], PeriodicField(u_T, GridSpec(64).h))
 
-    row = wavenumber_suite(J=64, k=0.05, T=2.0)[0]
+    row = wavenumber_suite(J=64, k=0.05, T=2.0, solver=SolverConfig())[0]
     assert row["R0"] == 6.0 and row["modes"] == [2, 3, 4, 5]
     assert row["unstable_at_R0"] == spectral["unstable_at_R0"]
     assert row["predicted_dominant"] == spectral["predicted_dominant_at_R0"]
@@ -804,7 +816,7 @@ def test_run_snapshot_bytes_match_per_value_formatter(tmp_path, case):
     )
     cfg = load_config(write_config(tmp_path, text))
     out = tmp_path / "snap"
-    cmd_run(cfg, out)
+    cmd_run(cfg, out, force=False)
     traj = lib_run(
         cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(),
         law=RadiusLaw(cfg.params), store_stride=cfg.stride,
@@ -841,7 +853,7 @@ def test_run_csv_files_round_trip_bitwise(tmp_path):
     text = GOOD_CONFIG.replace("J = 64", "J = 32").replace("T = 0.5", "T = 0.05").replace("stride = 25", "stride = 1")
     cfg = load_config(write_config(tmp_path, text))
     out = tmp_path / "rt"
-    cmd_run(cfg, out)
+    cmd_run(cfg, out, force=False)
     law = RadiusLaw(cfg.params)
     traj = lib_run(
         cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(),
@@ -888,7 +900,7 @@ def test_run_reconstructs_each_stored_step_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ksring.cli, "reconstruct_u", u_counter)
     monkeypatch.setattr(ksring.cli, "check_admissibility", counted("check_admissibility", ksring.cli.check_admissibility))
     cfg = load_config(write_config(tmp_path))
-    report = ksring.cli.cmd_run(cfg, tmp_path / "o")
+    report = ksring.cli.cmd_run(cfg, tmp_path / "o", force=False)
     assert calls == {"reconstruct_u": 3, "check_admissibility": 1}  # steps 0, 25 and 50
     assert report["spectral"]["measured_dominant"] is not None
 

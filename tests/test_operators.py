@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ksring.field import GridSpec, PeriodicField, norm_h
+from ksring.field import GridSpec, PeriodicField, _pad, norm_h
 from ksring.operators import LinearOperatorCoefficients, _psi_apply, psi_coefficients, second_difference_symbol
 from ksring.params import ModelParams
 from oracles import (
@@ -88,11 +88,11 @@ def test_hoisted_psi_and_sliced_phi_match_loop_stencils():
     # Newton step; the explicit index loops are the docstring's stencils.
     J = 16
     V = random_field(J, 10)
-    coeffs = psi_coefficients(V.values)
+    coeffs = psi_coefficients(_pad(V.values), [np.empty(J) for _ in range(3)])
     for seed in (11, 12, 13):
         W = random_field(J, seed)
         for got, expected in (
-            (_psi_apply(coeffs, W.values), loop_psi(V, W)),
+            (_psi_apply(coeffs, _pad(W.values), np.empty(J), np.empty(J)), loop_psi(V, W)),
             (phi(V, W).values, loop_phi(V, W)),
         ):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())

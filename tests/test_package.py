@@ -103,3 +103,77 @@ def test_field_is_the_one_path_to_the_transforms():
                     fft_uses.add(path.name)
     assert importers == {"field.py"}
     assert fft_uses == set()
+
+
+def _functions(node: ast.AST, prefix: str = "", in_class: bool = False):
+    """(name qualified by class and enclosing function, def, is a method) of
+    every function under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child, in_class
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.", True)
+        else:
+            yield from _functions(child, prefix, in_class)
+
+
+def dead_defaults(package: Path) -> dict[str, list[str]]:
+    """module.function to the defaulted parameters that no call in the
+    package omits, for each function whose owner (the module-level function
+    or class that holds it) is not in __all__.  Calls match by name: f(...),
+    obj.f(...) and, for __init__, Cls(...); a call with *args or **kwargs
+    may omit any parameter."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    exported = {
+        name
+        for node in trees["__init__"].body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+        for name in ast.literal_eval(node.value)
+    }
+    assert exported
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    dead = {}
+    for module, tree in trees.items():
+        for qualname, fn, method in _functions(tree):
+            if qualname.split(".")[0] in exported:
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaulted = {p.arg for p in positional[len(positional) - len(a.defaults):]}
+            defaulted |= {p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+            if method and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list):
+                positional = positional[1:]  # self or cls
+            callee = qualname.split(".")[-2] if fn.name == "__init__" else fn.name
+            omitted = set()
+            for call in calls.get(callee, []):
+                if any(isinstance(x, ast.Starred) for x in call.args) or any(k.arg is None for k in call.keywords):
+                    omitted |= defaulted
+                passed = {p.arg for p in positional[: len(call.args)]} | {k.arg for k in call.keywords}
+                omitted |= defaulted - passed
+            if defaulted - omitted:
+                dead[f"{module}.{qualname}"] = sorted(defaulted - omitted)
+    return dead
+
+
+def test_every_default_of_an_unexported_function_is_used():
+    # A default that every call in the package overrides is a second copy of
+    # a value (the CLI's, say) or a path that only tests reach.  Exported
+    # names keep theirs: they are library API.  It scans the imported
+    # package, so an installed one too.
+    assert dead_defaults(Path(ksring.__file__).parent) == {}
+
+
+def test_dead_default_guard_names_a_planted_default(tmp_path):
+    package = tmp_path / "ksring"
+    package.mkdir()
+    for path in Path(ksring.__file__).parent.glob("*.py"):
+        (package / path.name).write_text(path.read_text())
+    with open(package / "field.py", "a") as f:
+        f.write("\n\ndef _planted(v, scale=1.0):\n    return v * scale\n\n\nPLANTED = _planted(1.0, 2.0)\n")
+    assert dead_defaults(package) == {"field._planted": ["scale"]}

@@ -394,7 +394,7 @@ def test_run_matches_public_step_functions():
     tg = TimeGrid(k=0.01, N=20)
     law = RadiusLaw(p)
     cfg = SolverConfig()
-    ctx = SchemeContext(p, tg, g, law=law, config=cfg)
+    ctx = SchemeContext(p, tg, g, law=law)
     v0 = sample_cosine_sum_dsigma(g, [(0.5, 2), (0.5, 3)])
 
     def rel_gap(traj, fields):
@@ -1159,7 +1159,7 @@ def test_linear_first_step_sets_the_newton_gap():
     for jn in (2, 3):
         cfg = SolverConfig(newton_iters=jn)
         paper[jn] = gap(final(run(params, tg, g, cfg, v0, law=law, store_stride=tg.N)))
-        ctx = SchemeContext(params, tg, g, law=law, config=cfg)
+        ctx = SchemeContext(params, tg, g, law=law)
         prev, vn = v0, cn_step(v0, 0, ctx)
         for n in range(1, tg.N):
             vhat = w = extrapolate(vn, prev)
@@ -1212,7 +1212,7 @@ def test_predictor_started_reference_matches_the_vn_started_one(monkeypatch, par
     # cn_step's do.  Started at the quadratic predictor instead, the reference
     # run stays within 10 reference_tol of it at every step, in fewer sweeps.
     g, tg, cfg = GridSpec(J), TimeGrid.from_horizon(T, k), SolverConfig()
-    ctx = SchemeContext(params, tg, g, config=cfg)
+    ctx = SchemeContext(params, tg, g)
     v0 = sample_cosine_sum_dsigma(g, pairs)
     calls = _count_frozen_sweeps(monkeypatch)
     old = [v0]
