@@ -27,7 +27,6 @@ from .stability import (
     SpectralReport,
     critical_radius,
     measured_dominant_mode,
-    neutral_delta,
     spectral_report,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "mean_I_path",
     "measured_dominant_mode",
     "mode_amplitudes",
-    "neutral_delta",
     "norm_h",
     "radius_rate",
     "reconstruct_u",

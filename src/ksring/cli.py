@@ -24,6 +24,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import astuple, fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .params import MAX_COUNT, FieldErrors, ModelParams, SolverConfig
 from .radius import RadiusLaw
 from .reconstruct import mean_I_path, reconstruct_u, curve_points
 from .solver import AdmissibilityReport, Integration, SolverError, check_admissibility, integrate
-from .stability import critical_radius, neutral_delta, selection, spectral_report
+from .stability import critical_radius, selection, spectral_report
 
 ENV_OUT = "KSRING_OUT"
 # Rows and values per formatted write in write_csv: they bound the bytes
@@ -55,42 +56,52 @@ def resolve_out_dir(flag_value: str | None, cfg_value: str | None) -> Path:
 
 
 def write_csv(path: Path, header: list[str], rows, first_column: list[bytes] | None = None) -> None:
-    """Writes the header and the rows (a 2-D array or any iterable of rows),
-    every value as %.17g, which round-trips a double exactly.  Each block of
-    at most CSV_BLOCK_ROWS rows and CSV_BLOCK_VALUES values (whole rows, or a
-    piece of one wide row) is one `%` format into bytes, written to a binary
-    file, so no Python loop runs per value and no text is encoded again.
+    """Writes the header and the rows (a 2-D array, any iterable of rows, or
+    an iterable of 2-D blocks of rows, read one block at a time), every value
+    as %.17g, which round-trips a double exactly.  Each block of at most
+    CSV_BLOCK_ROWS rows and CSV_BLOCK_VALUES values (whole rows, or a piece
+    of one wide row) is one `%` format into bytes, written to a binary file,
+    so no Python loop runs per value and no text is encoded again.
 
     first_column, if given, is the first column already formatted, one
     bytes entry per row, and rows hold only the other columns.  The
     snapshot files pass their grid column this way, formatted once per run."""
-    data = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    rows = iter([rows] if isinstance(rows, np.ndarray) else rows)
     width = len(header)
     cells = [b"%.17g,"] * (width - 1) + [b"%.17g\n"]  # each value with the separator after it
     if first_column is not None:
         cells[0] = b"%s,"
+        texts = iter(first_column)
     step = min(CSV_BLOCK_ROWS, max(1, CSV_BLOCK_VALUES // width))
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
-        for start in range(0, len(data), step):
-            block = data[start : start + step]
-            if first_column is not None:
-                # Rows of (text, values...) in one object block: a format
-                # string holding the texts instead fragments the C heap and
-                # raised a dense run's peak RSS by 0.5 MB.
-                mixed = np.empty((len(block), width), dtype=object)
-                mixed[:, 0] = first_column[start : start + step]
-                mixed[:, 1:] = block
-                block = mixed
-            for c in range(0, width, CSV_BLOCK_VALUES):  # one piece, unless a row is wider than a block
-                piece = block[:, c : c + CSV_BLOCK_VALUES]
-                f.write(b"".join(cells[c : c + CSV_BLOCK_VALUES]) * len(piece) % tuple(piece.ravel().tolist()))
+        for first in rows:
+            data = np.asarray(first if np.ndim(first) == 2 else [first, *islice(rows, step - 1)], dtype=float)
+            for block in (data[start : start + step] for start in range(0, len(data), step)):
+                if first_column is not None:
+                    # Rows of (text, values...) in one object block: a format
+                    # string holding the texts instead fragments the C heap and
+                    # raised a dense run's peak RSS by 0.5 MB.
+                    mixed = np.empty((len(block), width), dtype=object)
+                    mixed[:, 0] = list(islice(texts, len(block)))
+                    mixed[:, 1:] = block
+                    block = mixed
+                for c in range(0, width, CSV_BLOCK_VALUES):  # one piece, unless a row is wider than a block
+                    piece = block[:, c : c + CSV_BLOCK_VALUES]
+                    f.write(b"".join(cells[c : c + CSV_BLOCK_VALUES]) * len(piece) % tuple(piece.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _means_rows(steps: Integration, I_path: np.ndarray):
+    """means.csv's columns n, t, S_n, I_tilde, CSV_BLOCK_ROWS rows at a time."""
+    for n0 in range(0, len(I_path), CSV_BLOCK_ROWS):
+        nodes = np.arange(n0, min(n0 + CSV_BLOCK_ROWS, len(I_path)))
+        yield np.column_stack((nodes, nodes * steps.tgrid.k, steps.S[nodes], I_path[nodes]))
 
 
 def emit_run_outputs(
@@ -140,12 +151,8 @@ def emit_run_outputs(
         with timer("reconstruct_s"):
             I_path = mean_I_path(steps, cfg.I0)
         with timer("write_s"):
-            nodes = np.arange(N + 1)
-            write_csv(
-                out / "means.csv",
-                ["n", "t", "S_n", "I_tilde"],
-                np.column_stack((nodes, nodes * steps.tgrid.k, steps.S, I_path)),
-            )
+            write_csv(out / "means.csv", ["n", "t", "S_n", "I_tilde"], _means_rows(steps, I_path))
+        del I_path  # freed before the report's |S_n| temporary: the two together would be the run's peak
 
     report = {
         "params": cfg.to_dict()["model"] | {"R0": cfg.params.R0},
@@ -210,25 +217,22 @@ def cmd_stability_map(params: ModelParams, out: Path, r_min: float, r_max: float
     # map that does not fit fails at once, as out of memory.
     table = np.empty((samples, m_max))  # R, then delta_m for m = 2..m_max
     header = ["R"] + [f"delta_m{m}" for m in range(2, m_max + 1)]
+    table[:, 0] = radii = np.linspace(r_min, r_max, samples)
     entries = []
-    # Every row and entry is computed before the output directory is made, so
-    # a radius whose curves or rates overflow leaves no partial map behind.
-    # Each R is a NumPy scalar, so an overflow, a division by an underflowed
-    # R^4 or an inf - inf raises; its arithmetic gives the bits of a float's.
-    for i, R in enumerate(np.linspace(r_min, r_max, samples)):
+    # Every entry and row is computed before the output directory is made, so a
+    # failing radius leaves no partial map.  Each R is a NumPy scalar, so an overflow,
+    # a division by an underflowed R^4 or an inf - inf raises, with a float's bits.
+    for R in radii[radii > 0]:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                deltas = [neutral_delta(m, R, params) if R > 0 else 0.0 for m in range(2, m_max + 1)]
-                rep = spectral_report(R, params, m_max) if R > 0 else None
+                rep = spectral_report(R, params, m_max)
         except FloatingPointError:
-            raise ConfigError(
-                [f"stability-map: the neutral curves or growth rates are not finite at R = {R:g}"]
-            ) from None
-        table[i] = [R] + deltas
-        if rep is not None:
-            entries.append(
-                {"R": R, "unstable_modes": rep.unstable_modes, "predicted_dominant": rep.predicted_dominant}
-            )
+            raise ConfigError([f"stability-map: the neutral curves or growth rates are not finite at R = {R:g}"]) from None
+        entries.append({"R": R, "unstable_modes": rep.unstable_modes, "predicted_dominant": rep.predicted_dominant})
+    # The curves delta_m = ((alpha - 1) R) R / (m m): the rates above computed
+    # each product (alpha - 1) R R finite, so no cell overflows; at R = 0 it is 0.
+    m = np.arange(2.0, m_max + 1)
+    np.divide((((params.alpha - 1.0) * radii) * radii)[:, None], m * m, out=table[:, 1:])
     report = {
         "params": {"delta": params.delta, "alpha": params.alpha, "v_c": params.v_c},
         "R_star": critical_radius(params),

@@ -81,8 +81,11 @@ def mean_I(traj: "Integration", I0: float, n: int) -> float:
 
 
 def mean_I_path(traj: "Integration", I0: float) -> np.ndarray:
-    """Itilde at every step boundary 0..N."""
-    return _mean_I(traj, I0, slice(None))
+    """Itilde at every step boundary 0..N, 1024 steps at a time: small temporaries."""
+    path = np.empty(traj.tgrid.N + 1)
+    for n0 in range(0, path.size, 1024):
+        path[n0 : n0 + 1024] = _mean_I(traj, I0, slice(n0, n0 + 1024))
+    return path
 
 
 def reconstruct_u(traj: "Integration", I0: float, n: int, v: np.ndarray) -> PeriodicField:

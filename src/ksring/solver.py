@@ -71,6 +71,7 @@ from .operators import (
 )
 from .params import ModelParams, SolverConfig, SolverError, TimeGrid
 from .radius import RadiusLaw
+from .stability import critical_radius
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,10 @@ class AdmissibilityReport:
 
 
 def check_admissibility(params: ModelParams, tgrid: TimeGrid, law: RadiusLaw) -> AdmissibilityReport:
-    """R0 must exceed sqrt(delta/(alpha-1)) and k must stay below
-    8*delta/(alpha - 1 - delta/R(T)^2)^2."""
+    """R0 must exceed sqrt(delta/(alpha-1)), half the critical radius, and k
+    must stay below 8*delta/(alpha - 1 - delta/R(T)^2)^2."""
     a = params.alpha - 1.0
-    r0_bound = math.sqrt(params.delta / a)
+    r0_bound = critical_radius(params) / 2.0  # exact: halving undoes its doubling
     R_T = law.radius_at(tgrid.T)
     denom = a - params.delta / R_T**2
     k_bound = math.inf if denom == 0 else 8.0 * params.delta / denom**2

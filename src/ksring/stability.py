@@ -35,14 +35,6 @@ def _lambda_formula(m: float | np.ndarray, R: float, params: ModelParams) -> flo
     return (t_growth + t_rest) / R**4
 
 
-def neutral_delta(m: int, R: float, params: ModelParams) -> float:
-    """delta on which lambda_m = 0: (alpha - 1) R^2 / m^2."""
-    if m < 2:
-        raise ValueError(f"neutral curves need m >= 2, got {m}")
-    positive_radius(R)
-    return (params.alpha - 1.0) * R * R / (m * m)
-
-
 def critical_radius(params: ModelParams) -> float:
     """2 sqrt(delta/(alpha - 1)), where mode 2 first turns unstable."""
     return 2.0 * math.sqrt(params.delta / (params.alpha - 1.0))

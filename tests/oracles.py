@@ -293,6 +293,15 @@ def lambda_m(m: int, R: float, params: ModelParams) -> float:
     return _lambda_formula(m, R, params)
 
 
+def neutral_delta(m: int, R: float, params: ModelParams) -> float:
+    """delta on which lambda_m = 0: (alpha - 1) R^2 / m^2, one cell of the
+    stability map, in the map's operation order ((alpha - 1) R) R / (m m)."""
+    if m < 2:
+        raise ValueError(f"neutral curves need m >= 2, got {m}")
+    positive_radius(R)
+    return (params.alpha - 1.0) * R * R / (m * m)
+
+
 def _check_reality(modes: np.ndarray) -> int:
     if modes.ndim != 1 or modes.size % 2 == 0:
         raise ValueError("modes must be a 1d array of odd length 2*m_max + 1")

@@ -15,6 +15,7 @@ import pytest
 
 from ksring.cli import (
     ConfigError,
+    cmd_run,
     cmd_stability_map,
     load_config,
     main,
@@ -22,9 +23,10 @@ from ksring.cli import (
     wavenumber_suite,
 )
 from ksring.field import GridSpec, PeriodicField
-from ksring.params import ModelParams, SolverConfig
-from ksring.stability import critical_radius, neutral_delta, selection, spectral_report
-from oracles import stored_steps
+from ksring.params import ModelParams, SolverConfig, TimeGrid
+from ksring.solver import integrate
+from ksring.stability import critical_radius, selection, spectral_report
+from oracles import neutral_delta, stored_steps
 
 GOOD_CONFIG = """\
 [model]
@@ -793,6 +795,39 @@ def test_write_csv_first_column_text_matches_per_value_formatter(tmp_path, n_row
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("with_text", [False, True])
+def test_write_csv_row_blocks_match_per_value_formatter(tmp_path, with_text):
+    # an iterable of 2-D blocks, of any sizes, writes the bytes of the whole table
+    from ksring.cli import CSV_BLOCK_ROWS, write_csv
+
+    table = _mixed_table(2 * CSV_BLOCK_ROWS + 7)
+    values = np.array(table, dtype=float)
+    text = [format(row[0], ".17g").encode() for row in table] if with_text else None
+    cuts = [0, 3, 3, CSV_BLOCK_ROWS + 8, len(table)]  # an empty block and one longer than a block
+    blocks = (values[a:b, 1:] if with_text else values[a:b] for a, b in zip(cuts, cuts[1:]))
+    header = ["n", "J", "x", "y"]
+    write_csv(tmp_path / "new.csv", header, blocks, first_column=text)
+    _per_value_csv(tmp_path / "old.csv", header, table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_means_csv_over_several_blocks_is_the_whole_table(tmp_path):
+    from ksring.cli import CSV_BLOCK_ROWS
+    from ksring.reconstruct import mean_I_path
+
+    cfg = load_config(write_config(tmp_path, GOOD_CONFIG.replace("T = 0.5", "T = 6.01") + "emit = means\n"))
+    N = cfg.tgrid.N
+    assert N + 1 > 2 * CSV_BLOCK_ROWS and (N + 1) % CSV_BLOCK_ROWS
+    cmd_run(cfg, tmp_path / "out", force=False)
+    steps = integrate(cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(), every=N)
+    for _ in steps:
+        pass
+    I_path = mean_I_path(steps, cfg.I0)
+    rows = [[n, n * cfg.tgrid.k, steps.S[n], I_path[n]] for n in range(N + 1)]
+    _per_value_csv(tmp_path / "whole.csv", ["n", "t", "S_n", "I_tilde"], rows)
+    assert (tmp_path / "out" / "means.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 SNAPSHOT_CASES = {
     "J520_partial_block": (520, "v, u"),  # rows 0-511 and a partial block of 8
     "J16_under_one_block": (16, "v, u"),
@@ -1266,6 +1301,101 @@ def test_stability_map_equals_a_python_float_loop(tmp_path):
         "spectral": entries,
     }
     assert (out / "stability.json").read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "params, r_min, r_max, samples, m_max",
+    [
+        (ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0), 0.0, 30.0, 121, 500),
+        # -0.0 first, then radii up to just below the R^4 overflow at about 1.16e77
+        (ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0), -0.0, 1.15e77, 9, 500),
+        # tiny radii whose R^4 underflows to a subnormal; a small delta keeps the rates finite
+        (ModelParams(delta=1e-300, alpha=1.5, v_c=0.001, R0=6.0), 2e-81, 3e-81, 5, 500),
+    ],
+)
+def test_stability_map_table_is_the_per_cell_oracle_bit_for_bit(tmp_path, params, r_min, r_max, samples, m_max):
+    # the map's one array expression gives each cell the bits of neutral_delta at that radius
+    out = tmp_path / "map"
+    cmd_stability_map(params, out, r_min=r_min, r_max=r_max, samples=samples, m_max=m_max)
+    table = np.loadtxt(out / "neutral_curves.csv", delimiter=",", skiprows=1, ndmin=2)
+    expected = np.array(
+        [
+            [R] + [neutral_delta(m, R, params) if R > 0 else 0.0 for m in range(2, m_max + 1)]
+            for R in np.linspace(r_min, r_max, samples).tolist()
+        ]
+    )
+    assert table.shape == (samples, m_max)
+    np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "flags, R",
+    [
+        (["--rmax", "1e80", "--samples", "50"], "2.04082e+78"),  # R^4 overflows
+        (["--rmin", "1e-200", "--rmax", "1e-100", "--samples", "7", "--mmax", "9"], "1e-200"),  # R^4 underflows to 0
+    ],
+)
+def test_stability_map_names_the_first_radius_that_fails(tmp_path, capsys, flags, R):
+    out = tmp_path / "map"
+    argv = ["stability-map", "--config", str(write_config(tmp_path)), "--out", str(out), *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: stability-map: the neutral curves or growth rates are not finite at R = {R}"
+    ]
+    assert not out.exists()
+
+
+def test_stability_map_checks_each_radius_once(tmp_path, monkeypatch):
+    # one R > 0 check per radius (its spectral report), not one per cell:
+    # the per-cell loop of neutral_delta made 9 950 checks here
+    import ksring.params
+
+    calls = []
+    checked = ksring.params.positive_radius
+
+    def counting(R):
+        calls.append(R)
+        return checked(R)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ksring") and getattr(module, "positive_radius", None) is checked:
+            monkeypatch.setattr(module, "positive_radius", counting)
+    samples = 200
+    cmd_stability_map(ModelParams(4.0, 1.5, 0.001, 6.0), tmp_path / "map", r_min=0.0, r_max=30.0, samples=samples, m_max=50)
+    assert 0 < len(calls) <= samples + 2, len(calls)
+
+
+def test_means_csv_peak_stays_near_what_the_run_holds(tmp_path, monkeypatch):
+    # means.csv is built and written a block of rows at a time beside the
+    # one N + 1 path of mean_I_path, so the end of a run peaks at 1.12x what
+    # the run holds (about 80 B a step); the whole four-column table and
+    # mean_I_path's temporaries peaked at 1.7x
+    import tracemalloc
+
+    import ksring.cli
+
+    cfg = load_config(write_config(tmp_path, GOOD_CONFIG.replace("J = 64", "J = 16") + "emit = means\n"))
+    cfg = replace(cfg, tgrid=TimeGrid(k=0.01, N=40_000), stride=40_000, solver=SolverConfig(newton_iters=1))
+    tracemalloc.start()
+    try:
+        steps = integrate(cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(), require_admissible=False)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del steps  # the same run again below, stepped by the command
+    mean_I_path = ksring.cli.mean_I_path
+
+    def traced_from_here(steps, I0):  # the run is stepped: trace what the end of the run adds
+        tracemalloc.start()
+        return mean_I_path(steps, I0)
+
+    monkeypatch.setattr(ksring.cli, "mean_I_path", traced_from_here)
+    try:
+        cmd_run(cfg, tmp_path / "out", force=False)
+        added = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 70 * cfg.tgrid.N <= held and held + added <= 1.2 * held, (held, added)
 
 
 def test_infinite_reference_tol_is_a_config_error(tmp_path, capsys):

@@ -71,6 +71,16 @@ def test_step_wrappers_and_test_oracles_are_module_level_only():
     assert sum(map(len, moved.values())) == 37
 
 
+def test_the_per_cell_neutral_curve_is_a_test_oracle():
+    # stability-map fills its curves with one array expression, so the
+    # per-cell neutral_delta is the tests' oracle and in no ksring module
+    package = Path(ksring.__file__).parent
+    modules = [importlib.import_module(f"ksring.{p.stem}") for p in package.glob("*.py") if p.stem != "__init__"]
+    assert "neutral_delta" not in ksring.__all__
+    assert not [m.__name__ for m in [ksring, *modules] if hasattr(m, "neutral_delta")]
+    assert callable(oracles.neutral_delta)
+
+
 def test_integrate_is_the_one_way_to_run_the_scheme():
     # the package stores no steps: a finished run has no attribute for them,
     # and the suite has no option to keep its runs' trajectories

@@ -179,6 +179,18 @@ def test_mean_I_path_matches_pointwise():
         assert path[n] == pytest.approx(mean_I(traj, 0.3, n), rel=1e-13)
 
 
+def test_mean_I_path_over_several_blocks_is_mean_I_bit_for_bit():
+    # mean_I_path works 1024 steps at a time; every entry, on either side of
+    # a block edge, is mean_I's value at that step
+    g = GridSpec(16)
+    v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
+    traj = run(SLOW, TimeGrid(k=0.01, N=2500), g, SolverConfig(newton_iters=1), v0, store_stride=2500)
+    path = mean_I_path(traj, 0.3)
+    assert path.shape == (2501,)
+    expected = np.array([mean_I(traj, 0.3, n) for n in range(2501)])
+    np.testing.assert_array_equal(path.view(np.int64), expected.view(np.int64))
+
+
 def test_mean_I_satisfies_discrete_ode():
     # central difference residual of dI/dt = -((a-1)/R^2) I + (v_c/4pi R^2) Q
     g = GridSpec(64)

@@ -11,11 +11,10 @@ from ksring.stability import (
     _lambda_formula,
     critical_radius,
     measured_dominant_mode,
-    neutral_delta,
     selection,
     spectral_report,
 )
-from oracles import galerkin_rhs, integrate_modes, lambda_m, modes_from_cosines
+from oracles import galerkin_rhs, integrate_modes, lambda_m, modes_from_cosines, neutral_delta
 
 PARAMS = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
 
