@@ -32,7 +32,6 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .experiments import EocLevel, eoc_ladder, wavenumber_suite
 from .params import MAX_COUNT, FieldErrors, ModelParams, SolverConfig
-from .radius import RadiusLaw
 from .reconstruct import mean_I_path, reconstruct_u, curve_points
 from .solver import AdmissibilityReport, Integration, SolverError, check_admissibility, integrate
 from .stability import critical_radius, selection, spectral_report
@@ -171,16 +170,15 @@ def emit_run_outputs(
 
 
 def cmd_run(cfg: RunConfig, out: Path, force: bool) -> dict:
-    law = RadiusLaw(cfg.params)
-    admissibility = check_admissibility(cfg.params, cfg.tgrid, law)
+    admissibility = check_admissibility(cfg.params, cfg.tgrid)
     if not admissibility.passed:
         if not force:
             raise ConfigError([f"admissibility: {admissibility}"])
         print("warning: admissibility failed, continuing because of --force", file=sys.stderr)
     # integrate() records V^0, so a step-0 failure makes no directory
     steps = integrate(
-        cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(),
-        law=law, method="newton", every=cfg.stride, require_admissible=False,
+        cfg.params, cfg.tgrid, cfg.solver, cfg.initial_v(),
+        method="newton", every=cfg.stride, require_admissible=False,
     )
     return emit_run_outputs(cfg, steps, admissibility, out)
 

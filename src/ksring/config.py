@@ -19,6 +19,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
+import numpy as np
+
 from .field import GridSpec, PeriodicField, centered_difference, sample_cosine_sum, sample_cosine_sum_dsigma
 from .params import FieldErrors, ModelParams, SolverConfig, TimeGrid, finite
 
@@ -109,9 +111,13 @@ class RunConfig:
         return sha256(blob).hexdigest()
 
     def initial_v(self) -> PeriodicField:
-        if self.v0_method == "centered":
-            return centered_difference(sample_cosine_sum(self.grid, self.modes))
-        return sample_cosine_sum_dsigma(self.grid, self.modes)
+        """V^0 on the config's grid.  Finite amplitudes can still give samples
+        that are not finite (1e308 on mode 2): they are made without a
+        warning, and the run fails at step 0, where integrate() records V^0."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.v0_method == "centered":
+                return centered_difference(sample_cosine_sum(self.grid, self.modes))
+            return sample_cosine_sum_dsigma(self.grid, self.modes)
 
 
 def _read_keys(cp: configparser.ConfigParser) -> dict[str, Any]:

@@ -11,7 +11,6 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .field import GridSpec, _norm_values, sample_cosine_sum_dsigma
 from .params import FieldErrors, ModelParams, SolverConfig, TimeGrid
-from .radius import RadiusLaw
 from .reconstruct import reconstruct_u
 from .solver import Integration, check_admissibility, integrate
 from .stability import selection
@@ -66,20 +65,18 @@ def eoc_ladder(cfg: RunConfig, levels: int) -> EocReport:
              "and steps, beyond the 2**53 points and 2**52 steps a run may take"]
         ) from None
     Js = [cfg.grid.J * 2**l for l in range(levels)]
-    law = RadiusLaw(cfg.params)
     # R0 and R(T) are the same in every run, so the k bound binds where k = T/J
     # is largest: the coarsest level.  This one check covers every run.
-    adm = check_admissibility(cfg.params, TimeGrid.from_horizon(T, T / Js[0]), law)
+    adm = check_admissibility(cfg.params, TimeGrid.from_horizon(T, T / Js[0]))
     if not adm.passed:
         raise ConfigError([f"eoc: coarsest level J = {Js[0]} fails admissibility: {adm}"])
 
     timing: dict = {"levels": []}  # each run's solve_s and reference_sweeps
 
     def start(J: int, method: str, every: int) -> Integration:
-        grid, tg = GridSpec(J), TimeGrid.from_horizon(T, T / J)
         return integrate(
-            cfg.params, tg, grid, cfg.solver, replace(cfg, grid=grid).initial_v(),
-            law=law, method=method, every=every, require_admissible=False,
+            cfg.params, TimeGrid.from_horizon(T, T / J), cfg.solver, replace(cfg, grid=GridSpec(J)).initial_v(),
+            method=method, every=every, require_admissible=False,
         )
 
     # Each integration lives only inside the function that takes its numbers,
@@ -142,10 +139,9 @@ def wavenumber_suite(solver: SolverConfig, J: int = 256, k: float = 0.01, T: flo
     for R0, mode_set in SUITE_MODE_SETS.items():
         params = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=R0)
         tgrid = TimeGrid.from_horizon(T, k)
-        grid = GridSpec(J)
         pairs = tuple((SUITE_AMPLITUDE, m) for m in mode_set)
-        v0 = sample_cosine_sum_dsigma(grid, pairs)
-        steps = integrate(params, tgrid, grid, solver, v0, every=tgrid.N)
+        v0 = sample_cosine_sum_dsigma(GridSpec(J), pairs)
+        steps = integrate(params, tgrid, solver, v0, every=tgrid.N)
         next(steps)  # V^0; with every = N the next step yielded is N
         N, v = next(steps)
         u_T = reconstruct_u(steps, 0.0, N, v)

@@ -47,32 +47,32 @@ class GridSpec:
 
 
 class PeriodicField:
-    """Immutable real field on a periodic grid.
+    """Immutable real field on the periodic grid of its length, V.grid.
 
     Indexing wraps: field[i] is values[i mod J] for any integer i.
     """
 
-    __slots__ = ("values", "h")
+    __slots__ = ("values", "grid")
 
-    def __init__(self, values, h: float | None = None):
+    def __init__(self, values):
         v = np.array(values, dtype=float)
         if v.ndim != 1:
             raise ValueError("field values must be one dimensional")
         grid = GridSpec(v.size)
-        if h is None:
-            h = grid.h
-        elif abs(h * grid.J - TWO_PI) > 1e-14 * TWO_PI:
-            raise ValueError(f"h*J must equal 2*pi, got h={h}, J={grid.J}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "h", float(h))
+        object.__setattr__(self, "grid", grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodicField is immutable")
 
     @property
     def J(self) -> int:
-        return self.values.size
+        return self.grid.J
+
+    @property
+    def h(self) -> float:
+        return self.grid.h
 
     def __len__(self) -> int:
         return self.values.size
@@ -126,7 +126,7 @@ def sample_cosine_sum(grid: GridSpec, pairs) -> PeriodicField:
     u = np.zeros(grid.J)
     for p, m in pairs:
         u += p * np.cos(m * s)
-    return PeriodicField(u, grid.h)
+    return PeriodicField(u)
 
 
 def sample_cosine_sum_dsigma(grid: GridSpec, pairs) -> PeriodicField:
@@ -135,10 +135,10 @@ def sample_cosine_sum_dsigma(grid: GridSpec, pairs) -> PeriodicField:
     v = np.zeros(grid.J)
     for p, m in pairs:
         v -= p * m * np.sin(m * s)
-    return PeriodicField(v, grid.h)
+    return PeriodicField(v)
 
 
 def centered_difference(U: PeriodicField) -> PeriodicField:
     """(U_{i+1} - U_{i-1}) / (2h), the second order alternative for v0."""
     p = _pad(U.values)
-    return PeriodicField((p[2:] - p[:-2]) / (2.0 * U.h), U.h)
+    return PeriodicField((p[2:] - p[:-2]) / (2.0 * U.h))

@@ -94,7 +94,7 @@ def reconstruct_u(traj: "Integration", I0: float, n: int, v: np.ndarray) -> Peri
     nxt = _pad(v)[2:]
     c = _cumulative_nodes(v, nxt, h)
     base = mean_I(traj, I0, n) - _mean_of_cumulative(v, nxt, c, h)
-    return PeriodicField(base + c[:-1], h)
+    return PeriodicField(base + c[:-1])
 
 
 def curve_points(traj: "Integration", n: int, u: PeriodicField) -> np.ndarray:

@@ -97,14 +97,18 @@ class AdmissibilityReport:
         return {"bounds": bounds, "pass": self.passed, "R0_pass": self.r0_pass, "k_pass": self.k_pass}
 
 
-def check_admissibility(params: ModelParams, tgrid: TimeGrid, law: RadiusLaw) -> AdmissibilityReport:
+def check_admissibility(params: ModelParams, tgrid: TimeGrid, law: RadiusLaw | None = None) -> AdmissibilityReport:
     """R0 must exceed sqrt(delta/(alpha-1)), half the critical radius, and k
-    must stay below 8*delta/(alpha - 1 - delta/R(T)^2)^2."""
+    must stay below 8*delta/(alpha - 1 - delta/R(T)^2)^2, R(T) from law
+    (RadiusLaw(params) if none is given)."""
     a = params.alpha - 1.0
     r0_bound = critical_radius(params) / 2.0  # exact: halving undoes its doubling
-    R_T = law.radius_at(tgrid.T)
-    denom = a - params.delta / R_T**2
-    k_bound = math.inf if denom == 0 else 8.0 * params.delta / denom**2
+    R_T = (law if law is not None else RadiusLaw(params)).radius_at(tgrid.T)
+    try:  # a float's power raises where an array's would give inf
+        denom = a - params.delta / R_T**2
+        k_bound = math.inf if denom == 0 else 8.0 * params.delta / denom**2
+    except OverflowError:
+        raise SolverError(f"the bound on k overflows at delta = {params.delta:g}, R(T) = {R_T:g}") from None
     return AdmissibilityReport(
         r0_bound=r0_bound,
         r0_pass=params.R0 > r0_bound,
@@ -151,8 +155,16 @@ class SchemeContext:
             R_all[j0:j1] = self.law.radii(np.arange(j0, j1) * (0.5 * tgrid.k))
         self.R_nodes = R_all[::2]
         self.R_half = R = R_all[1::2]
-        self.c4, self.c2, self.c0 = LinearOperatorCoefficients.at_radius(params, R)
-        self.c_psi = params.v_c / (24.0 * grid.h * R * R)
+        try:  # a radius whose R^4 overflows, or underflows to 0, fails the run here, before step 0
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                self.c4, self.c2, self.c0 = LinearOperatorCoefficients.at_radius(params, R)
+                self.c_psi = params.v_c / (24.0 * grid.h * R * R)
+                # R0 and R(T) too: the run's smallest and largest radii, whose growth rates its report takes
+                LinearOperatorCoefficients.at_radius(params, R_all[[0, -1]])
+        except FloatingPointError as e:
+            raise SolverError(
+                f"the operator coefficients are not finite for R in [{R_all[0]:g}, {R_all[-1]:g}]: {e}"
+            ) from None
 
     def rows(self, n0: int, n1: int):
         """StepCoefficients of steps n0..n1-1, each array operation serving a block of steps.
@@ -375,7 +387,6 @@ class Integration(Iterator):
 def integrate(
     params: ModelParams,
     tgrid: TimeGrid,
-    grid: GridSpec,
     config: SolverConfig,
     v0: PeriodicField,
     *,
@@ -384,8 +395,8 @@ def integrate(
     every: int = 1,
     require_admissible: bool = True,
 ) -> Integration:
-    """The run from v0, as an iterator of (m, V^m) at m = 0, every,
-    2*every, ..., N and the run's record; see Integration.
+    """The run from v0 on v0's grid, as an iterator of (m, V^m) at m = 0,
+    every, 2*every, ..., N and the run's record; see Integration.
 
     method "newton" uses the linear first step plus j_n linearization sweeps
     per step; method "reference" solves every step to convergence.  Bad
@@ -395,11 +406,9 @@ def integrate(
     t0 = perf_counter()
     if method not in ("newton", "reference"):
         raise ValueError(f"unknown method {method!r}")
-    if v0.J != grid.J:
-        raise ValueError(f"v0 has J={v0.J}, grid expects {grid.J}")
     if not isinstance(every, numbers.Integral) or every < 1:
         raise ValueError(f"every must be >= 1 and an integer, got {every!r}")
-    ctx = SchemeContext(params, tgrid, grid, law=law)
+    ctx = SchemeContext(params, tgrid, v0.grid, law=law)
     if require_admissible and not (report := check_admissibility(params, tgrid, ctx.law)).passed:
         raise SolverError(f"admissibility failed: {report}")
 

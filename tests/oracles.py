@@ -28,7 +28,7 @@ from ksring.solver import Integration
 
 
 def zeros(grid: GridSpec) -> PeriodicField:
-    return PeriodicField(np.zeros(grid.J), grid.h)
+    return PeriodicField(np.zeros(grid.J))
 
 
 def _check_same_grid(V: PeriodicField, W: PeriodicField):
@@ -61,25 +61,25 @@ def seminorm_2h(V: PeriodicField) -> float:
 
 
 def laplacian_h(V: PeriodicField) -> PeriodicField:
-    return PeriodicField(_lap_values(V.values, V.h), V.h)
+    return PeriodicField(_lap_values(V.values, V.h))
 
 
 def bilaplacian_h(V: PeriodicField) -> PeriodicField:
-    return PeriodicField(_lap_values(_lap_values(V.values, V.h), V.h), V.h)
+    return PeriodicField(_lap_values(_lap_values(V.values, V.h), V.h))
 
 
 def phi(V: PeriodicField, W: PeriodicField) -> PeriodicField:
     """phi(V, W) through the production stencil operators._phi_values, its
     operands padded and its buffers passed as the step loop passes them."""
     _check_same_grid(V, W)
-    return PeriodicField(operators._phi_values(_pad(V.values), _pad(W.values), np.empty(V.J), np.empty(V.J)), V.h)
+    return PeriodicField(operators._phi_values(_pad(V.values), _pad(W.values), np.empty(V.J), np.empty(V.J)))
 
 
 def psi(V: PeriodicField, W: PeriodicField) -> PeriodicField:
     """psi(V, W) through the production operators.psi_coefficients and _psi_apply."""
     _check_same_grid(V, W)
     coeffs = operators.psi_coefficients(_pad(V.values), [np.empty(V.J) for _ in range(3)])
-    return PeriodicField(operators._psi_apply(coeffs, _pad(W.values), np.empty(V.J), np.empty(V.J)), V.h)
+    return PeriodicField(operators._psi_apply(coeffs, _pad(W.values), np.empty(V.J), np.empty(V.J)))
 
 
 def _apply_L_values(coeffs: LinearOperatorCoefficients, v: np.ndarray, h: float) -> np.ndarray:
@@ -88,7 +88,7 @@ def _apply_L_values(coeffs: LinearOperatorCoefficients, v: np.ndarray, h: float)
 
 
 def apply_L(coeffs: LinearOperatorCoefficients, V: PeriodicField) -> PeriodicField:
-    return PeriodicField(_apply_L_values(coeffs, V.values, V.h), V.h)
+    return PeriodicField(_apply_L_values(coeffs, V.values, V.h))
 
 
 def modal_symbol(coeffs: LinearOperatorCoefficients, m, h: float):
@@ -133,9 +133,11 @@ def run(
 ) -> Integration:
     """The finished run of integrate() from v0, with a copy of each
     step it yields (every store_stride steps, 0 and N always) in
-    traj.snapshots, keyed by step."""
+    traj.snapshots, keyed by step.  The run is on v0's grid, which grid must be."""
+    if grid != v0.grid:
+        raise ValueError(f"v0 has J={v0.J}, grid expects {grid.J}")
     steps = solver.integrate(
-        params, tgrid, grid, config, v0,
+        params, tgrid, config, v0,
         law=law, method=method, every=store_stride, require_admissible=require_admissible,
     )
     steps.snapshots = {m: v.copy() for m, v in steps}
@@ -148,7 +150,7 @@ def stored_steps(traj: Integration) -> list[int]:
 
 def stored_v(traj: Integration, n: int) -> PeriodicField:
     """V^n from the snapshots run() stored; KeyError for a step it did not store."""
-    return PeriodicField(traj.snapshots[n], traj.grid.h)
+    return PeriodicField(traj.snapshots[n])
 
 
 def final(traj: Integration) -> PeriodicField:
@@ -185,7 +187,7 @@ def solve_linear_cn(rhs: PeriodicField, n: int, ctx: solver.SchemeContext) -> Pe
     """Solves ((1/k) Id + (1/2) L^{n+1/2}) X = rhs by Fourier diagonalization."""
     sc, ws, X = _fresh_step(ctx, n, rhs.values)
     X /= sc.denom
-    return PeriodicField(solver._irfft(X, ws.inv_J, out=ws.v_next), ctx.grid.h)
+    return PeriodicField(solver._irfft(X, ws.inv_J, out=ws.v_next))
 
 
 def cn_residual(Vn: PeriodicField, Vnp1: PeriodicField, n: int, ctx: solver.SchemeContext) -> PeriodicField:
@@ -193,32 +195,32 @@ def cn_residual(Vn: PeriodicField, Vnp1: PeriodicField, n: int, ctx: solver.Sche
     coeffs = LinearOperatorCoefficients(ctx.c4[n], ctx.c2[n], ctx.c0[n])
     k = ctx.tgrid.k
     h = ctx.grid.h
-    vmid = PeriodicField(0.5 * (Vn.values + Vnp1.values), h)
+    vmid = PeriodicField(0.5 * (Vn.values + Vnp1.values))
     res = (
         (Vnp1.values - Vn.values) / k
         + _apply_L_values(coeffs, vmid.values, h)
         - c_phi(ctx)[n] * phi(vmid, vmid).values
     )
-    return PeriodicField(res, h)
+    return PeriodicField(res)
 
 
 def cn_step(Vn: PeriodicField, n: int, ctx: solver.SchemeContext) -> PeriodicField:
     """Reference step from W^0 = V^n: iterates the midpoint fixed point to SolverConfig's reference_tol."""
     sc, ws, X = _fresh_step(ctx, n, Vn.values)
     _, w, _ = solver._reference_step(Vn.values, Vn.values, X, sc, ctx.grid.h, SolverConfig().reference_tol, n, ws)
-    return PeriodicField(w, ctx.grid.h)
+    return PeriodicField(w)
 
 
 def newton_first_step(v0: PeriodicField, ctx: solver.SchemeContext) -> PeriodicField:
     """Linear first step: quadratic term evaluated at the initial data."""
     sc, ws, X = _fresh_step(ctx, 0, v0.values)
     _, w = solver._newton_step(v0.values, X, v0.values, sc, 1, ws)
-    return PeriodicField(w, ctx.grid.h)
+    return PeriodicField(w)
 
 
 def extrapolate(Vn: PeriodicField, Vnm1: PeriodicField) -> PeriodicField:
     """Second order predictor 2 V^n - V^{n-1}."""
-    return PeriodicField(2.0 * Vn.values - Vnm1.values, Vn.h)
+    return PeriodicField(2.0 * Vn.values - Vnm1.values)
 
 
 def newton_iterate(
@@ -234,7 +236,7 @@ def newton_iterate(
     solver._frozen_sweep(Vn.values, Vhat.values, base, sc, ws)  # b and phi(b, b); its solve is the sweep from Vhat
     psi_b = operators.psi_coefficients(ws.pb, ws.psi_b)
     _, w = solver._newton_sweep(base, psi_b, ws.phi_bb, Wj.values, Vhat.values, sc, ws)
-    return PeriodicField(w, ctx.grid.h)
+    return PeriodicField(w)
 
 
 def mean_step_factor(k: float, R_half: float, alpha: float) -> float:

@@ -4,6 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 Each criterion states its tolerance and a wall-clock budget; the budgets are
 asserted, so a pathologically slow environment fails loudly rather than
 silently dragging.
+
+Criteria 2, 3, 4 and 8 each have a planted-defect self-test: the defect is
+monkeypatched into the solver in process, the criterion's own check is run
+on it and must reject it, and the self-test prints that check's numbers.
 """
 
 import math
@@ -13,9 +17,11 @@ import warnings
 import numpy as np
 import pytest
 
+import ksring.solver as solver
 from ksring.config import RunConfig
 from ksring.experiments import eoc_ladder, wavenumber_suite
 from ksring.field import GridSpec, PeriodicField, norm_h, sample_cosine_sum_dsigma
+from ksring.operators import LinearOperatorCoefficients
 from ksring.params import ModelParams, SolverConfig, TimeGrid
 from ksring.radius import RadiusLaw
 from ksring.reconstruct import mean_I_path
@@ -47,8 +53,44 @@ def verdict(num, name, ok, detail):
     assert ok, f"criterion {num} [{name}]: {detail}"
 
 
-@pytest.fixture(scope="module")
-def ladder_result():
+def rejects(num, name, defect, ok, detail):
+    """The self-test verdict: criterion num's own check must fail on the defect."""
+    print(f"criterion {num} [{name}] self-test, {defect}: {'PASS' if ok else 'REJECTED'} ({detail})")
+    assert not ok, f"criterion {num} [{name}] passes the planted defect {defect}: {detail}"
+
+
+# Planted defects, each patched into ksring.solver for one self-test.
+
+
+def _one_sided_phi(pv, pw, out, tmp):
+    """_phi_values with pv[2:] read as pv[1:-1]: (V_{i-1} + 2 V_i)(W_{i+1} - W_{i-1})."""
+    out = np.add(pv[:-2], pv[1:-1], out=out)
+    out += pv[1:-1]
+    out *= np.subtract(pw[2:], pw[:-2], out=tmp)
+    return out
+
+
+class _NodeRadiusContext(solver.SchemeContext):
+    """Step n's c4, c2, c0 and c_psi at the node radius R_n instead of R_{n+1/2}:
+    a scheme that is first order in time."""
+
+    def __init__(self, params, tgrid, grid, law=None):
+        super().__init__(params, tgrid, grid, law)
+        R = self.R_nodes[:-1]
+        self.c4, self.c2, self.c0 = LinearOperatorCoefficients.at_radius(params, R)
+        self.c_psi = params.v_c / (24.0 * grid.h * R * R)
+
+
+class _CPsiOffContext(solver.SchemeContext):
+    """c_psi = v_c / (24.5 h R^2), 2 % off the scheme's v_c / (24 h R^2)."""
+
+    def __init__(self, params, tgrid, grid, law=None):
+        super().__init__(params, tgrid, grid, law)
+        self.c_psi = params.v_c / (24.5 * grid.h * self.R_half * self.R_half)
+
+
+def ladder():
+    """Criteria 3 and 4's eoc ladder and its seconds."""
     cfg = RunConfig(
         params=FAST,
         grid=GridSpec(64),
@@ -64,6 +106,18 @@ def ladder_result():
     t0 = time.perf_counter()
     report = eoc_ladder(cfg, levels=3)
     return report, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def ladder_result():
+    return ladder()
+
+
+@pytest.fixture(scope="module")
+def one_sided_ladder_result():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_phi_values", _one_sided_phi)
+        return ladder()
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +160,7 @@ def test_criterion_1_summation_identities():
         rng = np.random.default_rng(J)
         for _ in range(100):
             v, w, u = (rng.standard_normal(J) for _ in range(3))
-            V, W, U = (PeriodicField(x, h) for x in (v, w, u))
+            V, W, U = (PeriodicField(x) for x in (v, w, u))
             vp, vm = np.roll(v, -1), np.roll(v, 1)
             wp, wm = np.roll(w, -1), np.roll(w, 1)
             up = np.roll(u, -1)
@@ -125,7 +179,7 @@ def test_criterion_1_summation_identities():
             )
             ok &= abs(inner_h(phi(V, V), V)) <= 1e-12 * max(1.0, norm_h(V) ** 3)
             d = v - w
-            D = PeriodicField(d, h)
+            D = PeriodicField(d)
             split = psi(W, D).values + phi(D, D).values
             lhs = phi(V, V).values - phi(W, W).values
             ok &= bool(
@@ -147,7 +201,7 @@ def test_criterion_1_summation_identities():
     )
 
 
-def test_criterion_2_mean_recursion():
+def criterion_2():
     # measured discrete mean vs the closed one step recursion; budget 10 s
     t0 = time.perf_counter()
     J, k, N = 256, 0.01, 1000
@@ -155,7 +209,7 @@ def test_criterion_2_mean_recursion():
     law = RadiusLaw(SLOW)
     tg = TimeGrid(k=k, N=N)
     base = sample_cosine_sum_dsigma(g, FIG_MODES)
-    v0 = PeriodicField(base.values + 1.0 / TWO_PI, g.h)
+    v0 = PeriodicField(base.values + 1.0 / TWO_PI)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         traj = run(SLOW, tg, g, SolverConfig(), v0, law=law, store_stride=N)
@@ -168,40 +222,62 @@ def test_criterion_2_mean_recursion():
     zero_max = float(np.max(np.abs(zero.S)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and zero_max <= 1e-10 and elapsed < 10.0
-    verdict(
-        2, "mean recursion", ok,
+    return ok, (
         f"worst relative deviation {worst:.2e} over 1000 steps, "
-        f"zero-mean max {zero_max:.2e}, {elapsed:.2f} s",
+        f"zero-mean max {zero_max:.2e}, {elapsed:.2f} s"
     )
 
 
-def test_criterion_3_convergence_order(ladder_result):
+def test_criterion_2_mean_recursion():
+    verdict(2, "mean recursion", *criterion_2())
+
+
+def test_criterion_2_rejects_coefficients_at_the_node_radius(monkeypatch):
+    monkeypatch.setattr(solver, "SchemeContext", _NodeRadiusContext)
+    rejects(2, "mean recursion", "coefficients at the node radius", *criterion_2())
+
+
+def criterion_3(ladder_result):
     # simultaneous (h, k) halving gives order 2 for v and u; budget 60 s
     report, elapsed = ladder_result
     rates = report.eoc_v + report.eoc_u
     ok = all(1.7 <= r <= 2.3 for r in rates) and elapsed < 60.0
-    verdict(
-        3, "convergence order", ok,
+    return ok, (
         "eoc_v " + ", ".join(f"{r:.3f}" for r in report.eoc_v)
         + "; eoc_u " + ", ".join(f"{r:.3f}" for r in report.eoc_u)
-        + f"; {elapsed:.2f} s",
+        + f"; {elapsed:.2f} s"
     )
 
 
-def test_criterion_4_newton_fidelity(ladder_result):
+def test_criterion_3_convergence_order(ladder_result):
+    verdict(3, "convergence order", *criterion_3(ladder_result))
+
+
+def test_criterion_3_rejects_a_one_sided_stencil(one_sided_ladder_result):
+    rejects(3, "convergence order", "one-sided stencil", *criterion_3(one_sided_ladder_result))
+
+
+def criterion_4(ladder_result):
     # three linearization sweeps track the converged scheme below the level
     # error, and keep order 2 themselves; budget twice criterion 3's
     report, elapsed = ladder_result
     gaps_ok = all(lv.newton_gap <= lv.err_v for lv in report.levels)
     rates_ok = all(1.7 <= r <= 2.3 for r in report.eoc_v_newton)
     ok = gaps_ok and rates_ok and elapsed < 120.0
-    verdict(
-        4, "newton fidelity", ok,
+    return ok, (
         "gap/err " + ", ".join(
             f"{lv.newton_gap:.1e}/{lv.err_v:.1e}" for lv in report.levels
         )
-        + "; eoc " + ", ".join(f"{r:.3f}" for r in report.eoc_v_newton),
+        + "; eoc " + ", ".join(f"{r:.3f}" for r in report.eoc_v_newton)
     )
+
+
+def test_criterion_4_newton_fidelity(ladder_result):
+    verdict(4, "newton fidelity", *criterion_4(ladder_result))
+
+
+def test_criterion_4_rejects_a_one_sided_stencil(one_sided_ladder_result):
+    rejects(4, "newton fidelity", "one-sided stencil", *criterion_4(one_sided_ladder_result))
 
 
 def test_criterion_5_radius_law():
@@ -279,7 +355,7 @@ def test_criterion_7_wavenumber_selection(suite_result):
     verdict(7, "wavenumber selection", ok, f"{measured}; {elapsed:.1f} s")
 
 
-def test_criterion_8_galerkin_cross_check():
+def criterion_8():
     # frozen-radius finite differences vs the truncated mode system: every
     # amplitude to 2% relative above a 1e-15 roundoff floor; budget 30 s
     t0 = time.perf_counter()
@@ -318,11 +394,19 @@ def test_criterion_8_galerkin_cross_check():
                 worst_rel = max(worst_rel, dev / max(ga, 1e-300))
     elapsed = time.perf_counter() - t0
     ok = ok and amp_max < 0.2 and elapsed < 30.0
-    verdict(
-        8, "mode system cross-check", ok,
+    return ok, (
         f"worst relative deviation {worst_rel:.2e} above floor, "
-        f"max amplitude {amp_max:.3f}, {elapsed:.2f} s",
+        f"max amplitude {amp_max:.3f}, {elapsed:.2f} s"
     )
+
+
+def test_criterion_8_galerkin_cross_check():
+    verdict(8, "mode system cross-check", *criterion_8())
+
+
+def test_criterion_8_rejects_c_psi_off_by_2_percent(monkeypatch):
+    monkeypatch.setattr(solver, "SchemeContext", _CPsiOffContext)
+    rejects(8, "mode system cross-check", "c_psi off by 2 %", *criterion_8())
 
 
 def test_criterion_9_mean_height_ode(suite_result):

@@ -22,8 +22,8 @@ from ksring.cli import (
     resolve_out_dir,
     wavenumber_suite,
 )
-from ksring.field import GridSpec, PeriodicField
-from ksring.params import ModelParams, SolverConfig, TimeGrid
+from ksring.field import GridSpec, PeriodicField, sample_cosine_sum_dsigma
+from ksring.params import ModelParams, SolverConfig, SolverError, TimeGrid
 from ksring.solver import integrate
 from ksring.stability import critical_radius, selection, spectral_report
 from oracles import neutral_delta, stored_steps
@@ -362,7 +362,7 @@ def test_failed_run_keeps_the_files_of_the_steps_before_it(tmp_path, capsys):
     )
 
     cfg = load_config(cfg_path)
-    steps = integrate(cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v())
+    steps = integrate(cfg.params, cfg.tgrid, cfg.solver, cfg.initial_v())
     traj = steps
     for m, v in steps:
         u = reconstruct_u(traj, cfg.I0, m, v)
@@ -592,9 +592,10 @@ def test_eoc_ladder_frees_each_finished_trajectory(tmp_path, monkeypatch):
     alive_at_start = []
     real_run = ksring.experiments.integrate
 
-    def recording_run(params, tgrid, grid, *args, **kwargs):
+    def recording_run(params, tgrid, solver, v0, *args, **kwargs):
+        grid = v0.grid
         alive_at_start.append((grid.J, [J for J, ref in returned if J != grid.J and ref() is not None]))
-        traj = real_run(params, tgrid, grid, *args, **kwargs)
+        traj = real_run(params, tgrid, solver, v0, *args, **kwargs)
         returned.append((grid.J, weakref.ref(traj)))
         return traj
 
@@ -634,7 +635,7 @@ def test_eoc_newton_gap_matches_two_stored_runs(tmp_path, monkeypatch):
             lib_run(cfg.params, tg, grid, cfg.solver, v0, law=law, method=method, store_stride=1)
             for method in ("reference", "newton")
         )
-        gap = max(norm_h(PeriodicField(newton.snapshots[n] - cn.snapshots[n], grid.h)) for n in range(tg.N + 1))
+        gap = max(norm_h(PeriodicField(newton.snapshots[n] - cn.snapshots[n])) for n in range(tg.N + 1))
         assert level.newton_gap > 0.0 and level.newton_gap.hex() == gap.hex(), J
     assert [steps.grid.J for steps in started] == [512, 16, 16, 32, 32, 64, 64]
     assert not [steps for steps in started if hasattr(steps, "snapshots")]
@@ -711,7 +712,7 @@ def test_run_report_and_suite_read_one_selection_verdict(tmp_path):
     spectral = json.loads((out / "report.json").read_text())["spectral"]
     u_T = np.loadtxt(out / "snapshot_40.csv", delimiter=",", skiprows=1)[:, 2]
     params = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
-    assert spectral == selection(params, spectral["R_T"], PeriodicField(u_T, GridSpec(64).h))
+    assert spectral == selection(params, spectral["R_T"], PeriodicField(u_T))
 
     row = wavenumber_suite(J=64, k=0.05, T=2.0, solver=SolverConfig())[0]
     assert row["R0"] == 6.0 and row["modes"] == [2, 3, 4, 5]
@@ -819,7 +820,7 @@ def test_means_csv_over_several_blocks_is_the_whole_table(tmp_path):
     N = cfg.tgrid.N
     assert N + 1 > 2 * CSV_BLOCK_ROWS and (N + 1) % CSV_BLOCK_ROWS
     cmd_run(cfg, tmp_path / "out", force=False)
-    steps = integrate(cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(), every=N)
+    steps = integrate(cfg.params, cfg.tgrid, cfg.solver, cfg.initial_v(), every=N)
     for _ in steps:
         pass
     I_path = mean_I_path(steps, cfg.I0)
@@ -1378,7 +1379,7 @@ def test_means_csv_peak_stays_near_what_the_run_holds(tmp_path, monkeypatch):
     cfg = replace(cfg, tgrid=TimeGrid(k=0.01, N=40_000), stride=40_000, solver=SolverConfig(newton_iters=1))
     tracemalloc.start()
     try:
-        steps = integrate(cfg.params, cfg.tgrid, cfg.grid, cfg.solver, cfg.initial_v(), require_admissible=False)
+        steps = integrate(cfg.params, cfg.tgrid, cfg.solver, cfg.initial_v(), require_admissible=False)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1457,6 +1458,64 @@ def test_overflowing_initial_data_fails_at_step_0_without_warnings(tmp_path, cap
     assert "solver failure at step 0: " in capsys.readouterr().err
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
+
+
+# Valid configs at the edge of double range, on GOOD_CONFIG at J = 16: the
+# edits and the start of the one stderr line each must end in.
+EXTREME_INPUTS = {
+    # R^4 = 1e400 overflows in the operator coefficients of every step
+    "R0=1e100": ([("R0 = 6.0", "R0 = 1e100")], "solver failure: the operator coefficients are not finite for R in "),
+    # R(T)^2 overflows already, in the admissibility bound on k, and so does
+    # (alpha - 1 - delta/R(T)^2)^2 at delta = 1e300
+    "R0=1e160": ([("R0 = 6.0", "R0 = 1e160")], "solver failure: the bound on k overflows at delta = 4, R(T) = 1e+160"),
+    "delta=1e300": ([("delta = 4.0", "delta = 1e300")], "solver failure: the bound on k overflows at delta = 1e+300, R(T) = 6"),
+    # R(T)^4 overflows, R^4 of every half-step radius does not (see the test below)
+    "R(T)^4": (
+        [("R0 = 6.0", "R0 = 1.15775e77"), ("v_c = 0.001", "v_c = 1e75"), ("T = 0.5", "T = 0.02")],
+        "solver failure: the operator coefficients are not finite for R in ",
+    ),
+    # 1e308 * 2 overflows in the analytic derivative, and its centered difference too
+    "amplitude=1e308": ([("amplitudes = 0.1, 0.1", "amplitudes = 1e308, 0.1")], "solver failure at step 0: "),
+    "amplitude=1e308,centered": (
+        [("amplitudes = 0.1, 0.1", "amplitudes = 1e308, 0.1"), ("[output]", "[solver]\nv0_method = centered\n\n[output]")],
+        "solver failure at step 0: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "eoc"])
+@pytest.mark.parametrize("case", EXTREME_INPUTS)
+def test_extreme_valid_inputs_are_one_solver_failure(tmp_path, capsys, case, command):
+    # exit 2 with one stderr line, with warnings as errors: no traceback, no
+    # NumPy warning, and no output directory, since each fails before step 1
+    edits, start = EXTREME_INPUTS[case]
+    text = GOOD_CONFIG.replace("J = 64", "J = 16")
+    for edit in edits:
+        text = text.replace(*edit)
+    cfg_path, out = write_config(tmp_path, text), tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(start) and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+def test_a_run_whose_last_radius_alone_overflows_fails_at_set_up():
+    # the "R(T)^4" run above: R^4 is finite at both half steps, whose
+    # coefficients the steps read, and overflows at R(T) = R(0.02), whose
+    # growth rates the report takes
+    from ksring.radius import RadiusLaw
+
+    law = RadiusLaw(ModelParams(delta=4.0, alpha=1.5, v_c=1e75, R0=1.15775e77))
+    assert np.isfinite(law.radii([0.005, 0.015]) ** 4).all()
+    with pytest.raises(OverflowError):
+        law.radius_at(0.02) ** 4
+    with pytest.raises(SolverError, match="operator coefficients are not finite") as err:
+        integrate(law.params, TimeGrid(k=0.01, N=2), SolverConfig(), sample_cosine_sum_dsigma(GridSpec(16), [(0.1, 2)]))
+    assert err.value.step is None
 
 
 def test_eoc_converged_reference_takes_one_sweep_a_step(tmp_path):
@@ -1597,9 +1656,9 @@ def test_wavenumber_suite_runs_the_solver_config_main_builds(tmp_path, monkeypat
     solvers = []
     real_integrate = ksring.experiments.integrate
 
-    def recording_integrate(params, tgrid, grid, solver, *args, **kwargs):
+    def recording_integrate(params, tgrid, solver, *args, **kwargs):
         solvers.append(solver)
-        return real_integrate(params, tgrid, grid, solver, *args, **kwargs)
+        return real_integrate(params, tgrid, solver, *args, **kwargs)
 
     monkeypatch.setattr(ksring.experiments, "integrate", recording_integrate)
     out = tmp_path / "suite"

@@ -20,7 +20,7 @@ TWO_PI = 2.0 * math.pi
 
 def random_field(J, seed):
     rng = np.random.default_rng(seed)
-    return PeriodicField(rng.standard_normal(J), TWO_PI / J)
+    return PeriodicField(rng.standard_normal(J))
 
 
 def test_grid_spec_basics():
@@ -35,11 +35,6 @@ def test_grid_spec_basics():
 def test_grid_spec_rejects_bad_J(J):
     with pytest.raises(ValueError):
         GridSpec(J)
-
-
-def test_field_rejects_mismatched_h():
-    with pytest.raises(ValueError):
-        PeriodicField(np.zeros(8), 0.5)
 
 
 def test_field_is_immutable():
@@ -100,7 +95,7 @@ def test_mode_amplitudes_match_np_fft_bitwise(J):
 
 def test_mode_amplitudes_pure_cosine():
     g = GridSpec(32)
-    V = PeriodicField(np.cos(3 * g.sigma), g.h)
+    V = PeriodicField(np.cos(3 * g.sigma))
     amps = mode_amplitudes(V)
     assert amps.shape == (17,)
     assert amps[3] == pytest.approx(0.5, abs=1e-12)
@@ -123,7 +118,7 @@ def test_centered_difference_of_cosine():
     # (cos(m(s+h)) - cos(m(s-h))) / 2h = -sin(ms) sin(mh) / h, exactly
     g = GridSpec(32)
     m = 3
-    U = PeriodicField(np.cos(m * g.sigma), g.h)
+    U = PeriodicField(np.cos(m * g.sigma))
     D = centered_difference(U)
     expected = -np.sin(m * g.sigma) * math.sin(m * g.h) / g.h
     np.testing.assert_allclose(D.values, expected, rtol=0, atol=1e-13)
@@ -133,7 +128,7 @@ def test_seminorm_1h_of_cosine():
     # forward differences of cos(ms) have squared h-sum pi * (2 sin(mh/2)/h)^2
     g = GridSpec(64)
     m = 4
-    V = PeriodicField(np.cos(m * g.sigma), g.h)
+    V = PeriodicField(np.cos(m * g.sigma))
     expected = math.sqrt(math.pi) * 2.0 * math.sin(m * g.h / 2) / g.h
     assert seminorm_1h(V) == pytest.approx(expected, rel=1e-12)
 
@@ -141,7 +136,7 @@ def test_seminorm_1h_of_cosine():
 def test_seminorm_2h_of_cosine():
     g = GridSpec(64)
     m = 4
-    V = PeriodicField(np.cos(m * g.sigma), g.h)
+    V = PeriodicField(np.cos(m * g.sigma))
     s_m = (4.0 / g.h**2) * math.sin(m * g.h / 2) ** 2
     assert seminorm_2h(V) == pytest.approx(math.sqrt(math.pi) * s_m, rel=1e-12)
 
@@ -178,3 +173,12 @@ def test_periodic_field_rejects_two_dimensional_values():
 def test_periodic_field_spacing_defaults_to_the_grid():
     assert PeriodicField(np.zeros(16)).h == TWO_PI / 16
     assert PeriodicField(np.zeros(16)).h == GridSpec(16).h
+
+
+@pytest.mark.parametrize("J", [8, 10, 16, 48, 256, 1000, 2048, 4096])
+def test_a_field_carries_the_grid_of_its_length(J):
+    # the grid is read off the values: h and J are those of GridSpec(len(x)), bit for bit
+    V = PeriodicField(np.zeros(J))
+    assert V.grid == GridSpec(J)
+    assert V.J == J and type(V.J) is int
+    assert V.h.hex() == GridSpec(J).h.hex() == (TWO_PI / J).hex()

@@ -25,7 +25,7 @@ PARAMS = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=6.0)
 
 def random_field(J, seed):
     rng = np.random.default_rng(seed)
-    return PeriodicField(rng.standard_normal(J), TWO_PI / J)
+    return PeriodicField(rng.standard_normal(J))
 
 
 def loop_laplacian(V):
@@ -102,7 +102,7 @@ def test_hoisted_psi_and_sliced_phi_match_loop_stencils():
 def test_laplacian_symbol_on_cosine(m):
     # discrete eigenvalue of cos(ms) is -(4/h^2) sin^2(mh/2)
     g = GridSpec(32)
-    V = PeriodicField(np.cos(m * g.sigma), g.h)
+    V = PeriodicField(np.cos(m * g.sigma))
     s_m = second_difference_symbol(m, g.h)
     np.testing.assert_allclose(
         laplacian_h(V).values, -s_m * V.values, rtol=0, atol=1e-12
@@ -127,7 +127,7 @@ def test_apply_L_matches_composition():
 
 def test_apply_L_constant_field():
     coeffs = LinearOperatorCoefficients.at_radius(PARAMS, 6.0)
-    V = PeriodicField(np.full(16, 2.5), TWO_PI / 16)
+    V = PeriodicField(np.full(16, 2.5))
     np.testing.assert_allclose(
         apply_L(coeffs, V).values, np.full(16, coeffs.c0 * 2.5), rtol=1e-14
     )
@@ -137,7 +137,7 @@ def test_modal_symbol_matches_apply_L_on_cosine():
     coeffs = LinearOperatorCoefficients.at_radius(PARAMS, 6.0)
     g = GridSpec(32)
     m = 4
-    V = PeriodicField(np.cos(m * g.sigma), g.h)
+    V = PeriodicField(np.cos(m * g.sigma))
     mu = modal_symbol(coeffs, m, g.h)
     np.testing.assert_allclose(apply_L(coeffs, V).values, mu * V.values, atol=1e-10)
 
@@ -170,9 +170,9 @@ def triples(J):
     rng = np.random.default_rng(J)
     for _ in range(TRIPLES):
         yield (
-            PeriodicField(rng.standard_normal(J), TWO_PI / J),
-            PeriodicField(rng.standard_normal(J), TWO_PI / J),
-            PeriodicField(rng.standard_normal(J), TWO_PI / J),
+            PeriodicField(rng.standard_normal(J)),
+            PeriodicField(rng.standard_normal(J)),
+            PeriodicField(rng.standard_normal(J)),
         )
 
 
@@ -228,7 +228,7 @@ def test_identity_phi_vv_v_vanishes(J):
 def test_identity_phi_difference_split(J):
     # phi(V, V) - phi(W, W) = psi(W, V - W) + phi(V - W, V - W)
     for V, W, _ in triples(J):
-        D = PeriodicField(V.values - W.values, V.h)
+        D = PeriodicField(V.values - W.values)
         lhs = phi(V, V).values - phi(W, W).values
         rhs = psi(W, D).values + phi(D, D).values
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * max(1.0, np.abs(lhs).max()))

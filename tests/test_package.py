@@ -88,11 +88,19 @@ def test_integrate_is_the_one_way_to_run_the_scheme():
 
     g = ksring.GridSpec(16)
     v0 = ksring.sample_cosine_sum_dsigma(g, [(0.01, 2)])
-    steps = ksring.integrate(ksring.ModelParams(4.0, 1.5, 0.001, 6.0), ksring.TimeGrid(k=0.01, N=3), g,
+    steps = ksring.integrate(ksring.ModelParams(4.0, 1.5, 0.001, 6.0), ksring.TimeGrid(k=0.01, N=3),
                              ksring.SolverConfig(), v0)
     assert [m for m, _ in steps] == [0, 1, 2, 3]
     assert "snapshots" not in vars(steps)
     assert "keep_trajectories" not in inspect.signature(wavenumber_suite).parameters
+
+
+def test_a_field_carries_its_grid_and_a_run_takes_v0s():
+    # the grid is given once, by the length of a field's values: PeriodicField
+    # takes only its values, and integrate() has no grid of its own
+    assert list(inspect.signature(ksring.PeriodicField).parameters) == ["values"]
+    assert "grid" not in inspect.signature(ksring.integrate).parameters
+    assert list(inspect.signature(ksring.integrate).parameters)[:4] == ["params", "tgrid", "config", "v0"]
 
 
 def test_field_is_the_one_path_to_the_transforms():

@@ -54,7 +54,7 @@ def make_ctx(J=8, k=0.01, N=10, params=SLOW):
 
 def random_field(J, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    return PeriodicField(scale * rng.standard_normal(J), TWO_PI / J)
+    return PeriodicField(scale * rng.standard_normal(J))
 
 
 def loop_L(values, coeffs, h):
@@ -114,6 +114,24 @@ def test_admissibility_passes_for_reference_setup():
     assert report.k_bound > 100.0
 
 
+@pytest.mark.parametrize(
+    "params, tgrid",
+    [
+        (SLOW, TimeGrid(k=0.01, N=100)),
+        (ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=2.0), TimeGrid(k=0.01, N=10)),
+        (ModelParams(delta=0.1, alpha=2.5, v_c=0.001, R0=10.0), TimeGrid(k=0.5, N=4)),
+        (ModelParams(delta=4.0, alpha=1.28, v_c=0.1, R0=60.0), TimeGrid(k=1.0 / 64, N=64)),
+    ],
+)
+def test_admissibility_without_a_law_solves_the_params_own(params, tgrid):
+    # with no law given, check_admissibility builds RadiusLaw(params): the same report, field by field
+    derived, given = check_admissibility(params, tgrid), check_admissibility(params, tgrid, RadiusLaw(params))
+    assert derived == given
+    assert [x.hex() for x in (derived.r0_bound, derived.k_bound, derived.R_T)] == [
+        x.hex() for x in (given.r0_bound, given.k_bound, given.R_T)
+    ]
+
+
 def test_admissibility_fails_small_radius():
     p = ModelParams(delta=4.0, alpha=1.5, v_c=0.001, R0=2.0)
     report = check_admissibility(p, TimeGrid(k=0.01, N=10), RadiusLaw(p))
@@ -166,7 +184,7 @@ def test_solve_linear_cn_divides_cosine_by_symbol(m):
     ctx = make_ctx(J=16)
     sc = step_coefficients(ctx, 0)
     g = ctx.grid
-    rhs = PeriodicField(np.cos(m * g.sigma), g.h)
+    rhs = PeriodicField(np.cos(m * g.sigma))
     out = solve_linear_cn(rhs, 0, ctx)
     np.testing.assert_allclose(
         out.values, rhs.values / sc.denom[m], rtol=0, atol=1e-12
@@ -195,7 +213,7 @@ def test_first_step_matches_dense_solve():
 
 def test_first_step_of_zero_is_zero():
     ctx = make_ctx(J=16)
-    z = PeriodicField(np.zeros(16), ctx.grid.h)
+    z = PeriodicField(np.zeros(16))
     assert np.abs(newton_first_step(z, ctx).values).max() <= 1e-16
 
 
@@ -230,7 +248,7 @@ def test_single_mode_growth_factor(eps, rel):
     sc = step_coefficients(ctx, 0)
     g = ctx.grid
     m = 2
-    v0 = PeriodicField(eps * np.cos(m * g.sigma), g.h)
+    v0 = PeriodicField(eps * np.cos(m * g.sigma))
     W = cn_step(v0, 0, ctx)
     amp = (g.h / math.pi) * float(np.dot(W.values, np.cos(m * g.sigma)))
     expected = eps * sc.numer[m] / sc.denom[m]
@@ -248,7 +266,7 @@ def test_mean_recursion_with_nonzero_start():
     J, k, N = 64, 0.01, 200
     g = GridSpec(J)
     law = RadiusLaw(SLOW)
-    v0 = PeriodicField(0.1 * np.cos(2 * g.sigma) - 0.05 * np.cos(3 * g.sigma) + 1.0 / TWO_PI, g.h)
+    v0 = PeriodicField(0.1 * np.cos(2 * g.sigma) - 0.05 * np.cos(3 * g.sigma) + 1.0 / TWO_PI)
     with pytest.warns(UserWarning):
         traj = run(SLOW, TimeGrid(k=k, N=N), g, SolverConfig(), v0, law=law)
     S_expected = traj.S[0]
@@ -316,7 +334,7 @@ def test_newton_tracks_reference():
     newton = run(SLOW, tg, g, SolverConfig(), v0, law=law, method="newton")
     ref = run(SLOW, tg, g, SolverConfig(), v0, law=law, method="reference")
     gap = max(
-        norm_h(PeriodicField(newton.snapshots[n] - ref.snapshots[n], g.h))
+        norm_h(PeriodicField(newton.snapshots[n] - ref.snapshots[n]))
         for n in range(tg.N + 1)
     )
     assert gap <= 1e-8
@@ -329,11 +347,11 @@ def test_perturbation_growth_is_mild():
     law = RadiusLaw(SLOW)
     v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
     pert = sample_cosine_sum_dsigma(g, [(1e-6, 2), (1e-6, 4)])
-    v0p = PeriodicField(v0.values + pert.values, g.h)
+    v0p = PeriodicField(v0.values + pert.values)
     a = run(SLOW, tg, g, SolverConfig(), v0, law=law, method="reference")
     b = run(SLOW, tg, g, SolverConfig(), v0p, law=law, method="reference")
     norms = [
-        norm_h(PeriodicField(b.snapshots[n] - a.snapshots[n], g.h))
+        norm_h(PeriodicField(b.snapshots[n] - a.snapshots[n]))
         for n in range(tg.N + 1)
     ]
     c = 10.0
@@ -399,7 +417,7 @@ def test_run_matches_public_step_functions():
 
     def rel_gap(traj, fields):
         return max(
-            norm_h(PeriodicField(traj.snapshots[n] - V.values, g.h)) / norm_h(V)
+            norm_h(PeriodicField(traj.snapshots[n] - V.values)) / norm_h(V)
             for n, V in enumerate(fields)
         )
 
@@ -627,15 +645,15 @@ def test_psi_free_first_sweep_equals_generic_sweep():
     rng = np.random.default_rng(11)
 
     def mirrored(half):
-        return PeriodicField(np.concatenate((half, half[-2:0:-1])), h)
+        return PeriodicField(np.concatenate((half, half[-2:0:-1])))
 
     Vn = mirrored(-1.0 - rng.random(9))
     Vprev = mirrored(-1.0 - rng.random(9))
     Vhat = extrapolate(Vn, Vprev)
-    b = PeriodicField(Vn.values + Vhat.values, h)
+    b = PeriodicField(Vn.values + Vhat.values)
     phi_bb = phi(b, b).values
     assert np.any((phi_bb == 0.0) & np.signbit(phi_bb))
-    generic_rhs = psi(b, PeriodicField(Vhat.values - Vhat.values, h)).values + phi_bb
+    generic_rhs = psi(b, PeriodicField(Vhat.values - Vhat.values)).values + phi_bb
     assert not np.array_equal(bits(generic_rhs), bits(phi_bb))
 
     sc = step_coefficients(ctx, n)
@@ -857,7 +875,7 @@ def test_stepping_memory_does_not_grow_with_the_step_count(method, J):
     for N in (100, 800):
         tracemalloc.start()
         try:
-            steps = integrate(SLOW, TimeGrid(k=0.01, N=N), g, SolverConfig(), v0, method=method)
+            steps = integrate(SLOW, TimeGrid(k=0.01, N=N), SolverConfig(), v0, method=method)
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             for _ in steps:
@@ -877,7 +895,7 @@ def test_setup_memory_peaks_near_what_the_run_holds():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        steps = integrate(SLOW, tg, g, SolverConfig(), v0)
+        steps = integrate(SLOW, tg, SolverConfig(), v0)
         held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
@@ -901,20 +919,20 @@ def test_integrate_keeps_numpy_error_state():
     g, tg = GridSpec(32), TimeGrid(k=0.01, N=12)
     v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
     before = np.geterr()
-    a = integrate(SLOW, tg, g, SolverConfig(), v0)
-    b = integrate(SLOW, tg, g, SolverConfig(), v0, method="reference")
+    a = integrate(SLOW, tg, SolverConfig(), v0)
+    b = integrate(SLOW, tg, SolverConfig(), v0, method="reference")
     assert [m for (m, _), _ in zip(a, b)] == list(range(tg.N + 1))
     assert next(b, None) is None  # zip stopped at a's end; b ends after it
     assert np.geterr() == before
 
-    c = integrate(SLOW, tg, g, SolverConfig(), v0, every=5)
+    c = integrate(SLOW, tg, SolverConfig(), v0, every=5)
     assert next(c)[0] == 0 and next(c)[0] == 5
     del c
     gc.collect()
     assert np.geterr() == before
 
     gd = GridSpec(64)
-    d = integrate(DIVERGING, TimeGrid(k=0.05, N=1000), gd, SolverConfig(),
+    d = integrate(DIVERGING, TimeGrid(k=0.05, N=1000), SolverConfig(),
                   sample_cosine_sum_dsigma(gd, [(3.0, 2), (3.0, 3)]))
     with pytest.raises(SolverError) as err:
         for _ in d:
@@ -931,7 +949,7 @@ def test_integrate_yields_the_steps_run_stores(method, every):
     g, tg = GridSpec(32), TimeGrid(k=0.01, N=20)
     v0 = sample_cosine_sum_dsigma(g, [(0.1, 2), (0.1, 3)])
     traj = run(SLOW, tg, g, SolverConfig(), v0, method=method, store_stride=every)
-    steps = integrate(SLOW, tg, g, SolverConfig(), v0, method=method, every=every)
+    steps = integrate(SLOW, tg, SolverConfig(), v0, method=method, every=every)
     seen = []
     for m, v in steps:
         assert np.array_equal(bits(v), bits(traj.snapshots[m]))
@@ -957,7 +975,7 @@ def test_integrate_failures_keep_their_step_index(monkeypatch):
 
     monkeypatch.setattr(solver, "_rfft", overflowing)
     g = GridSpec(32)
-    steps = integrate(SLOW, TimeGrid(k=0.01, N=6), g, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.01, 2)]))
+    steps = integrate(SLOW, TimeGrid(k=0.01, N=6), SolverConfig(), sample_cosine_sum_dsigma(g, [(0.01, 2)]))
     assert [next(steps)[0] for _ in range(3)] == [0, 1, 2]
     with pytest.raises(SolverError, match="floating point failure") as err:
         next(steps)
@@ -968,7 +986,6 @@ def test_integrate_failures_keep_their_step_index(monkeypatch):
     "change, error",
     [
         ({"method": "euler"}, ValueError),
-        ({"v0": sample_cosine_sum_dsigma(GridSpec(32), [(0.01, 2)])}, ValueError),
         ({"every": 0}, ValueError),
         ({"every": -2}, ValueError),
         ({"params": replace(SLOW, R0=2.0)}, SolverError),  # R0 below sqrt(delta/(alpha-1))
@@ -980,23 +997,32 @@ def test_integrate_rejects_bad_arguments_when_called(change, error):
     kwargs = dict(params=SLOW, v0=sample_cosine_sum_dsigma(g, [(0.01, 2)])) | change
     params, v0 = kwargs.pop("params"), kwargs.pop("v0")
     with pytest.raises(error):
-        integrate(params, TimeGrid(k=0.01, N=5), g, SolverConfig(), v0, **kwargs)
+        integrate(params, TimeGrid(k=0.01, N=5), SolverConfig(), v0, **kwargs)
 
 
 @pytest.mark.parametrize("entry", ["integrate"])
 def test_nonzero_mean_warning_names_the_callers_file(entry):
     g = GridSpec(16)
-    v0 = PeriodicField(0.01 * np.cos(2 * g.sigma) + 1.0, g.h)
+    v0 = PeriodicField(0.01 * np.cos(2 * g.sigma) + 1.0)
     with pytest.warns(UserWarning, match="initial mean") as caught:
-        integrate(SLOW, TimeGrid(k=0.01, N=3), g, SolverConfig(), v0)
+        integrate(SLOW, TimeGrid(k=0.01, N=3), SolverConfig(), v0)
     assert [w.filename for w in caught] == [__file__]
+
+
+@pytest.mark.parametrize("J", [16, 64])
+def test_integrate_runs_on_the_grid_of_v0(J):
+    # integrate() takes no grid: the run's grid is v0's, and its steps are J values
+    v0 = sample_cosine_sum_dsigma(GridSpec(J), [(0.01, 2)])
+    steps = integrate(SLOW, TimeGrid(k=0.01, N=3), SolverConfig(), v0)
+    assert steps.grid == v0.grid == GridSpec(J)
+    assert [v.size for _, v in steps] == [J] * 4
 
 
 def test_a_failed_run_ends_its_iteration():
     # after a SolverError the run is over: a later next() raises
     # StopIteration instead of stepping again from the failed workspace
     gd = GridSpec(64)
-    d = integrate(DIVERGING, TimeGrid(k=0.05, N=1000), gd, SolverConfig(),
+    d = integrate(DIVERGING, TimeGrid(k=0.05, N=1000), SolverConfig(),
                   sample_cosine_sum_dsigma(gd, [(3.0, 2), (3.0, 3)]))
     with pytest.raises(SolverError):
         for _ in d:
@@ -1016,7 +1042,7 @@ def test_a_dropped_run_is_freed_without_the_cyclic_gc():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        steps = integrate(SLOW, TimeGrid(k=0.01, N=12), g, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.1, 2)]))
+        steps = integrate(SLOW, TimeGrid(k=0.01, N=12), SolverConfig(), sample_cosine_sum_dsigma(g, [(0.1, 2)]))
         assert [next(steps)[0], next(steps)[0]] == [0, 1]
         ref = weakref.ref(steps)
         del steps
@@ -1033,8 +1059,8 @@ def test_integrate_takes_only_an_integer_every():
     v0 = sample_cosine_sum_dsigma(g, [(0.01, 2)])
     for every in (2.5, 2.0, np.float64(2.0)):
         with pytest.raises(ValueError, match="every must be >= 1 and an integer"):
-            integrate(SLOW, tg, g, SolverConfig(), v0, every=every)
-    assert [m for m, _ in integrate(SLOW, tg, g, SolverConfig(), v0, every=np.int64(2))] == [0, 2, 4, 5]
+            integrate(SLOW, tg, SolverConfig(), v0, every=every)
+    assert [m for m, _ in integrate(SLOW, tg, SolverConfig(), v0, every=np.int64(2))] == [0, 2, 4, 5]
 
 
 # V^0 and the safety paths of the step loop.
@@ -1047,8 +1073,10 @@ def test_nan_initial_data_fails_at_step_0(entry):
     values = sample_cosine_sum_dsigma(g, [(0.01, 2)]).values.copy()
     values[3] = np.nan
     with pytest.raises(SolverError, match="not finite") as err:
-        (run if entry == "run" else integrate)(SLOW, TimeGrid(k=0.01, N=3), g, SolverConfig(),
-                                               PeriodicField(values, g.h))
+        if entry == "run":
+            run(SLOW, TimeGrid(k=0.01, N=3), g, SolverConfig(), PeriodicField(values))
+        else:
+            integrate(SLOW, TimeGrid(k=0.01, N=3), SolverConfig(), PeriodicField(values))
     assert err.value.step == 0
 
 
@@ -1070,7 +1098,7 @@ def test_non_finite_step_without_a_floating_point_error_fails_at_its_step(monkey
         return out
 
     g = GridSpec(32)
-    steps = integrate(SLOW, TimeGrid(k=0.01, N=4), g, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.01, 2)]))
+    steps = integrate(SLOW, TimeGrid(k=0.01, N=4), SolverConfig(), sample_cosine_sum_dsigma(g, [(0.01, 2)]))
     assert next(steps)[0] == 0
     monkeypatch.setattr(solver, "_irfft", nan_irfft)
     with pytest.raises(SolverError, match="not finite") as err:
@@ -1083,9 +1111,9 @@ def test_non_finite_step_without_a_floating_point_error_fails_at_its_step(monkey
 def test_runs_time_themselves(entry, method):
     # Integration.solve_s: the seconds of construction and of every step
     g, tg = GridSpec(32), TimeGrid(k=0.01, N=5)
-    args = (SLOW, tg, g, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.01, 2)]))
+    args = (SLOW, tg, SolverConfig(), sample_cosine_sum_dsigma(g, [(0.01, 2)]))
     if entry == "run":
-        traj = run(*args, method=method)
+        traj = run(*args[:2], g, *args[2:], method=method)
     else:
         steps = integrate(*args, method=method)
         constructed = steps.solve_s
@@ -1105,7 +1133,7 @@ def test_non_finite_reference_step_without_a_floating_point_error_fails_at_its_s
 
     g = GridSpec(32)
     v0 = sample_cosine_sum_dsigma(g, [(0.01, 2)])
-    steps = integrate(SLOW, TimeGrid(k=0.01, N=4), g, SolverConfig(), v0, method="reference")
+    steps = integrate(SLOW, TimeGrid(k=0.01, N=4), SolverConfig(), v0, method="reference")
     assert next(steps)[0] == 0
     monkeypatch.setattr(solver, "_irfft", nan_irfft)
     with pytest.raises(SolverError, match="not finite") as err:
@@ -1130,7 +1158,7 @@ def test_integrate_accumulates_A_up_to_each_yielded_step(params, k, N, pairs, me
     # A[:m+1] is final when V^m is yielded: the running sum has the bits of
     # the closed formula over the finished run, a cumulative trapezoid sum
     g, tg = GridSpec(64), TimeGrid(k=k, N=N)
-    steps = integrate(params, tg, g, SolverConfig(), sample_cosine_sum_dsigma(g, pairs), method=method, every=every)
+    steps = integrate(params, tg, SolverConfig(), sample_cosine_sum_dsigma(g, pairs), method=method, every=every)
     traj = steps
     prefixes = {m: traj.A[: m + 1].copy() for m, _ in steps}
     assert list(prefixes) == list(range(0, N, every)) + [N]
@@ -1153,7 +1181,7 @@ def test_linear_first_step_sets_the_newton_gap():
     truth = final(run(params, tg, g, SolverConfig(), v0, law=law, method="reference", store_stride=tg.N))
 
     def gap(v):
-        return norm_h(PeriodicField(v.values - truth.values, g.h))
+        return norm_h(PeriodicField(v.values - truth.values))
 
     paper, converged = {}, {}
     for jn in (2, 3):
@@ -1219,10 +1247,10 @@ def test_predictor_started_reference_matches_the_vn_started_one(monkeypatch, par
     for n in range(tg.N):
         old.append(cn_step(old[n], n, ctx))
     old_sweeps = len(calls)
-    steps = integrate(params, tg, g, cfg, v0, method="reference")
+    steps = integrate(params, tg, cfg, v0, method="reference")
     for m, v in steps:
-        gap = norm_h(PeriodicField(v - old[m].values, g.h))
-        assert gap <= 10 * cfg.reference_tol * max(1.0, norm_h(PeriodicField(v, g.h))), m
+        gap = norm_h(PeriodicField(v - old[m].values))
+        assert gap <= 10 * cfg.reference_tol * max(1.0, norm_h(PeriodicField(v))), m
     assert steps.reference_sweeps == len(calls) - old_sweeps < old_sweeps
 
 

@@ -95,14 +95,14 @@ def test_predicted_dominant_tie_breaks_low():
 def test_measured_dominant_mode():
     g = GridSpec(64)
     probe = PeriodicField(
-        0.7 * np.cos(4 * g.sigma) + 0.2 * np.cos(2 * g.sigma) + 3.0, g.h
+        0.7 * np.cos(4 * g.sigma) + 0.2 * np.cos(2 * g.sigma) + 3.0
     )
     assert measured_dominant_mode(probe) == 4
 
 
 def test_selection_measures_the_probe_mode():
     g = GridSpec(64)
-    probe = PeriodicField(np.cos(2 * g.sigma), g.h)
+    probe = PeriodicField(np.cos(2 * g.sigma))
     verdict = selection(PARAMS, 6.0, probe)
     assert verdict["measured_dominant"] == 2
     assert verdict["R_star"] == critical_radius(PARAMS)

@@ -51,7 +51,7 @@ def _mirror(v: np.ndarray) -> np.ndarray:
 
 def _steps(v0: np.ndarray, method: str) -> np.ndarray:
     """V^0..V^N of the run from v0, one row a step."""
-    traj = run(PARAMS, TGRID, GRID, SolverConfig(), PeriodicField(v0, GRID.h), method=method)
+    traj = run(PARAMS, TGRID, GRID, SolverConfig(), PeriodicField(v0), method=method)
     return np.array([traj.snapshots[n] for n in range(TGRID.N + 1)])
 
 
@@ -99,7 +99,7 @@ def test_a_one_sided_stencil_breaks_reflection(monkeypatch, method):
 @pytest.mark.parametrize("method", METHODS)
 def test_reconstruct_u_shifts_and_mirrors_the_height(method):
     N = TGRID.N
-    traj = run(PARAMS, TGRID, GRID, SolverConfig(), PeriodicField(_start(), GRID.h), method=method, store_stride=N)
+    traj = run(PARAMS, TGRID, GRID, SolverConfig(), PeriodicField(_start()), method=method, store_stride=N)
     v = traj.snapshots[N]
     u = reconstruct_u(traj, 0.0, N, v).values
     bound = abs(traj.S[N]) + TOL * np.max(np.abs(u))
