@@ -986,6 +986,7 @@ def test_integrate_failures_keep_their_step_index(monkeypatch):
     "change, error",
     [
         ({"method": "euler"}, ValueError),
+        ({"every": 1.5}, ValueError),
         ({"every": 0}, ValueError),
         ({"every": -2}, ValueError),
         ({"params": replace(SLOW, R0=2.0)}, SolverError),  # R0 below sqrt(delta/(alpha-1))
